@@ -11,9 +11,10 @@ threshold (default 30%).  Keys that exist only in the fresh file are new
 benchmarks and are allowed; keys that *disappeared* fail the gate — a
 silently dropped benchmark must not evade it.
 
-The CI bench job snapshots the committed ``BENCH_ep.json`` before the
-benchmarks merge their fresh measurements into it, then runs this gate on
-the pair.
+The benchmarks merge their fresh measurements into the gitignored
+``.bench-out/BENCH_ep.json`` (see ``bench_io.py``) and never touch the
+committed ``BENCH_ep.json``, so the CI bench job runs this gate on the
+committed file and the fresh one.
 
 Caveat: the gate compares absolute throughput, so the committed baseline
 must be refreshed from the same class of machine CI runs on; a baseline

@@ -11,7 +11,8 @@ bench) through three inference configurations sharing one engine each:
 
 Acceptance: the batched kernel reaches >= 3x the reference slices/sec and
 its posterior means agree with the reference within 1e-8 (relative).  The
-measured trajectory is written to ``BENCH_ep.json`` in the repo root.
+measured trajectory is merged into ``.bench-out/BENCH_ep.json`` (see
+``bench_io.py``).
 """
 
 import os

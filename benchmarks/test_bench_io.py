@@ -5,11 +5,13 @@ metadata, so the merge must be a deep merge: a section that carries its own
 ``workload`` block must not clobber another section's block (the historical
 shallow ``dict.update`` did exactly that once heterogeneous keys appeared).
 ``check_regression.py`` then gates every ``slices_per_second`` leaf — at
-any nesting depth — against the committed baseline.
+any nesting depth — against the committed baseline, which the merge only
+ever reads.
 """
 
 import json
 
+import bench_io
 import check_regression
 from bench_io import deep_merge, merge_bench_entries
 
@@ -78,6 +80,31 @@ class TestMergeBenchEntries:
         path.write_text("{not json")
         merge_bench_entries({"a": 1}, path=path)
         assert json.loads(path.read_text()) == {"a": 1}
+
+    def test_merge_seeds_from_but_never_writes_the_committed_file(self, tmp_path):
+        committed = tmp_path / "BENCH_ep.json"
+        committed.write_text(json.dumps(_homogeneous_payload()))
+        before = committed.read_bytes()
+        fresh = tmp_path / ".bench-out" / "BENCH_ep.json"
+        merge_bench_entries(_hetero_entries(), path=fresh, seed=committed)
+        merge_bench_entries(
+            {"megabatch": {"fleet": {"slices_per_second": {"megabatch": 854.4}}}},
+            path=fresh,
+            seed=committed,
+        )
+        assert committed.read_bytes() == before
+        payload = json.loads(fresh.read_text())
+        # Seeded from the committed keys on the first write...
+        assert payload["slices_per_second"]["batched"] == 896.24
+        # ...and every later write merges into the fresh file.
+        assert payload["megabatch"]["solve"]["slices_per_second"]["megabatch"] == 831.8
+        assert payload["megabatch"]["fleet"]["slices_per_second"]["megabatch"] == 854.4
+
+    def test_default_output_is_gitignored_not_the_committed_file(self):
+        assert bench_io.BENCH_PATH != bench_io.COMMITTED_PATH
+        out_dir = bench_io.BENCH_PATH.parent
+        ignored = (bench_io.COMMITTED_PATH.parent / ".gitignore").read_text().split()
+        assert f"{out_dir.name}/" in ignored
 
 
 class TestRegressionGate:

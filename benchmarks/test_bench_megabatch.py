@@ -13,9 +13,11 @@ three ticks, churning every tick).  Two measurements:
   per group; ``megabatch`` compiles one canonical full-width structure and
   solves the whole round in one kernel call per tick.  Acceptance: >= 3x.
 * ``fleet`` — the same fleet end-to-end through ``process_batch`` with warm
-  engines and default EP settings; the shared per-record prepare/finalize
-  Python bounds this ratio far below the solve-stage win (Amdahl), so the
-  acceptance bar is an honest >= 1.2x.
+  default engines: ``fragmented`` feeds each round one signature group per
+  call (so no call holds two signatures and nothing merges), ``megabatch``
+  feeds the whole round in one call.  The shared per-record
+  prepare/finalize Python bounds this ratio far below the solve-stage win
+  (Amdahl), so the acceptance bar is an honest >= 1.2x.
 
 Both modes must agree **exactly** (padded lanes are bit-exact no-ops) —
 the differential suite in ``tests/test_megabatch.py`` pins that property
@@ -120,11 +122,7 @@ def _solve_fragmented(catalog, union, prepared, rounds):
 def _solve_megabatch(catalog, union, prepared, rounds):
     """Cold mega-batched solve: one canonical structure, one call per tick."""
     engine = BayesPerfEngine(
-        catalog,
-        union,
-        ep_damping=EP_DAMPING,
-        ep_max_iterations=EP_ITERATIONS,
-        megabatch=True,
+        catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
     )
     start = time.perf_counter()
     results = []
@@ -142,14 +140,28 @@ def _solve_megabatch(catalog, union, prepared, rounds):
     return time.perf_counter() - start, results
 
 
-def _run_fleet(engine, hosts):
+def _process_by_signature(engine, items):
+    """``process_batch`` fed one signature group per call (input order kept)."""
+    groups = {}
+    for index, (_, record) in enumerate(items):
+        groups.setdefault(tuple(record.samples), []).append(index)
+    results = [None] * len(items)
+    for indices in groups.values():
+        solved = engine.process_batch([items[index] for index in indices])
+        for index, result in zip(indices, solved):
+            results[index] = result
+    return results
+
+
+def _run_fleet(engine, hosts, fragmented):
     """End-to-end heterogeneous fleet round via ``process_batch``."""
+    process = _process_by_signature if fragmented else BayesPerfEngine.process_batch
     states = [None] * len(hosts)
     estimates = [[] for _ in hosts]
     start = time.perf_counter()
     for slot in range(TICKS):
         items = [(states[h], records[slot]) for h, (_, records) in enumerate(hosts)]
-        for h, (report, state) in enumerate(engine.process_batch(items)):
+        for h, (report, state) in enumerate(process(engine, items)):
             states[h] = state
             estimates[h].append(report.means())
     return time.perf_counter() - start, estimates
@@ -250,7 +262,7 @@ def test_bench_megabatch_fleet_end_to_end(benchmark):
     catalog, union, hosts = _hetero_fleet()
     engines = {
         "fragmented": BayesPerfEngine(catalog, union),
-        "megabatch": BayesPerfEngine(catalog, union, megabatch=True),
+        "megabatch": BayesPerfEngine(catalog, union),
     }
     total_slices = N_HOSTS * TICKS
     timings = {mode: [] for mode in engines}
@@ -262,20 +274,24 @@ def test_bench_megabatch_fleet_end_to_end(benchmark):
     def compare():
         for _ in range(ROUNDS):
             for mode, engine in engines.items():
-                elapsed, estimates[mode] = _run_fleet(engine, hosts)
+                elapsed, estimates[mode] = _run_fleet(
+                    engine, hosts, fragmented=mode == "fragmented"
+                )
                 timings[mode].append(elapsed)
         while (
             _best("fragmented") / _best("megabatch") <= 1.2
             and len(timings["megabatch"]) < MAX_ROUNDS
         ):
             for mode, engine in engines.items():
-                elapsed, estimates[mode] = _run_fleet(engine, hosts)
+                elapsed, estimates[mode] = _run_fleet(
+                    engine, hosts, fragmented=mode == "fragmented"
+                )
                 timings[mode].append(elapsed)
         return timings
 
     benchmark.pedantic(compare, iterations=1, rounds=1)
 
-    # End-to-end bit-identity between the two engine modes.
+    # End-to-end bit-identity between the two ways of feeding the engine.
     assert estimates["fragmented"] == estimates["megabatch"]
 
     throughput = {mode: total_slices / _best(mode) for mode in engines}

@@ -78,13 +78,13 @@ class EstimatorSpec:
     ``use_compiled_kernel=False`` selects the estimator's object-walking
     reference twin — the differential-testing A/B switch.
 
-    ``megabatch`` opts heterogeneous-fleet rounds into the cross-signature
-    mega-batched kernel (:mod:`repro.fg.megabatch`); ``kernel_exec``
-    carries a :class:`~repro.fg.megabatch.KernelExecSpec` describing how
-    the kernel spreads work across threads.  Both are ``None`` by default
-    (the engine's defaults), both are bit-identity-preserving knobs: they
-    change wall-clock, never numbers.  A plain mapping (e.g. from a
+    ``kernel_exec`` carries a :class:`~repro.fg.megabatch.KernelExecSpec`
+    describing how the kernel spreads work across threads.  It is ``None``
+    by default (the engine's default) and preserves bit-identity: it
+    changes wall-clock, never numbers.  A plain mapping (e.g. from a
     JSON-round-tripped ``RunSpec``) is coerced to a ``KernelExecSpec``.
+    Cross-signature mega-batching needs no field: the engine merges
+    heterogeneous rounds on its own (:mod:`repro.fg.megabatch`).
     """
 
     name: str = "analytic"
@@ -93,7 +93,6 @@ class EstimatorSpec:
     adapt: Optional[bool] = None
     ep_iterations: Optional[int] = None
     use_compiled_kernel: bool = True
-    megabatch: Optional[bool] = None
     kernel_exec: Optional[KernelExecSpec] = None
 
     def __post_init__(self) -> None:
@@ -129,8 +128,6 @@ class EstimatorSpec:
             kwargs["mcmc_adapt"] = self.adapt
         if self.ep_iterations is not None:
             kwargs["ep_max_iterations"] = self.ep_iterations
-        if self.megabatch is not None:
-            kwargs["megabatch"] = self.megabatch
         if self.kernel_exec is not None:
             kwargs["kernel_exec"] = self.kernel_exec
         return kwargs
@@ -484,16 +481,20 @@ class RunSpec:
                 (str(key), value) for key, value in fields_.get("params", ())
             )
             recorder = RecorderSpec(**fields_)
+        estimator = dict(data.get("estimator") or {})
+        # Logs written before mega-batching became automatic carry two
+        # numerics-free knobs that no longer exist: drop them.
+        estimator.pop("megabatch", None)
+        if isinstance(estimator.get("kernel_exec"), Mapping):
+            kernel_exec = dict(estimator["kernel_exec"])
+            kernel_exec.pop("partition", None)
+            estimator["kernel_exec"] = kernel_exec
         return cls(
             arch=data.get("arch", "x86"),
             events=tuple(data["events"]) if data.get("events") is not None else None,
             metrics=tuple(data["metrics"]) if data.get("metrics") is not None else None,
             hosts=tuple(HostSpec(**dict(host)) for host in data.get("hosts", ())),
-            estimator=(
-                EstimatorSpec(**dict(data["estimator"]))
-                if data.get("estimator")
-                else EstimatorSpec()
-            ),
+            estimator=EstimatorSpec(**estimator),
             recorder=recorder,
             observer=(
                 ObserverSpec(**dict(data["observer"])) if data.get("observer") else None

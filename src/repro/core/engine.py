@@ -21,7 +21,11 @@ are plain ndarrays (no Student-t objects), site blocks come out of the
 signature-cached :class:`~repro.fg.compiled.CompiledBinder` (no factor
 objects), and batches solve through
 :meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the batched MCMC
-estimator.  Every fast path keeps a reference twin — the object-walking
+estimator.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
+a single slice is a batch of one, and a batch spanning several
+measured-event signatures is mega-batched into one analytic kernel call
+automatically (:mod:`repro.fg.megabatch`).  Every fast path keeps a
+reference twin — the object-walking
 :class:`~repro.fg.ep.ExpectationPropagation` loop for the analytic kernel,
 :class:`~repro.fg.mcmc.ReferenceMCMC` for the batched sampler — selectable
 with ``use_compiled_kernel=False`` so differential tests can pin the pairs
@@ -64,18 +68,11 @@ from repro.fg.factors import (
 from repro.fg.gaussian import GaussianDensity
 from repro.fg.graph import FactorGraph
 from repro.fg.mcmc import ChainTrace, StudentTTail
-from repro.fg.registry import estimator_names, get_estimator
+from repro.fg.registry import get_estimator
 from repro.invariants.library import InvariantLibrary, standard_invariants
 from repro.core.posterior import EventEstimate, PosteriorReport
 from repro.pmu.sampling import SampledTrace, SamplingRecord
 from repro.pmu.traces import EstimateTrace
-
-#: All registered moment estimators (the :mod:`repro.fg.registry` the
-#: samplers and their reference twins self-register into; "mcmc" = per-site
-#: tilted MCMC inside the EP loop, the paper's accelerator workload).
-#: Kept as a module attribute for backward compatibility — the registry is
-#: the source of truth.
-KNOWN_ESTIMATORS = estimator_names()
 
 
 @dataclass
@@ -121,8 +118,8 @@ class ObservationSummaries:
 class _PreparedSlice:
     """One record's slice-local model, built before (batched) inference.
 
-    Captures everything :meth:`BayesPerfEngine.process_record` derives from
-    the engine's temporal state *before* running inference, as plain
+    Captures everything :meth:`BayesPerfEngine.process_batch` derives from
+    a monitoring run's temporal state *before* running inference, as plain
     ndarrays, so a batch of slices from different monitoring runs can be
     prepared sequentially and then solved in one vectorized kernel call.
     """
@@ -147,7 +144,6 @@ class _PreparedSlice:
     rng_state: Optional[Dict]
     #: Per-record seed for the batched MCMC estimator's chains.
     mcmc_seed: int = 0
-    state: Optional[EngineState] = None
 
 
 class BayesPerfEngine:
@@ -199,22 +195,13 @@ class BayesPerfEngine:
         Multiplier on every relation's tolerance (ablation knob).
     ep_max_iterations, ep_damping, mcmc_samples, mcmc_burn_in, seed:
         EP and MCMC controls.
-    megabatch:
-        Merge *all* eligible measured-event signatures of one
-        :meth:`process_batch` call into a single canonical full-width
-        kernel solve (:mod:`repro.fg.megabatch`): padded lanes carry exact
-        zeros so the mega-batched posteriors are bit-identical to the
-        per-signature batched ones — only the per-call dispatch overhead
-        changes.  Off by default; heterogeneous fleets turn it on via
-        ``EstimatorSpec(megabatch=True)``.
     kernel_exec:
         Optional :class:`~repro.fg.megabatch.KernelExecSpec` spreading the
-        batched kernel across threads (``partition="lane"`` chunks the
-        record axis inside one solve; ``partition="signature"`` runs
-        independent signature groups concurrently).  Partitions are fixed
-        functions of the workload shape, so any thread count is
-        bit-identical to ``threads=1``.  When ``None``, the
-        ``REPRO_KERNEL_THREADS`` environment variable supplies a default.
+        batched kernel across threads by chunking the record axis inside
+        one solve.  The chunks are a fixed function of the batch size, so
+        any thread count is bit-identical to ``threads=1``.  When ``None``,
+        the ``REPRO_KERNEL_THREADS`` environment variable supplies a
+        default.
     use_compiled_kernel:
         Route compiled-estimator slices through the vectorized array path
         (:class:`~repro.fg.compiled.CompiledEPKernel` /
@@ -247,7 +234,6 @@ class BayesPerfEngine:
         observer=None,
         use_intensity_chain: bool = True,
         use_compiled_kernel: bool = True,
-        megabatch: bool = False,
         kernel_exec: Optional[KernelExecSpec] = None,
         seed: int = 0,
     ) -> None:
@@ -302,7 +288,6 @@ class BayesPerfEngine:
         self._observer = observer
         self.use_intensity_chain = use_intensity_chain
         self.use_compiled_kernel = use_compiled_kernel
-        self.megabatch = megabatch
         self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
         self._kernel_pool = None
         self._seed = seed
@@ -499,19 +484,20 @@ class BayesPerfEngine:
         return float(min(max(ratio, 0.2), 5.0))
 
     def _build_factors(
-        self, summaries: ObservationSummaries
+        self, summaries: ObservationSummaries, scales: Mapping[str, float]
     ) -> Tuple[List[Factor], List[List[Factor]]]:
         """Observation factors and per-group constraint factors (normalised).
 
-        The object-level slice model — needed only to compile a new
-        signature and on the reference-twin paths; the compiled hot path
-        binds the summary arrays directly.
+        The object-level slice model under the per-event normalisation
+        *scales* — needed only to compile a new signature and on the
+        reference-twin paths; the compiled hot path binds the summary
+        arrays directly.
         """
         observation_factors: List[Factor] = []
         for event, loc, sigma, df in zip(
             summaries.events, summaries.loc, summaries.scale, summaries.df
         ):
-            scale = self._scale[event]
+            scale = scales[event]
             loc_norm = loc / scale
             sigma_norm = max(sigma / scale, 1e-9)
             if self.observation_model == "student_t":
@@ -535,7 +521,7 @@ class BayesPerfEngine:
             for index in group:
                 relation = self.relations[index]
                 coefficients = {
-                    event: coef * self._scale[event]
+                    event: coef * scales[event]
                     for event, coef in relation.coefficients.items()
                 }
                 magnitude = sum(abs(value) for value in coefficients.values())
@@ -687,7 +673,7 @@ class BayesPerfEngine:
                 else nullcontext()
             ):
                 observation_factors, constraint_groups = self._build_factors(
-                    prepared.summaries
+                    prepared.summaries, prepared.scale
                 )
                 site_lists = self._site_factor_lists(
                     observation_factors, constraint_groups
@@ -726,12 +712,14 @@ class BayesPerfEngine:
         if self._mega_cache is not False:
             return self._mega_cache
         n = len(self.events)
-        # Placeholder summaries: only the factor *types* and variable sets
-        # matter for compilation, never the values.
+        # Placeholder summaries and scales: only the factor *types* and
+        # variable sets matter for compilation, never the values.
         summaries = ObservationSummaries(
             self.events, np.ones(n), np.ones(n), np.full(n, 3.0)
         )
-        observation_factors, constraint_groups = self._build_factors(summaries)
+        observation_factors, constraint_groups = self._build_factors(
+            summaries, dict.fromkeys(self.events, 1.0)
+        )
         site_lists = self._site_factor_lists(observation_factors, constraint_groups)
         graph, sites = self._assemble_graph(site_lists)
         structure = compile_factor_graph(graph, sites, variables=self.events)
@@ -770,7 +758,7 @@ class BayesPerfEngine:
         site_index_overrides: Optional[Dict[int, np.ndarray]] = None,
         repair_groups: Optional[Sequence[np.ndarray]] = None,
     ):
-        """``run_stacked`` with the engine's thread partition applied.
+        """``run_stacked`` with the engine's lane partition applied.
 
         Lane partitioning chunks the batch axis across the thread pool;
         the PD repair is hoisted ahead of the split and every remaining
@@ -779,12 +767,7 @@ class BayesPerfEngine:
         """
         spec = self.kernel_exec
         batch = prior_shift.shape[0]
-        if (
-            spec is None
-            or spec.threads <= 1
-            or spec.partition != "lane"
-            or batch < spec.threads
-        ):
+        if spec is None or spec.threads <= 1 or batch < spec.threads:
             return kernel.run_stacked(
                 stacked, prior_precision, prior_shift, certified_sites,
                 site_index_overrides, repair_groups,
@@ -813,12 +796,12 @@ class BayesPerfEngine:
         probe (see :func:`repro.fg.megabatch.observation_certified`).
         Merging only ever pays off across *multiple* signatures, so a
         homogeneous batch keeps the plain per-signature path untouched.
-        Whether an estimator's batched path supports merging at all is the
-        registry's call (``EstimatorEntry.megabatch``).
+        Only the compiled analytic estimator merges: the canonical solve
+        calls the analytic kernel itself.
         """
         if (
-            not self.megabatch
-            or not self._estimator.megabatch
+            self.moment_estimator != "analytic"
+            or not self._compiled_path()
             or len(groups) < 2
             or self._megabatch_structure() is None
         ):
@@ -928,23 +911,34 @@ class BayesPerfEngine:
         ]
 
     def _solve_reference(
-        self,
-        site_lists: List[Tuple[str, List[Factor]]],
-        prior: GaussianDensity,
-    ) -> Tuple[Dict[str, float], Dict[str, float], int, bool]:
-        """Run the reference EP loop (MCMC estimator, or kernel fallback)."""
-        graph, sites = self._assemble_graph(site_lists)
-        ep = ExpectationPropagation(
+        self, prepared: _PreparedSlice
+    ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
+        """Solve one prepared slice through its estimator's reference twin.
+
+        The per-slice solve behind ``use_compiled_kernel=False`` and behind
+        any signature whose structure does not compile: the object-walking
+        EP loop for ``"analytic"``, the registered twins for the sampled
+        estimators.  It reads only *prepared*, never the engine's temporal
+        state, so it composes with batch preparation like every other solve.
+        """
+        if self.moment_estimator == "batched-mcmc":
+            means, variances = self._solve_reference_mcmc(prepared)
+            return means, variances, 0, True
+        if self.moment_estimator == "mcmc":
+            return self._solve_reference_site_mcmc(prepared)
+        observation_factors, constraint_groups = self._build_factors(
+            prepared.summaries, prepared.scale
+        )
+        graph, sites = self._assemble_graph(
+            self._site_factor_lists(observation_factors, constraint_groups)
+        )
+        result = ExpectationPropagation(
             graph,
             sites,
-            prior,
-            moment_estimator=self.moment_estimator,
+            self._prior_density(prepared),
             damping=self.ep_damping,
             max_iterations=self.ep_max_iterations,
-            mcmc_samples=self.mcmc_samples,
-            rng=self._rng,
-        )
-        result = ep.run()
+        ).run()
         return result.posterior.mean(), result.posterior.variance(), result.iterations, result.converged
 
     def _solve_reference_mcmc(
@@ -956,7 +950,9 @@ class BayesPerfEngine:
         same per-record seed the batched path would use — the differential
         harness pins the two within floating-point noise.
         """
-        observation_factors, constraint_groups = self._build_factors(prepared.summaries)
+        observation_factors, constraint_groups = self._build_factors(
+            prepared.summaries, prepared.scale
+        )
         factors: List[Factor] = list(observation_factors)
         for group in constraint_groups:
             factors.extend(group)
@@ -982,7 +978,9 @@ class BayesPerfEngine:
         same per-record seed the batched path would use — the differential
         harness pins the two within floating-point noise.
         """
-        observation_factors, constraint_groups = self._build_factors(prepared.summaries)
+        observation_factors, constraint_groups = self._build_factors(
+            prepared.summaries, prepared.scale
+        )
         site_lists = self._site_factor_lists(observation_factors, constraint_groups)
         twin = self._estimator.reference(
             site_lists,
@@ -1202,88 +1200,52 @@ class BayesPerfEngine:
         )
         return report, state
 
-    def _finalize_prior_only(
+    def _prior_moments(
         self, prepared: _PreparedSlice
-    ) -> Tuple[PosteriorReport, EngineState]:
+    ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
         """Slice with no sites at all: the posterior is the prior."""
         prior = self._prior_density(prepared)
-        return self._finalize(prepared, prior.mean(), prior.variance(), 0, True)
+        return prior.mean(), prior.variance(), 0, True
 
     def process_record(self, record: SamplingRecord) -> PosteriorReport:
-        """Infer the posterior for one scheduler time slice."""
-        prepared = self._prepare_slice(record)
-        if prepared.measured or self._has_sites:
-            compiled = self._compiled_kernel(prepared)
-            if compiled is not None:
-                kernel, binder = compiled
-                means, variances, iterations, converged = self._solve_group_arrays(
-                    [prepared], kernel, binder
-                )[0]
-            elif self.moment_estimator == "batched-mcmc":
-                means, variances = self._solve_reference_mcmc(prepared)
-                iterations, converged = 0, True
-            elif self.moment_estimator == "mcmc":
-                means, variances, iterations, converged = (
-                    self._solve_reference_site_mcmc(prepared)
-                )
-            else:
-                observation_factors, constraint_groups = self._build_factors(
-                    prepared.summaries
-                )
-                site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-                means, variances, iterations, converged = self._solve_reference(
-                    site_lists, self._prior_density(prepared)
-                )
-            report, state = self._finalize(prepared, means, variances, iterations, converged)
-        else:
-            report, state = self._finalize_prior_only(prepared)
+        """Infer the posterior for one scheduler time slice.
 
-        # process_record mutates the engine in place; restore() of the
-        # successor state is bit-identical to this (the worker pool relies
-        # on the equivalence of both paths).
-        self._prior_mean.update(state.prior_mean)
-        self._tick = state.tick
+        A batch of one through :meth:`process_batch`, starting from the
+        engine's own temporal state, which then advances to the slice's
+        successor state.
+        """
+        report, state = self.process_batch([(self.snapshot(), record)])[0]
+        self.restore(state)
         return report
 
     def process_batch(
         self, items: Sequence[Tuple[Optional[EngineState], SamplingRecord]]
     ) -> List[Tuple[PosteriorReport, EngineState]]:
-        """Solve many independent slices in vectorized batches.
+        """Solve many independent slices: the engine's one solve path.
 
         Each item pairs a monitoring run's temporal state (``None`` for a
         fresh run) with its next record.  Slices are prepared sequentially
-        (the cheap, state-dependent part), grouped by graph-structure
-        signature, and every group is solved in one array-native pass —
-        :meth:`CompiledEPKernel.run_stacked` for the analytic estimator,
-        :meth:`~repro.fg.mcmc.BatchedMCMC.run` for ``"batched-mcmc"``.
-        Returns, in input order, each slice's report and successor state —
-        exactly what ``restore(); process_record(); snapshot()`` would
-        produce, slice for slice, bit for bit.
+        (the cheap, state-dependent part) and grouped by graph-structure
+        signature.  Under the compiled analytic estimator, a batch with two
+        or more certified signatures merges them into one canonical
+        mega-batched kernel call (:mod:`repro.fg.megabatch`).  Every other
+        group is solved in one array-native pass (the analytic kernel or
+        the estimator's batched sampler), or slice by slice through the
+        reference twin when the compiled kernel is off or the structure
+        does not compile.  Each slice's result is bit-identical to what a
+        batch of one would give.  Returns each slice's report and successor
+        state, in input order.
         """
-        items = list(items)
-        if not items:
-            return []
-        if not self._compiled_path():
-            # Reference path (e.g. the per-site MCMC estimator, or the
-            # reference twins): per-slice solves.
-            results: List[Tuple[PosteriorReport, EngineState]] = []
-            for state, record in items:
-                self.restore(state) if state is not None else self.reset()
-                report = self.process_record(record)
-                results.append((report, self.snapshot()))
-            return results
-
         prepared: List[_PreparedSlice] = []
         for state, record in items:
             self.restore(state) if state is not None else self.reset()
-            slice_ = self._prepare_slice(record)
-            slice_.state = state
-            prepared.append(slice_)
+            prepared.append(self._prepare_slice(record))
 
-        outputs: List[Optional[Tuple[PosteriorReport, EngineState]]] = [None] * len(items)
         groups: Dict[Tuple[str, ...], List[int]] = {}
         for index, slice_ in enumerate(prepared):
             groups.setdefault(slice_.measured, []).append(index)
+        # Per-slice (means, variances, iterations, converged), input order.
+        solved: List[Optional[Tuple]] = [None] * len(prepared)
 
         # Cross-signature mega-batching: merge every eligible signature
         # group into one canonical full-width solve (bit-identical to the
@@ -1294,88 +1256,30 @@ class BayesPerfEngine:
             if observer is not None:
                 observer.count("kernel.megabatch.rounds")
                 observer.count("kernel.megabatch.signatures", len(mega_signatures))
+            merged_indices = [groups.pop(signature) for signature in mega_signatures]
             merged = [
-                (signature, [prepared[index] for index in groups[signature]])
-                for signature in mega_signatures
+                (signature, [prepared[index] for index in indices])
+                for signature, indices in zip(mega_signatures, merged_indices)
             ]
-            solved = self._solve_megabatch(merged)
-            position = 0
-            for signature in mega_signatures:
-                for index in groups[signature]:
-                    means, variances, iterations, converged = solved[position]
-                    outputs[index] = self._finalize(
-                        prepared[index], means, variances, iterations, converged
-                    )
-                    position += 1
-            merged_set = set(mega_signatures)
-            remaining = {
-                signature: indices
-                for signature, indices in groups.items()
-                if signature not in merged_set
-            }
-        else:
-            remaining = groups
+            flat = [index for indices in merged_indices for index in indices]
+            for index, result in zip(flat, self._solve_megabatch(merged)):
+                solved[index] = result
 
-        # Per-signature groups: compile/lookup sequentially (the caches are
-        # engine state), then solve — concurrently across groups under
-        # ``KernelExecSpec(partition="signature")``, in which case results
-        # are still recorded in the deterministic group order after the join.
-        jobs: List[Tuple[List[int], CompiledEPKernel, CompiledBinder]] = []
-        for signature, indices in remaining.items():
-            first = prepared[indices[0]]
-            if not (first.measured or self._has_sites):
-                for index in indices:
-                    outputs[index] = self._finalize_prior_only(prepared[index])
-                continue
-            compiled = self._compiled_kernel(first)
-            if compiled is None:
-                # Non-compilable structure: reference path per slice.
-                for index in indices:
-                    slice_ = prepared[index]
-                    self.restore(slice_.state) if slice_.state is not None else self.reset()
-                    outputs[index] = (self.process_record(slice_.record), self.snapshot())
-                continue
-            kernel, binder = compiled
-            jobs.append((indices, kernel, binder))
-
-        spec = self.kernel_exec
-        parallel_groups = (
-            spec is not None
-            and spec.threads > 1
-            and spec.partition == "signature"
-            and len(jobs) > 1
-            and self._estimator.megabatch
-            and self._observer is None
-            and self.chain_recorder is None
-        )
-        if parallel_groups:
-            pool = self._kernel_threads()
-            futures = [
-                pool.submit(
-                    self._solve_group_arrays,
-                    [prepared[index] for index in indices],
-                    kernel,
-                    binder,
-                )
-                for indices, kernel, binder in jobs
-            ]
-            solved_jobs = [future.result() for future in futures]
-        else:
-            solved_jobs = [
-                self._solve_group_arrays(
-                    [prepared[index] for index in indices], kernel, binder
-                )
-                for indices, kernel, binder in jobs
-            ]
-        for (indices, _, _), solved in zip(jobs, solved_jobs):
-            for position, index in enumerate(indices):
-                means, variances, iterations, converged = solved[position]
-                outputs[index] = self._finalize(
-                    prepared[index], means, variances, iterations, converged
-                )
-        if any(output is None for output in outputs):
-            raise RuntimeError("process_batch left a slice unsolved (internal error)")
-        return outputs  # type: ignore[return-value]
+        for signature, indices in groups.items():
+            members = [prepared[index] for index in indices]
+            if not (signature or self._has_sites):
+                results = [self._prior_moments(slice_) for slice_ in members]
+            else:
+                compiled = self._compiled_kernel(members[0])
+                if compiled is None:
+                    results = [self._solve_reference(slice_) for slice_ in members]
+                else:
+                    results = self._solve_group_arrays(members, *compiled)
+            for index, result in zip(indices, results):
+                solved[index] = result
+        return [
+            self._finalize(slice_, *result) for slice_, result in zip(prepared, solved)
+        ]
 
     def correct(self, sampled: SampledTrace) -> EstimateTrace:
         """Correct a full sampled trace, returning per-tick estimates."""

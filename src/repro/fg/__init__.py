@@ -12,7 +12,7 @@ This package implements the machinery behind the BayesPerf ML model (§4):
   Cholesky-based updates, batched multi-record solves),
 * cross-signature mega-batching and multicore kernel execution
   (:mod:`repro.fg.megabatch`: canonical padded shapes whose padded lanes
-  are exact no-ops, plus deterministic lane/signature thread partitions),
+  are exact no-ops, plus a deterministic lane partition across threads),
 * a moment-estimator registry (:mod:`repro.fg.registry`) the samplers and
   their reference twins self-register into — every front door
   (engine, sessions, fleet CLI, :mod:`repro.api`) resolves estimator names

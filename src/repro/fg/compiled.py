@@ -416,7 +416,6 @@ class CompiledEPResult:
     "analytic",
     compiled_path=True,
     default_adapt=False,
-    megabatch=True,
     description="exact Gaussian tilted-moment projections on the compiled kernel",
 )
 class CompiledEPKernel:

@@ -33,21 +33,18 @@ stack passes its Cholesky probe untouched) and the kernel skips the probe
 for the certified site (``certified_sites``).  Together this makes the
 mega-batched solve **bit-identical** to the per-signature batched solves
 it replaces; ``tests/test_megabatch.py`` pins the equivalence on
-hypothesis-randomized heterogeneous fleets.
+hypothesis-randomized heterogeneous fleets.  The engine therefore merges
+automatically: :meth:`~repro.core.engine.BayesPerfEngine.process_batch`
+takes this path whenever the compiled analytic estimator sees two or more
+certified signatures in one batch.
 
 **Multicore execution** rides on the same per-record independence.
-:class:`KernelExecSpec` selects a thread count and a partition axis:
-
-* ``partition="lane"`` splits the batch axis into fixed contiguous chunks
-  (:func:`lane_chunks` — a pure function of ``(batch, threads)``) and runs
-  the serial kernel per chunk on a thread pool.  numpy's LAPACK gufuncs
-  release the GIL, every kernel op is element-wise or per-record, and the
-  chunk boundaries never depend on timing — so results are bit-identical
-  for any thread count, including 1.
-* ``partition="signature"`` parallelises across independent solve groups
-  (per-signature groups inside an engine batch, per-engine-key rounds in
-  the worker pool) with recording deferred to a deterministic post-join
-  order.
+:class:`KernelExecSpec` selects a thread count, and the batch axis is split
+into fixed contiguous chunks (:func:`lane_chunks` — a pure function of
+``(batch, threads)``), each solved by the serial kernel on a thread pool.
+numpy's LAPACK gufuncs release the GIL, every kernel op is element-wise or
+per-record, and the chunk boundaries never depend on timing — so results
+are bit-identical for any thread count, including 1.
 
 Nothing here imports an engine: the canonicalization is expressed against
 the compiled binder/kernel layer so any caller with per-signature arrays
@@ -87,27 +84,21 @@ THREADS_ENV_VAR = "REPRO_KERNEL_THREADS"
 class KernelExecSpec:
     """How the batched EP kernel spreads work across threads.
 
-    ``threads=1`` (the default) is the serial kernel.  ``partition`` picks
-    the split axis: ``"lane"`` chunks the batch (record) axis inside one
-    kernel call, ``"signature"`` parallelises across independent solve
-    groups.  Both partitions are fixed functions of the workload shape, so
-    results are bit-identical regardless of thread count — threads change
-    wall-clock only, never numerics.
+    ``threads=1`` (the default) is the serial kernel; ``threads=N`` chunks
+    the batch (record) axis of each kernel call into at most ``N`` lanes.
+    The chunks are a fixed function of the batch size, so results are
+    bit-identical regardless of thread count — threads change wall-clock
+    only, never numerics.
 
     Frozen and hashable: the spec participates in engine-cache keys and
     round-trips through ``RunSpec.to_dict()``/``from_dict()``.
     """
 
     threads: int = 1
-    partition: str = "lane"
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.partition not in ("lane", "signature"):
-            raise ValueError(
-                f"unknown partition {self.partition!r} (expected 'lane' or 'signature')"
-            )
 
 
 def kernel_exec_from_env() -> Optional[KernelExecSpec]:
@@ -115,7 +106,12 @@ def kernel_exec_from_env() -> Optional[KernelExecSpec]:
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not raw:
         return None
-    return KernelExecSpec(threads=int(raw))
+    try:
+        return KernelExecSpec(threads=int(raw))
+    except ValueError:
+        raise ValueError(
+            f"{THREADS_ENV_VAR}={raw!r} is not a thread count (expected an integer >= 1)"
+        ) from None
 
 
 # -- shape canonicalization ----------------------------------------------------

@@ -49,11 +49,6 @@ class EstimatorEntry:
     #: Default for burn-in proposal-scale adaptation when the engine's
     #: ``mcmc_adapt`` is left unset.
     default_adapt: bool = False
-    #: Supports cross-signature mega-batched solves
-    #: (:mod:`repro.fg.megabatch`): the estimator's batched path is a pure
-    #: function of the stacked site arrays, so padded no-op lanes embed a
-    #: heterogeneous round into one canonical kernel call.
-    megabatch: bool = False
     #: A baseline *correction method* (:mod:`repro.baselines`), not a tilted
     #: moment engine: it consumes a whole ``SampledTrace`` through
     #: ``.correct()`` instead of solving sites on the kernel.  Baseline
@@ -77,7 +72,6 @@ def register_estimator(
     *,
     compiled_path: bool = True,
     default_adapt: bool = False,
-    megabatch: bool = False,
     baseline: bool = False,
     description: str = "",
 ):
@@ -98,7 +92,6 @@ def register_estimator(
             _ESTIMATORS[name] = entry
         entry.compiled_path = compiled_path
         entry.default_adapt = default_adapt
-        entry.megabatch = megabatch
         entry.baseline = baseline
         entry.description = description
         entry.batched = cls

@@ -27,13 +27,11 @@ stay bit-identical for sampled estimators too).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import BayesPerfEngine, EngineState
-from repro.fg.megabatch import KernelExecSpec
 from repro.events.registry import canonical_arch, catalog_for
 from repro.fleet.events import (
     EstimateReady,
@@ -150,12 +148,6 @@ class InferenceWorker:
         #: (the default) costs the hot path nothing.
         self.on_slice: Optional[Callable] = None
         self._runs: Dict[str, HostRun] = {}
-        self._round_pool: Optional[ThreadPoolExecutor] = None
-
-    def _kernel_exec(self) -> Optional[KernelExecSpec]:
-        """The run's :class:`~repro.fg.megabatch.KernelExecSpec`, if any."""
-        spec = self.engine_kwargs.get("kernel_exec")
-        return spec if isinstance(spec, KernelExecSpec) else None
 
     def assign(self, channel: HostChannel, *, arch: str, events: Tuple[str, ...]) -> None:
         """Give this worker responsibility for one host."""
@@ -243,49 +235,12 @@ class InferenceWorker:
         )
 
     def _process_batched(self, taken: Dict[str, List]) -> int:
-        """One multi-record engine batch per (engine key, slot index).
-
-        A heterogeneous fleet produces several engine keys per round, and
-        the per-key rounds are independent (each key owns its engine and
-        its hosts' temporal chains).  Under
-        ``KernelExecSpec(partition="signature")`` with ``threads > 1`` the
-        keys' slot loops therefore run concurrently on a thread pool —
-        solves only; recording is deferred and replayed after the join in
-        the deterministic key order, so estimates, events and stream order
-        are byte-identical to the serial schedule.  Any guard (fault
-        policy, chaos, observer) keeps the serial path.
-        """
+        """One multi-record engine batch per (engine key, slot index)."""
         processed = 0
         guarded = self.fault_policy is not None or self.chaos is not None
         by_key: Dict[EngineKey, List[str]] = {}
         for host_id in taken:
             by_key.setdefault(self._runs[host_id].key, []).append(host_id)
-
-        spec = self._kernel_exec()
-        parallel_keys = (
-            not guarded
-            and self.observer is None
-            and spec is not None
-            and spec.threads > 1
-            and spec.partition == "signature"
-            and len(by_key) > 1
-        )
-        if parallel_keys:
-            pool = self._round_threads(spec.threads)
-            futures = []
-            for key, host_ids in by_key.items():
-                # Cache lookups stay on the submitting thread (they bump the
-                # hit/miss counters); the jobs get their engine handed in.
-                for host_id in host_ids:
-                    engine = self.cache.engine_for_key(key, self.engine_kwargs)
-                futures.append(
-                    pool.submit(self._solve_key_round, engine, host_ids, taken)
-                )
-            for future in futures:
-                for run, record, report in future.result():
-                    self._record_slice(run, record, report)
-                    processed += 1
-            return processed
 
         for key, host_ids in by_key.items():
             # One lookup per host, as the per-host path does: the hit/miss
@@ -303,58 +258,13 @@ class InferenceWorker:
                 items = [
                     (self._runs[h].engine_state, taken[h][slot]) for h in batch_hosts
                 ]
-                observer = self.observer
-                if observer is None:
-                    results = engine.process_batch(items)
-                else:
-                    with observer.span(
-                        "slice.solve", worker=self.worker_id, n_records=len(items)
-                    ):
-                        start = time.perf_counter()
-                        results = engine.process_batch(items)
-                        elapsed = time.perf_counter() - start
-                    self._observe_solve(elapsed, len(items))
+                results = self._solve(engine, items)
                 for host_id, (report, state) in zip(batch_hosts, results):
                     run = self._runs[host_id]
                     run.engine_state = state
                     self._record_slice(run, taken[host_id][slot], report)
                     processed += 1
         return processed
-
-    def _round_threads(self, threads: int) -> ThreadPoolExecutor:
-        """The worker's lazily created cross-key round pool."""
-        if self._round_pool is None:
-            self._round_pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="repro-round"
-            )
-        return self._round_pool
-
-    def _solve_key_round(
-        self, engine: BayesPerfEngine, host_ids: List[str], taken: Dict[str, List]
-    ) -> List[Tuple[HostRun, object, object]]:
-        """One engine key's slot loop, with recording deferred to the caller.
-
-        Solves every slot batch for one key exactly as the serial path would
-        (same engine, same per-slot batching, host temporal chains advanced
-        in order) but returns the ``(run, record, report)`` triples instead
-        of recording them — the caller replays them post-join in the
-        deterministic key order.  Only the per-key engine and this key's
-        ``HostRun`` states are touched, so concurrent key rounds never
-        share mutable state.
-        """
-        deferred: List[Tuple[HostRun, object, object]] = []
-        depth = max(len(taken[host_id]) for host_id in host_ids)
-        for slot in range(depth):
-            batch_hosts = [h for h in host_ids if slot < len(taken[h])]
-            items = [
-                (self._runs[h].engine_state, taken[h][slot]) for h in batch_hosts
-            ]
-            results = engine.process_batch(items)
-            for host_id, (report, state) in zip(batch_hosts, results):
-                run = self._runs[host_id]
-                run.engine_state = state
-                deferred.append((run, taken[host_id][slot], report))
-        return deferred
 
     # -- fault-policy enforcement -------------------------------------------
 
@@ -383,18 +293,8 @@ class InferenceWorker:
         results = None
         if direct:
             items = [(self._runs[h].engine_state, taken[h][slot]) for h in direct]
-            observer = self.observer
             try:
-                if observer is None:
-                    results = engine.process_batch(items)
-                else:
-                    with observer.span(
-                        "slice.solve", worker=self.worker_id, n_records=len(items)
-                    ):
-                        start = time.perf_counter()
-                        results = engine.process_batch(items)
-                        elapsed = time.perf_counter() - start
-                    self._observe_solve(elapsed, len(items))
+                results = self._solve(engine, items)
             except Exception:
                 results = None
         if results is not None:
@@ -524,6 +424,18 @@ class InferenceWorker:
             return None
         raise SliceFailed(host, record.tick, policy.max_attempts, reason) from error
 
+    def _solve(self, engine: BayesPerfEngine, items: List) -> List:
+        """One ``process_batch`` call, in a ``slice.solve`` span when observed."""
+        observer = self.observer
+        if observer is None:
+            return engine.process_batch(items)
+        with observer.span("slice.solve", worker=self.worker_id, n_records=len(items)):
+            start = time.perf_counter()
+            results = engine.process_batch(items)
+            elapsed = time.perf_counter() - start
+        self._observe_solve(elapsed, len(items))
+        return results
+
     def _observe_solve(self, elapsed: float, n_records: int) -> None:
         """Record one engine call's latency and occupancy metrics."""
         observer = self.observer
@@ -536,43 +448,27 @@ class InferenceWorker:
         observer.count("slices.solved", n_records)
 
     def _process_serial(self, run: HostRun, records: List) -> int:
-        """Per-host sequential solves (the dedicated-engine baseline)."""
+        """Per-host sequential solves (the dedicated-engine baseline).
+
+        Each record is a batch of one from the host's own engine state.
+        """
         engine = self._engine_for(run)
-        if self.fault_policy is not None or self.chaos is not None:
-            # Policy enforcement needs functional per-record solves (the
-            # pre-attempt snapshot stays untouched on failure); the batched
-            # primitive with one item is bit-identical to process_record.
-            processed = 0
-            for record in records:
+        guarded = self.fault_policy is not None or self.chaos is not None
+        processed = 0
+        for record in records:
+            if guarded:
+                # The policy retries from the untouched pre-attempt state.
                 result = self._solve_with_policy(run, engine, record)
                 if result is None:
                     if run.quarantined:
                         break
                     continue
-                report, state = result
-                run.engine_state = state
-                self._record_slice(run, record, report)
-                processed += 1
-            return processed
-        if run.engine_state is not None:
-            engine.restore(run.engine_state)
-        else:
-            engine.reset()
-        observer = self.observer
-        for record in records:
-            if observer is None:
-                report = engine.process_record(record)
             else:
-                with observer.span(
-                    "slice.solve", worker=self.worker_id, n_records=1
-                ):
-                    start = time.perf_counter()
-                    report = engine.process_record(record)
-                    elapsed = time.perf_counter() - start
-                self._observe_solve(elapsed, 1)
+                result = self._solve(engine, [(run.engine_state, record)])[0]
+            report, run.engine_state = result
             self._record_slice(run, record, report)
-        run.engine_state = engine.snapshot()
-        return len(records)
+            processed += 1
+        return processed
 
     @property
     def all_completed(self) -> bool:

@@ -50,22 +50,20 @@ def test_estimator_spec_fields_are_pinned():
         "adapt",
         "ep_iterations",
         "use_compiled_kernel",
-        "megabatch",
         "kernel_exec",
     )
 
 
 def test_kernel_exec_spec_fields_are_pinned():
-    assert _field_names(api.KernelExecSpec) == ("threads", "partition")
+    assert _field_names(api.KernelExecSpec) == ("threads",)
 
 
 def test_estimator_spec_coerces_kernel_exec_mapping():
-    spec = api.EstimatorSpec(kernel_exec={"threads": 4, "partition": "lane"})
-    assert spec.kernel_exec == api.KernelExecSpec(threads=4, partition="lane")
+    spec = api.EstimatorSpec(kernel_exec={"threads": 4})
+    assert spec.kernel_exec == api.KernelExecSpec(threads=4)
     kwargs = spec.engine_kwargs()
     assert kwargs["kernel_exec"] == api.KernelExecSpec(threads=4)
-    # Defaults stay defaults: no megabatch/kernel_exec keys unless set.
-    assert "megabatch" not in api.EstimatorSpec().engine_kwargs()
+    # Defaults stay defaults: no kernel_exec key unless set.
     assert "kernel_exec" not in api.EstimatorSpec().engine_kwargs()
 
 
@@ -74,13 +72,17 @@ def test_run_spec_kernel_exec_round_trips_through_dict():
         2,
         "steady",
         n_ticks=2,
-        estimator=api.EstimatorSpec(
-            megabatch=True, kernel_exec=api.KernelExecSpec(threads=4)
-        ),
+        estimator=api.EstimatorSpec(kernel_exec=api.KernelExecSpec(threads=4)),
     )
     rebuilt = api.RunSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
     assert rebuilt.estimator.kernel_exec == api.KernelExecSpec(threads=4)
+    # Dicts written before mega-batching became automatic carry two removed,
+    # numerics-free knobs; dropping them rebuilds the same run.
+    legacy = spec.to_dict()
+    legacy["estimator"]["megabatch"] = True
+    legacy["estimator"]["kernel_exec"]["partition"] = "signature"
+    assert api.RunSpec.from_dict(legacy) == spec
 
 
 def test_recorder_spec_fields_are_pinned():

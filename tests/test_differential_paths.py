@@ -294,7 +294,7 @@ class TestBatchBitIdentity:
                 prepared.scales_vec[None],
             )
             observation_factors, constraint_groups = engine._build_factors(
-                prepared.summaries
+                prepared.summaries, prepared.scale
             )
             site_lists = engine._site_factor_lists(observation_factors, constraint_groups)
             objects = kernel.structure.bind([factors for _, factors in site_lists])
@@ -632,9 +632,10 @@ class TestGoldenHeteroFleet:
     12-event x86 profiling union, phase-shifted ``h mod R`` into its
     schedule rotation, so one fleet round spans ~37 distinct measured-event
     signatures.  The fixture stores every host's per-tick estimates from
-    the default (per-signature batched) engine; re-running the recipe must
-    reproduce them, and the mega-batched / thread-partitioned paths must
-    match the default path **exactly** on the same fleet.
+    the per-signature batched solve; re-running the recipe (which now
+    mega-batches every round) must reproduce them, and must match the same
+    rounds fed one signature group at a time **exactly**, with or without
+    kernel threads.
 
     Comparison against the committed file uses the same 1e-9 relative
     tolerance as the homogeneous golden pin (exact float equality would be
@@ -668,14 +669,29 @@ class TestGoldenHeteroFleet:
             hosts.append(sampled.sample(trace).records[offset : offset + self.TICKS])
         return catalog, union, hosts
 
-    def _run_fleet(self, catalog, union, hosts, **engine_kwargs):
-        """One fleet round per tick through ``process_batch`` (the recipe)."""
+    def _run_fleet(self, catalog, union, hosts, by_signature=False, **engine_kwargs):
+        """One fleet round per tick through ``process_batch`` (the recipe).
+
+        ``by_signature`` feeds each round one signature group per call, so
+        no call holds two signatures and nothing is mega-batched.
+        """
         engine = BayesPerfEngine(catalog, union, **engine_kwargs)
         states = [None] * len(hosts)
         outputs = [[] for _ in hosts]
         for tick in range(self.TICKS):
             items = [(states[h], records[tick]) for h, records in enumerate(hosts)]
-            for h, (report, state) in enumerate(engine.process_batch(items)):
+            if by_signature:
+                results = [None] * len(items)
+                groups = {}
+                for h, (_, record) in enumerate(items):
+                    groups.setdefault(tuple(record.samples), []).append(h)
+                for members in groups.values():
+                    solved = engine.process_batch([items[h] for h in members])
+                    for h, result in zip(members, solved):
+                        results[h] = result
+            else:
+                results = engine.process_batch(items)
+            for h, (report, state) in enumerate(results):
                 states[h] = state
                 outputs[h].append((report.means(), report.stds()))
         return outputs
@@ -712,34 +728,28 @@ class TestGoldenHeteroFleet:
         ] == pytest.approx(331128.2579, abs=1e-3)
 
     def test_megabatch_and_partitioned_paths_match_exactly(self, fleet):
-        """Mega-batched and thread-partitioned engines equal the default
-        per-signature path bit-for-bit on the golden fleet (and therefore
-        pin against the fixture transitively)."""
+        """Mega-batched and lane-partitioned rounds equal the per-signature
+        rounds bit-for-bit on the golden fleet (and therefore pin against
+        the fixture transitively)."""
         catalog, union, hosts = fleet
-        baseline = self._run_fleet(catalog, union, hosts)
-        assert baseline == self._run_fleet(catalog, union, hosts, megabatch=True)
-        assert baseline == self._run_fleet(
-            catalog,
-            union,
-            hosts,
-            megabatch=True,
-            kernel_exec=KernelExecSpec(threads=4, partition="lane"),
+        serial = KernelExecSpec(threads=1)
+        threaded = KernelExecSpec(threads=4)
+        baseline = self._run_fleet(
+            catalog, union, hosts, by_signature=True, kernel_exec=serial
         )
+        assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=serial)
+        assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=threaded)
         assert baseline == self._run_fleet(
-            catalog,
-            union,
-            hosts,
-            kernel_exec=KernelExecSpec(threads=4, partition="signature"),
+            catalog, union, hosts, by_signature=True, kernel_exec=threaded
         )
 
     def test_homogeneous_golden_replays_under_megabatch_engine(self):
-        """The pre-existing single-host golden fixture, replayed through a
-        mega-batch-enabled fleet service, still reproduces its committed
-        estimates — the merge path degrades to a single-signature batch."""
+        """The pre-existing single-host golden fixture, replayed through the
+        fleet service (whose engines always mega-batch), still reproduces
+        its committed estimates — the merge path degrades to a
+        single-signature batch."""
         golden = read_trace(GOLDEN_TRACE)
-        service = FleetService(
-            golden.arch, n_workers=2, engine_kwargs={"megabatch": True}
-        )
+        service = FleetService(golden.arch, n_workers=2)
         host = service.add_trace(GOLDEN_TRACE)
         result = service.run()
         got, want = result.estimates[host], golden.estimates

@@ -288,6 +288,29 @@ def test_resume_requires_a_wal_header(tmp_path):
         Pipeline.resume(path)
 
 
+def test_resume_accepts_a_log_with_removed_megabatch_knobs(tmp_path):
+    """Logs written before mega-batching became automatic still resume.
+
+    Their header's run spec carries ``estimator.megabatch`` and
+    ``kernel_exec.partition``; both were numerics-free and are dropped.
+    """
+    crash_path = tmp_path / "crash.jsonl"
+    chaos = FaultInjector((), crash_after_writes=23)
+    with pytest.raises(InjectedCrash):
+        run_fleet(wal_spec(crash_path), chaos)
+    lines = crash_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    estimator = header["metadata"]["run_spec"]["estimator"]
+    estimator["megabatch"] = True
+    estimator["kernel_exec"] = {"threads": 1, "partition": "signature"}
+    lines[0] = json.dumps(header) + "\n"
+    crash_path.write_text("".join(lines), encoding="utf-8")
+
+    resumed = Pipeline.resume(crash_path).run_fleet()
+    assert_estimates_equal(run_fleet(wal_spec(tmp_path / "ref.jsonl")), resumed)
+    assert read_trace(crash_path).resumes == 1
+
+
 def test_checkpoint_cadence_thins_the_commits(tmp_path):
     dense = wal_spec(tmp_path / "dense.jsonl", every=1)
     sparse = wal_spec(tmp_path / "sparse.jsonl", every=3)

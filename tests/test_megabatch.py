@@ -1,14 +1,16 @@
 """Cross-signature mega-batching and multicore kernel execution, locked down.
 
 The mega-batched solve (:mod:`repro.fg.megabatch`) replaces many
-per-signature batched kernel calls with one canonical padded call, and the
-``KernelExecSpec`` thread partitions replace one serial call with several
+per-signature batched kernel calls with one canonical padded call whenever
+a ``process_batch`` call holds two or more certified signatures, and the
+``KernelExecSpec`` lane partition replaces one serial call with several
 chunked ones.  Both rewrites sit on the hottest numeric path, so their
 contract is **bit-identity**, not closeness:
 
-* mega-batched posteriors == per-signature batched posteriors, exactly, on
-  hypothesis-randomized heterogeneous fleets — and both match the
-  object-walking reference twin within 1e-6;
+* mega-batched posteriors == the same records fed to ``process_batch`` one
+  signature group at a time, exactly, on hypothesis-randomized
+  heterogeneous fleets — and both match the object-walking reference twin
+  within 1e-6;
 * lane-partitioned results == serial results, exactly, for any thread
   count;
 * the PD repair composes: merged batches re-probe at original group
@@ -71,13 +73,47 @@ def _record_for(subset, seed, rotation=0):
     return sampler.sample(trace).records[offset]
 
 
-def _solve_batch(engine, records):
+def _solve_by_signature(engine, items):
+    """``process_batch`` fed one measured-event signature group at a time.
+
+    No call then holds two signatures, so the mega-batched solve never
+    engages: this is the per-signature reference the merged solve must
+    reproduce bit for bit.  Results come back in input order.
+    """
+    groups = {}
+    for index, (_, record) in enumerate(items):
+        groups.setdefault(tuple(record.samples), []).append(index)
+    results = [None] * len(items)
+    for indices in groups.values():
+        solved = engine.process_batch([items[index] for index in indices])
+        for index, result in zip(indices, solved):
+            results[index] = result
+    return results
+
+
+def _solve_batch(engine, records, by_signature=False):
     """Fresh-state batch solve; (means, stds, iterations, converged) rows."""
-    results = engine.process_batch([(None, record) for record in records])
+    items = [(None, record) for record in records]
+    if by_signature:
+        results = _solve_by_signature(engine, items)
+    else:
+        results = engine.process_batch(items)
     return [
         (report.means(), report.stds(), report.ep_iterations, report.ep_converged)
         for report, _ in results
     ]
+
+
+def _groups(engine, records):
+    """Prepared slices of fresh-state *records* and their signature groups."""
+    prepared = []
+    for record in records:
+        engine.reset()
+        prepared.append(engine._prepare_slice(record))
+    groups = {}
+    for index, slice_ in enumerate(prepared):
+        groups.setdefault(slice_.measured, []).append(index)
+    return groups, prepared
 
 
 @st.composite
@@ -111,10 +147,9 @@ class TestMegabatchDifferential:
     @given(records=_hetero_fleet())
     @settings(max_examples=8, deadline=None)
     def test_megabatch_is_bit_identical_and_tracks_the_twin(self, records):
-        fragmented = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        megabatched = _solve_batch(
-            BayesPerfEngine(CATALOG, UNION, megabatch=True), records
-        )
+        engine = BayesPerfEngine(CATALOG, UNION)
+        fragmented = _solve_batch(engine, records, by_signature=True)
+        megabatched = _solve_batch(engine, records)
         assert megabatched == fragmented
 
         twin = BayesPerfEngine(CATALOG, UNION, use_compiled_kernel=False)
@@ -132,33 +167,28 @@ class TestMegabatchDifferential:
         records = [
             _record_for(subset, seed=31 * host) for host, subset in enumerate(subsets)
         ]
-        engine = BayesPerfEngine(CATALOG, UNION, megabatch=True)
-        prepared = []
-        for record in records:
-            engine.reset()
-            prepared.append(engine._prepare_slice(record))
-        groups = {}
-        for index, slice_ in enumerate(prepared):
-            groups.setdefault(slice_.measured, []).append(index)
+        engine = BayesPerfEngine(CATALOG, UNION)
+        groups, prepared = _groups(engine, records)
         assert len(groups) >= 2, "fleet must be heterogeneous for this test"
         eligible = engine._megabatch_eligible(groups, prepared)
         assert len(eligible) >= 2, "mega-batch eligibility must engage here"
 
-    def test_disabled_by_default_and_for_non_analytic_estimators(self):
-        records = [_record_for(UNION[:5], seed=3), _record_for(UNION[4:10], seed=5)]
+    def test_not_engaged_for_one_signature_or_non_analytic(self):
+        mixed = [_record_for(UNION[:5], seed=3), _record_for(UNION[4:10], seed=5)]
+        uniform = [_record_for(UNION[:5], seed=3), _record_for(UNION[:5], seed=5)]
         default_engine = BayesPerfEngine(CATALOG, UNION)
-        sampling_engine = BayesPerfEngine(
-            CATALOG, UNION, megabatch=True, moment_estimator="batched-mcmc",
-            mcmc_samples=10, mcmc_burn_in=5,
-        )
-        for engine in (default_engine, sampling_engine):
-            prepared = []
-            for record in records:
-                engine.reset()
-                prepared.append(engine._prepare_slice(record))
-            groups = {}
-            for index, slice_ in enumerate(prepared):
-                groups.setdefault(slice_.measured, []).append(index)
+        groups, prepared = _groups(default_engine, uniform)
+        assert len(groups) == 1
+        assert default_engine._megabatch_eligible(groups, prepared) == []
+        for engine in (
+            BayesPerfEngine(
+                CATALOG, UNION, moment_estimator="batched-mcmc",
+                mcmc_samples=10, mcmc_burn_in=5,
+            ),
+            BayesPerfEngine(CATALOG, UNION, use_compiled_kernel=False),
+        ):
+            groups, prepared = _groups(engine, mixed)
+            assert len(groups) == 2
             assert engine._megabatch_eligible(groups, prepared) == []
 
 
@@ -304,39 +334,16 @@ class TestLanePartition:
         records = [
             _record_for(UNION[:8], seed=7 * host) for host in range(6)
         ] + [_record_for(UNION[3:11], seed=100 + host) for host in range(4)]
-        serial = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        threaded = _solve_batch(
-            BayesPerfEngine(
-                CATALOG, UNION, kernel_exec=KernelExecSpec(threads=4, partition="lane")
-            ),
+        serial = _solve_batch(
+            BayesPerfEngine(CATALOG, UNION, kernel_exec=KernelExecSpec(threads=1)),
             records,
+            by_signature=True,
         )
-        mega_threaded = _solve_batch(
-            BayesPerfEngine(
-                CATALOG,
-                UNION,
-                megabatch=True,
-                kernel_exec=KernelExecSpec(threads=4, partition="lane"),
-            ),
-            records,
+        threaded = BayesPerfEngine(
+            CATALOG, UNION, kernel_exec=KernelExecSpec(threads=4)
         )
-        assert threaded == serial
-        assert mega_threaded == serial
-
-    def test_engine_signature_partition_is_bit_identical(self):
-        records = [
-            _record_for(UNION[:6], seed=51 * host) for host in range(3)
-        ] + [_record_for(UNION[5:11], seed=200 + host) for host in range(3)]
-        serial = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
-        partitioned = _solve_batch(
-            BayesPerfEngine(
-                CATALOG,
-                UNION,
-                kernel_exec=KernelExecSpec(threads=2, partition="signature"),
-            ),
-            records,
-        )
-        assert partitioned == serial
+        assert _solve_batch(threaded, records, by_signature=True) == serial
+        assert _solve_batch(threaded, records) == serial
 
     @given(batch=st.integers(1, 200), threads=st.integers(1, 16))
     @settings(max_examples=40, deadline=None)
@@ -382,18 +389,15 @@ class TestCanonicalShapeHelpers:
 
 class TestKernelExecSpec:
     def test_defaults(self):
-        spec = KernelExecSpec()
-        assert spec.threads == 1 and spec.partition == "lane"
+        assert KernelExecSpec().threads == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="threads"):
             KernelExecSpec(threads=0)
-        with pytest.raises(ValueError, match="partition"):
-            KernelExecSpec(threads=2, partition="diagonal")
 
     def test_frozen_and_hashable(self):
-        spec = KernelExecSpec(threads=4, partition="signature")
-        assert hash(spec) == hash(KernelExecSpec(threads=4, partition="signature"))
+        spec = KernelExecSpec(threads=4)
+        assert hash(spec) == hash(KernelExecSpec(threads=4))
         with pytest.raises(AttributeError):
             spec.threads = 8
 
@@ -404,6 +408,10 @@ class TestKernelExecSpec:
         assert kernel_exec_from_env() is None
         monkeypatch.setenv(THREADS_ENV_VAR, " 4 ")
         assert kernel_exec_from_env() == KernelExecSpec(threads=4)
+        for bad in ("abc", "0", "-2"):
+            monkeypatch.setenv(THREADS_ENV_VAR, bad)
+            with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}='{bad}'"):
+                kernel_exec_from_env()
 
     def test_engine_picks_up_env_default(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "4")
@@ -418,10 +426,9 @@ class TestDeterminismUnderThreads:
     """threads=1 vs threads=4 on one seeded RunSpec: byte-identical output.
 
     The thread count is an execution knob, never a numeric one — the lane
-    partition pins each chunk's reduction layout and the signature
-    partition replays recording in deterministic key order, so the same
-    declarative run must produce the same estimates *and* the same
-    tracefile bytes regardless of parallelism.  CI re-runs the whole tier-1
+    partition pins each chunk's reduction layout, so the same declarative
+    run must produce the same estimates *and* the same tracefile bytes
+    regardless of parallelism.  CI re-runs the whole tier-1
     suite with ``REPRO_KERNEL_THREADS=4`` on a matrix leg; these tests pin
     the equivalence explicitly inside a single process.
     """
@@ -436,7 +443,7 @@ class TestDeterminismUnderThreads:
         return RunSpec(
             events=tuple(UNION),
             hosts=hosts,
-            estimator=EstimatorSpec(megabatch=True, kernel_exec=kernel_exec),
+            estimator=EstimatorSpec(kernel_exec=kernel_exec),
             recorder=RecorderSpec(sink=sink),
             observer=ObserverSpec(estimates=True, mixing=False),
             n_workers=2,
@@ -455,12 +462,3 @@ class TestDeterminismUnderThreads:
             assert serial[host].values_equal(threaded[host])
         # The run logs — header, every estimate record — match byte for byte.
         assert serial_log == threaded_log
-
-    def test_signature_partition_is_byte_identical(self, tmp_path):
-        serial, serial_log = self._run(tmp_path, "s1", KernelExecSpec(threads=1))
-        partitioned, partitioned_log = self._run(
-            tmp_path, "s4", KernelExecSpec(threads=4, partition="signature")
-        )
-        for host in serial:
-            assert serial[host].values_equal(partitioned[host])
-        assert serial_log == partitioned_log
