@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from repro.fleet.service import FleetService
+from repro.api import Pipeline, RunSpec
+from repro.fleet import FleetResult
 
 _FULL = bool(os.environ.get("REPRO_FULL", ""))
 
@@ -23,11 +24,16 @@ ROUNDS = 2  # initial timed rounds per mode; best-of is compared
 MAX_ROUNDS = 6  # escalation ceiling when a loaded machine makes timing noisy
 
 
-def _run_fleet(mode: str) -> "FleetResult":
-    service = FleetService("x86", n_workers=N_WORKERS, batch_size=8)
-    for index in range(N_HOSTS):
-        service.add_host("steady", seed=index, n_ticks=TICKS_PER_HOST)
-    return service.run(mode=mode)
+def _run_fleet(mode: str) -> FleetResult:
+    spec = RunSpec.fleet(
+        N_HOSTS,
+        "steady",
+        n_ticks=TICKS_PER_HOST,
+        mode=mode,
+        n_workers=N_WORKERS,
+        batch_size=8,
+    )
+    return Pipeline.from_spec(spec).run().fleet
 
 
 @pytest.mark.benchmark(group="fleet")

@@ -1,7 +1,7 @@
 """Accelerator co-simulation demo: from measured chains to device figures.
 
 Runs the paper's accelerator workload in software — per-site tilted MCMC
-inside EP (``moment_estimator="mcmc"``), batched over a 64-host fleet —
+inside EP (``EstimatorSpec("mcmc")``), batched over a 64-host fleet —
 while a :class:`~repro.fg.mcmc.ChainTrace` records every site chain the
 sampler executes.  The recorded trace is serialised through the fleet
 tracefile format, read back, and replayed through the accelerator device
@@ -25,8 +25,9 @@ from repro.accelerator import (
     ReadLatencyModel,
     ReadPath,
 )
+from repro.api import EstimatorSpec, HostSpec, Pipeline, RecorderSpec, RunSpec
 from repro.fg.mcmc import ChainTrace
-from repro.fleet import FleetService, chain_trace_file, read_trace, write_trace
+from repro.fleet import chain_trace_file, read_trace, write_trace
 
 N_HOSTS = 64
 TICKS = 2
@@ -40,31 +41,33 @@ CPU_TDP_W = {"pcie": 100.0, "capi": 190.0}
 
 def record_fleet_chains() -> ChainTrace:
     """Run the 64-host fleet on the per-site MCMC estimator, recording chains."""
-    recorder = ChainTrace(
-        params={
-            "n_samples": MCMC_SAMPLES,
-            "burn_in": MCMC_BURN_IN,
-            "ep_iterations": EP_ITERATIONS,
-            "adapt": True,
-        }
-    )
-    service = FleetService(
-        "x86",
+    spec = RunSpec(
+        arch="x86",
+        hosts=tuple(
+            HostSpec(
+                workload="KMeans" if index % 2 == 0 else "steady",
+                seed=index,
+                n_ticks=TICKS,
+            )
+            for index in range(N_HOSTS)
+        ),
+        estimator=EstimatorSpec(
+            "mcmc", samples=MCMC_SAMPLES, burn_in=MCMC_BURN_IN, ep_iterations=EP_ITERATIONS
+        ),
+        recorder=RecorderSpec(
+            params={
+                "n_samples": MCMC_SAMPLES,
+                "burn_in": MCMC_BURN_IN,
+                "ep_iterations": EP_ITERATIONS,
+                "adapt": True,
+            }
+        ),
         n_workers=4,
-        engine_kwargs={
-            "moment_estimator": "mcmc",
-            "mcmc_samples": MCMC_SAMPLES,
-            "mcmc_burn_in": MCMC_BURN_IN,
-            "ep_max_iterations": EP_ITERATIONS,
-        },
-        recorder=recorder,
     )
-    for index in range(N_HOSTS):
-        workload = "KMeans" if index % 2 == 0 else "steady"
-        service.add_host(workload, seed=index, n_ticks=TICKS)
-    result = service.run()
+    result = Pipeline.from_spec(spec).run()
+    recorder = result.chain_trace
     print(
-        f"software run: {result.total_slices} slices at "
+        f"software run: {result.n_slices} slices at "
         f"{result.slices_per_second:.1f} slices/s (batched per-site tilted MCMC)"
     )
     print(

@@ -52,7 +52,7 @@ def main() -> None:
         print(f"spec: {spec.estimator}\n")
 
         pipeline = Pipeline.from_spec(spec)
-        recorder = pipeline.service.chain_recorder
+        recorder = pipeline.chain_recorder
         streamed = 0
         for result in pipeline.stream():
             streamed += 1

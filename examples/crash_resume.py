@@ -57,7 +57,7 @@ def run_child(wal_path: str) -> None:
     chaos = FaultInjector(
         (), crash_after_writes=CRASH_AFTER_WRITES, crash_hard=True
     )
-    Pipeline.from_spec(build_spec(wal_path), chaos=chaos).run_fleet()
+    Pipeline.from_spec(build_spec(wal_path), chaos=chaos).run().fleet
     raise SystemExit("the injected crash never fired")  # pragma: no cover
 
 
@@ -68,7 +68,7 @@ def main() -> int:
     print(f"Reference run: {N_HOSTS} hosts x {TICKS} quanta, no interruptions")
     reference = Pipeline.from_spec(
         build_spec(str(workdir / "reference.wal.jsonl"))
-    ).run_fleet()
+    ).run().fleet
     print(f"  {reference.total_slices} slices completed\n")
 
     print(f"Killing a child run mid-write (SIGKILL after {CRASH_AFTER_WRITES} log writes)")
@@ -91,7 +91,7 @@ def main() -> int:
     )
 
     print("Resuming from the write-ahead log alone")
-    resumed = Pipeline.resume(wal_path).run_fleet()
+    resumed = Pipeline.resume(wal_path).run().fleet
     print(f"  {resumed.total_slices} slices re-executed after the recovery point")
 
     identical = all(

@@ -15,7 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.fleet import EventLog, FleetService, record_session_trace
+from repro.api import HostSpec, Pipeline, RunSpec
+from repro.fleet import EventLog, record_session_trace
 
 N_HOSTS = 64
 TICKS = 3
@@ -23,14 +24,18 @@ TICKS = 3
 METRICS = ("ipc", "l1d_mpki", "llc_miss_rate")
 
 
-def build_fleet(n_workers: int, processors=()) -> FleetService:
+def fleet_spec(mode: str) -> RunSpec:
     # Fleet hosts monitor the standard profiling event set (the paper's §6.2
     # configuration), where per-host schedule construction is substantial.
-    service = FleetService("x86", n_workers=n_workers, processors=processors)
-    for index in range(N_HOSTS):
-        workload = "KMeans" if index % 2 == 0 else "mux-stress"
-        service.add_host(workload, seed=index, n_ticks=TICKS)
-    return service
+    hosts = tuple(
+        HostSpec(
+            workload="KMeans" if index % 2 == 0 else "mux-stress",
+            seed=index,
+            n_ticks=TICKS,
+        )
+        for index in range(N_HOSTS)
+    )
+    return RunSpec(arch="x86", hosts=hosts, mode=mode, n_workers=4)
 
 
 def main() -> None:
@@ -41,10 +46,11 @@ def main() -> None:
     # Two interleaved rounds per mode so load drift hits both modes equally;
     # the faster round is reported.
     for round_index in range(2):
-        for mode, workers in (("serial", 1), ("pool", 4)):
-            processors = (log,) if (mode == "pool" and round_index == 0) else ()
-            service = build_fleet(workers, processors)
-            runs[mode].append(service.run(mode=mode))
+        for mode in ("serial", "pool"):
+            pipeline = Pipeline.from_spec(fleet_spec(mode))
+            if mode == "pool" and round_index == 0:
+                pipeline.service.dispatcher.add(log)
+            runs[mode].append(pipeline.run().fleet)
     results = {
         mode: max(mode_runs, key=lambda r: r.slices_per_second)
         for mode, mode_runs in runs.items()
@@ -66,13 +72,12 @@ def main() -> None:
     for kind, count in sorted(kinds.items()):
         print(f"  {kind:22s} x{count}")
 
-    # Record one host's session and replay it through the service.
+    # Record one host's session and replay it through the pipeline.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "host.jsonl"
         recorded = record_session_trace(path, "KMeans", metrics=METRICS, n_ticks=TICKS, seed=0)
-        replay = FleetService("x86", n_workers=1)
-        host = replay.add_trace(path)
-        replayed = replay.run().estimates[host]
+        replay = RunSpec(hosts=(HostSpec(trace=str(path), host_id="replayed"),), n_workers=1)
+        replayed = Pipeline.from_spec(replay).run().estimates["replayed"]
         exact = replayed.values_equal(recorded.estimates)
         print(
             f"\nTrace record/replay: {recorded.n_ticks} quanta -> {path.name}, "

@@ -19,10 +19,10 @@ run with frozen specs, then execute it::
 * ``Pipeline.run()`` collects everything; ``Pipeline.stream()`` yields
   per-slice results incrementally and flushes chain records to the
   recorder's tracefile sink after every inference round (bounded memory).
-* The legacy front doors remain as thin shims: ``FleetService.run`` drives
-  this pipeline internally, and ``PerfSession``/``FleetService`` accept
-  :class:`EstimatorSpec`/:class:`RecorderSpec` in place of their deprecated
-  stringly-typed kwargs.
+* ``Pipeline.from_spec`` is the one way to build a fleet run; extra event
+  processors attach to ``pipeline.service.dispatcher`` before it runs.  The
+  single-host ``PerfSession`` accepts :class:`EstimatorSpec` /
+  :class:`RecorderSpec` too.
 * :class:`ObserverSpec` opts a run into observability (:mod:`repro.obs`):
   OTel-style span export over the whole pipeline, the metrics registry,
   per-slice estimate records in the trace sink, and the end-of-run

@@ -204,10 +204,10 @@ def _compare_perf_host(source, engine_trace, baselines) -> Optional[HostComparis
 def build_comparison(spec, service, slices) -> ComparisonReport:
     """Score BayesPerf against ``spec.baselines`` for every synthetic host.
 
-    *service* is the (already-run) fleet service whose ingest still holds
-    the host sources; *slices* is the run's completed slice stream.  Replay
-    hosts are skipped — only synthetic hosts carry reconstructible ground
-    truth.
+    *service* is the (already-run) pipeline's ``service``, whose ingest
+    still holds the host sources; *slices* is the run's completed slice
+    stream.  Replay hosts are skipped — only synthetic hosts carry
+    reconstructible ground truth.
     """
     policy = spec.scheduler.policy if spec.scheduler is not None else "overlap"
     policy_seed = spec.scheduler.seed if spec.scheduler is not None else 0
@@ -245,11 +245,7 @@ def build_comparison(spec, service, slices) -> ComparisonReport:
                     report.hosts.append(host)
             continue  # replay host: no synthetic ground truth
         catalog = catalog_for(source.arch)
-        config = (
-            source.machine_config
-            if source.machine_config is not None
-            else MachineConfig(name=catalog.name)
-        )
+        config = MachineConfig(name=catalog.name)
         # Same-run reconstruction, seed-for-seed what the source pumped:
         # machine at `seed`, sampler at `seed+1`, ground-truth reader at
         # `seed+2` (the PerfSession convention).
@@ -260,13 +256,12 @@ def build_comparison(spec, service, slices) -> ComparisonReport:
         sampled = MultiplexedSampler(
             catalog,
             schedule,
-            noise=source.noise,
             samples_per_tick=source.samples_per_tick,
             seed=source.seed + 1,
         ).sample(machine_trace)
-        polled = PollingReader(
-            catalog, source.events, noise=source.noise, seed=source.seed + 2
-        ).read(machine_trace)
+        polled = PollingReader(catalog, source.events, seed=source.seed + 2).read(
+            machine_trace
+        )
         length = len(machine_trace)
         warmup = min(schedule.rotation_ticks, max(length - 1, 0))
         interval = _read_interval(length, warmup)

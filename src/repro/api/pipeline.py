@@ -1,9 +1,10 @@
-"""The unified estimation pipeline: one drive loop behind every front door.
+"""The estimation pipeline: the one way to build and drive a fleet run.
 
-``Pipeline`` composes what used to be spread across ``PerfSession``,
-``FleetService.run`` and raw engine calls: engine construction (with
-schedule/kernel caching), registry-resolved estimator selection, chain
-recorders, and the ingestion/worker drive loop — behind two verbs:
+``Pipeline.from_spec(RunSpec(...))`` assembles a run: the engine
+configuration (registry-resolved estimator, chain recorder, observer), one
+record source per :class:`~repro.api.HostSpec` with its monitored events
+resolved against the host's catalog, and the event stream.  Two verbs
+execute it:
 
 * :meth:`Pipeline.run` — execute to completion and collect everything
   (per-slice results, fleet statistics, the chain trace) into a
@@ -12,11 +13,6 @@ recorders, and the ingestion/worker drive loop — behind two verbs:
   per completed slice *while the run progresses*, flushing buffered chain
   records to the configured tracefile sink after every inference round, so
   neither results nor chain records accumulate for the whole run.
-
-Construction is spec-driven (``Pipeline.from_spec(RunSpec(...))``) or wraps
-an already-configured :class:`~repro.fleet.service.FleetService`
-(``Pipeline(service)`` — which is exactly what ``FleetService.run`` now
-does internally).
 """
 
 from __future__ import annotations
@@ -24,12 +20,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.api.spec import CheckpointSpec, RunSpec
-from repro.fleet.events import ChainHealthFlagged, CheckpointWritten
-from repro.fleet.service import FleetResult, FleetService
-from repro.fleet.tracefile import TraceWriter
+from repro.api.spec import CheckpointSpec, HostSpec, RunSpec
+from repro.events.catalog import EventCatalog
+from repro.events.profiles import standard_profiling_events
+from repro.events.registry import canonical_arch, catalog_for
+from repro.fleet.events import (
+    ChainHealthFlagged,
+    CheckpointWritten,
+    EventDispatcher,
+    MetricsProcessor,
+)
+from repro.fleet.ingest import FleetIngest, ReplayHostSource, SyntheticHostSource
+from repro.fleet.tracefile import TraceFile, TraceWorkload, TraceWriter, read_trace
 from repro.fleet.wal import (
     WalState,
     checkpoint_host,
@@ -37,9 +41,11 @@ from repro.fleet.wal import (
     restore_host,
     truncate_to_commit,
 )
+from repro.fleet.workers import FleetResult, WorkerPool
 from repro.fg.mcmc import ChainTrace
 from repro.obs.mixing import MixingAccumulator, MixingReport
 from repro.pmu.traces import EstimateTrace
+from repro.workloads import contended_workload, get_workload
 
 if TYPE_CHECKING:
     from repro.api.comparison import ComparisonReport
@@ -70,7 +76,7 @@ class PipelineResult:
 
     #: Per-slice results in completion order (what ``stream()`` yielded).
     slices: List[SliceResult] = field(default_factory=list)
-    #: The legacy fleet summary (throughput, drops, cache stats, ...).
+    #: The fleet summary (throughput, drops, cache stats, ...).
     fleet: Optional[FleetResult] = None
     #: The shared chain recorder (drained if a sink streamed it out).
     chain_trace: Optional[ChainTrace] = None
@@ -86,7 +92,7 @@ class PipelineResult:
 
     @property
     def estimates(self) -> Dict[str, EstimateTrace]:
-        """Per-host estimate traces (identical to the legacy entry points)."""
+        """Per-host estimate traces (the fleet summary's)."""
         return self.fleet.estimates if self.fleet is not None else {}
 
     @property
@@ -98,22 +104,160 @@ class PipelineResult:
         return self.fleet.slices_per_second if self.fleet is not None else 0.0
 
 
-class Pipeline:
-    """Executable form of a :class:`~repro.api.RunSpec`.
+#: One assembled host: its record source, arch and monitored events.
+_Host = Tuple[object, str, Tuple[str, ...]]
 
-    A pipeline instance is single-shot, like the service it drives: build
-    one per run.  ``fleet_result`` becomes available once the drive loop
-    has finished (i.e. after ``run()`` returns or ``stream()`` is
-    exhausted).
+
+def _monitored_events(
+    spec: RunSpec, catalog: EventCatalog, events: Optional[Tuple[str, ...]]
+) -> Tuple[str, ...]:
+    """Monitored events for one host, resolved against *its* catalog.
+
+    A host's own ``events`` win, then the run's ``events``, then the run's
+    derived ``metrics`` (re-derived per catalog, so a host that overrides
+    ``arch`` monitors that architecture's counterpart events), then the
+    standard profiling set.  Names are validated eagerly, so a
+    misconfigured host fails in ``from_spec``, not mid-run.
+    """
+    if events is not None:
+        resolved = events
+    elif spec.events is not None:
+        resolved = spec.events
+    elif spec.metrics is not None:
+        resolved = catalog.events_for_derived(spec.metrics)
+    else:
+        resolved = standard_profiling_events(catalog)
+    for name in resolved:
+        catalog.get(name)  # raises KeyError naming the offending event
+    return resolved
+
+
+def _replay_host(trace: TraceFile, host_id: str, workload: str, arch: str) -> _Host:
+    source = ReplayHostSource(host_id, trace, workload_name=workload)
+    return source, source.arch or arch, source.events
+
+
+def _build_host(spec: RunSpec, host: HostSpec, host_id: str) -> _Host:
+    """The record source one :class:`HostSpec` describes."""
+    arch = canonical_arch(host.arch if host.arch is not None else spec.arch)
+    if host.perf is not None:
+        from repro.perfio.source import PerfTraceSource
+
+        source = PerfTraceSource(
+            host_id,
+            host.perf,
+            format=host.format,
+            arch=arch,
+            events=host.events,
+            on_unknown=host.on_unknown,
+        )
+        return source, arch, source.events
+    if host.trace is not None:
+        return _replay_host(read_trace(host.trace), host_id, host.workload, arch)
+    workload = get_workload(host.workload)
+    if isinstance(workload, TraceWorkload):
+        if spec.contention is not None:
+            raise ValueError(
+                f"ContentionSpec cannot throttle non-synthetic workload "
+                f"{host.workload!r}"
+            )
+        overridden = [
+            name
+            for name in ("seed", "n_ticks", "arch", "events")
+            if getattr(host, name) is not None
+        ]
+        if overridden:
+            raise ValueError(
+                f"replayed trace workload {workload.name!r} streams its recorded "
+                f"records; {', '.join(overridden)} cannot be overridden"
+            )
+        return _replay_host(workload.trace, host_id, workload.name, arch)
+    if spec.contention is not None:
+        # Contention changes the machine trace, not the estimator: the
+        # PCIe-throttled workload replaces the registered one.
+        workload = contended_workload(
+            workload,
+            background=spec.contention.background,
+            size_mb=spec.contention.size_mb,
+        )
+    events = _monitored_events(spec, catalog_for(arch), host.events)
+    source = SyntheticHostSource(
+        host_id,
+        workload,
+        arch=arch,
+        events=events,
+        n_ticks=host.n_ticks,
+        seed=host.seed if host.seed is not None else 0,
+        samples_per_tick=spec.samples_per_tick,
+    )
+    if spec.scheduler is not None:
+        source.schedule_policy = spec.scheduler.policy
+        source.schedule_seed = spec.scheduler.seed
+    return source, arch, events
+
+
+@dataclass
+class _Service:
+    """What :attr:`Pipeline.service` exposes: the event stream and ingest.
+
+    Attach extra :class:`~repro.fleet.events.EventProcessor`s with
+    ``pipeline.service.dispatcher.add(processor)`` before running.  They
+    see every event, ``SessionStarted`` included: the hosts' channels join
+    ``ingest`` only when the drive loop starts.
     """
 
-    def __init__(self, service: FleetService, *, mode: str = "pool") -> None:
-        self._service = service
-        self.mode = mode
-        self.spec: Optional[RunSpec] = None
+    dispatcher: EventDispatcher
+    ingest: FleetIngest
+
+
+class Pipeline:
+    """Executable form of a :class:`~repro.api.RunSpec`; build one with
+    :meth:`from_spec`.
+
+    A pipeline instance is single-shot: build one per run.
+    ``fleet_result`` becomes available once the drive loop has finished
+    (i.e. after ``run()`` returns or ``stream()`` is exhausted).
+    """
+
+    def __init__(self, spec: RunSpec, hosts: List[_Host], *, chaos=None) -> None:
+        self.spec = spec
+        self.mode = spec.mode
+        self._hosts = hosts
+        #: Fault injector (:class:`~repro.fleet.chaos.FaultInjector`):
+        #: wraps the sources, solves and WAL stream; ``None`` outside tests.
+        self._chaos = chaos
+        self._arch = canonical_arch(spec.arch)
+        #: The run-level event set, stamped into tracefile headers.
+        self._events = _monitored_events(spec, catalog_for(self._arch), None)
+        self._engine_kwargs = spec.engine_kwargs()
+        #: Tracefile path chain records stream to (``RecorderSpec.sink``).
+        self._chain_sink = spec.recorder.sink if spec.recorder is not None else None
+        if spec.recorder is not None:
+            self._engine_kwargs.setdefault("chain_recorder", spec.recorder.build())
+        #: The recorder every engine shares (an ``engine_overrides`` entry
+        #: wins over ``RunSpec.recorder``), or ``None``.
+        self.chain_recorder: Optional[ChainTrace] = self._engine_kwargs.get(
+            "chain_recorder"
+        )
+        self._observer = spec.observer.build() if spec.observer is not None else None
+        if self._observer is not None:
+            if self._observer.estimates and self._chain_sink is None:
+                raise ValueError(
+                    "ObserverSpec(estimates=True) streams per-slice estimate "
+                    "records into the trace sink; configure "
+                    "recorder=RecorderSpec(sink=...) too"
+                )
+            # Engines share the same observer instance, so kernel-stage spans
+            # and cache counters land in the run's tracer/registry.
+            self._engine_kwargs.setdefault("observer", self._observer)
+        self._metrics = MetricsProcessor()
+        dispatcher = EventDispatcher([self._metrics])
+        ingest = FleetIngest(buffer_capacity=spec.buffer_capacity, dispatcher=dispatcher)
+        self._service = _Service(dispatcher, ingest)
+        self._started = False
         self._fleet_result: Optional[FleetResult] = None
         #: End-of-run chain-health analysis (set by the drive loop when the
-        #: service carries an observer and chains were recorded).
+        #: run carries an observer and chains were recorded).
         self.mixing_report: Optional[MixingReport] = None
         #: Recovery point loaded by :meth:`resume` (``None`` = fresh run).
         self._resume_state: Optional[WalState] = None
@@ -123,87 +267,23 @@ class Pipeline:
         """Build the pipeline a :class:`~repro.api.RunSpec` describes.
 
         Estimator names resolve through the :mod:`repro.fg.registry` (so an
-        unknown name fails here, listing the registered estimators), hosts
-        are registered exactly as ``FleetService.add_host``/``add_trace``
-        would, and a recorder spec's sink is wired up for streaming.
-        *chaos* (a :class:`~repro.fleet.chaos.FaultInjector`) is a test-only
-        hook: it wraps the run's sources, solves and WAL stream with the
-        injector's seeded fault schedule.
+        unknown name fails here, listing the registered estimators), every
+        host's source is built and validated here (a bad capture, trace or
+        event name fails before anything runs), and a recorder spec's sink
+        is wired up for streaming.  *chaos* (a
+        :class:`~repro.fleet.chaos.FaultInjector`) is a test-only hook: it
+        wraps the run's sources, solves and WAL stream with the injector's
+        seeded fault schedule.
         """
         if not spec.hosts:
             raise ValueError("RunSpec needs at least one HostSpec in hosts")
-        contended = None
-        if spec.contention is not None:
-            from repro.workloads import contended_workload, get_workload
-
-            def contended(name: str):
-                workload = get_workload(name)
-                if not hasattr(workload, "phases"):
-                    raise ValueError(
-                        f"ContentionSpec cannot throttle non-synthetic "
-                        f"workload {name!r}"
-                    )
-                return contended_workload(
-                    workload,
-                    background=spec.contention.background,
-                    size_mb=spec.contention.size_mb,
-                )
-
-        service = FleetService(
-            spec.arch,
-            metrics=spec.metrics,
-            events=spec.events,
-            n_workers=spec.n_workers,
-            batch_size=spec.batch_size,
-            buffer_capacity=spec.buffer_capacity,
-            pump_records=spec.pump_records,
-            samples_per_tick=spec.samples_per_tick,
-            engine_kwargs=dict(spec.engine_overrides),
-            estimator=spec.estimator,
-            recorder=spec.recorder,
-            observer=spec.observer,
-            fault_policy=spec.fault_policy,
-            chaos=chaos,
-        )
-        for host in spec.hosts:
-            if host.perf is not None:
-                service.add_perf(
-                    host.perf,
-                    format=host.format,
-                    host_id=host.host_id,
-                    arch=host.arch,
-                    events=host.events,
-                    on_unknown=host.on_unknown,
-                )
-            elif host.trace is not None:
-                service.add_trace(
-                    host.trace, host_id=host.host_id, workload_name=host.workload
-                )
-            else:
-                service.add_host(
-                    # Contention rides the existing workload parameter
-                    # (specs are first-class there): the PCIe-throttled
-                    # WorkloadSpec changes the machine trace, not the
-                    # service surface.
-                    contended(host.workload) if contended is not None else host.workload,
-                    host_id=host.host_id,
-                    seed=host.seed,
-                    n_ticks=host.n_ticks,
-                    arch=host.arch,
-                    events=host.events,
-                )
-        if spec.scheduler is not None:
-            # Route the multiplexing policy to every synthetic source.
-            # ``records()`` is lazy — nothing has sampled yet — and the
-            # attribute lives on the source, so FleetService's signature
-            # stays untouched (the "one front door" contract).
-            for channel in service.ingest.channels:
-                if hasattr(channel.source, "schedule_policy"):
-                    channel.source.schedule_policy = spec.scheduler.policy
-                    channel.source.schedule_seed = spec.scheduler.seed
-        pipeline = cls(service, mode=spec.mode)
-        pipeline.spec = spec
-        return pipeline
+        hosts: Dict[str, _Host] = {}
+        for index, host in enumerate(spec.hosts):
+            host_id = host.host_id if host.host_id is not None else f"host-{index:03d}"
+            if host_id in hosts:
+                raise ValueError(f"host {host_id!r} already registered")
+            hosts[host_id] = _build_host(spec, host, host_id)
+        return cls(spec, list(hosts.values()), chaos=chaos)
 
     @classmethod
     def resume(cls, trace_path: Union[str, Path], *, chaos=None) -> "Pipeline":
@@ -236,14 +316,14 @@ class Pipeline:
         return pipeline
 
     @property
-    def service(self) -> FleetService:
-        """The underlying (single-shot) fleet service."""
+    def service(self) -> _Service:
+        """The run's event dispatcher and ingest (see :class:`_Service`)."""
         return self._service
 
     @property
     def observer(self):
         """The run's :class:`~repro.obs.Observer`, or ``None`` when off."""
-        return self._service.observer
+        return self._observer
 
     @property
     def fleet_result(self) -> FleetResult:
@@ -253,6 +333,45 @@ class Pipeline:
         return self._fleet_result
 
     # -- the drive loop ------------------------------------------------------
+
+    def _build_pool(self) -> WorkerPool:
+        """Mark the pipeline consumed, open every host's channel and shard it.
+
+        ``mode="pool"`` shards hosts across the configured workers and
+        shares cached engines/schedules per (arch, event-set) key;
+        ``mode="serial"`` runs a single worker that constructs a dedicated
+        engine and schedule per host (the pre-fleet baseline).  Estimates
+        are identical in both modes; only throughput differs.
+        """
+        if self._started:
+            raise RuntimeError(
+                "a Pipeline runs once; build a new one with Pipeline.from_spec"
+            )
+        self._started = True
+        spec, chaos = self.spec, self._chaos
+        share = self.mode == "pool"
+        pool = WorkerPool(
+            spec.n_workers if share else 1,
+            dispatcher=self._service.dispatcher,
+            batch_size=spec.batch_size,
+            share_engines=share,
+            engine_kwargs=self._engine_kwargs,
+            observer=self._observer,
+            fault_policy=spec.fault_policy,
+            chaos=chaos,
+        )
+        ingest = self._service.ingest
+        channels = [ingest.add(source) for source, _, _ in self._hosts]
+        for channel, (source, arch, events) in zip(channels, self._hosts):
+            if chaos is not None:
+                # Scheduled record corruption: proxy the source before any
+                # iterator is opened.
+                channel.source = chaos.wrap_source(source)
+            if not share and isinstance(source, SyntheticHostSource):
+                # The serial baseline also pays the per-host schedule build.
+                source.use_schedule_cache = False
+            pool.assign(channel, arch=arch, events=events)
+        return pool
 
     def _rounds(self, on_slice=None) -> Iterator[int]:
         """The unified drive loop: pump, solve, flush — one round at a time.
@@ -264,40 +383,42 @@ class Pipeline:
         consumer that stops early still leaves a consistent, flushed trace
         file.
         """
-        service = self._service
-        observer = service.observer
-        pool = service._build_pool(self.mode)
-        recorder = service.chain_recorder
+        spec = self.spec
+        observer = self._observer
+        dispatcher = self._service.dispatcher
+        pool = self._build_pool()
+        n_hosts = len(self._hosts)
+        recorder = self.chain_recorder
         writer: Optional[TraceWriter] = None
-        if service.chain_sink is not None and recorder is not None:
+        if self._chain_sink is not None and recorder is not None:
             writer = TraceWriter(
-                service.chain_sink,
-                arch=service.arch,
-                events=service.events,
+                self._chain_sink,
+                arch=self._arch,
+                events=self._events,
                 workload="fleet-stream",
-                samples_per_tick=service.samples_per_tick,
-                metadata={"hosts": service.n_hosts, "mode": self.mode},
+                samples_per_tick=spec.samples_per_tick,
+                metadata={"hosts": n_hosts, "mode": self.mode},
                 chain_params=recorder.params,
                 estimates=observer is not None and observer.estimates,
             )
         estimate_writer = (
             writer if observer is not None and observer.estimates else None
         )
-        checkpoint = self.spec.checkpoint if self.spec is not None else None
+        checkpoint = spec.checkpoint
         resume_state = self._resume_state
         wal_writer: Optional[TraceWriter] = None
         if checkpoint is not None:
-            chaos = service.chaos
+            chaos = self._chaos
             wal_writer = TraceWriter(
                 checkpoint.path,
-                arch=service.arch,
-                events=service.events,
+                arch=self._arch,
+                events=self._events,
                 workload="fleet-wal",
-                samples_per_tick=service.samples_per_tick,
+                samples_per_tick=spec.samples_per_tick,
                 metadata={
-                    "hosts": service.n_hosts,
+                    "hosts": n_hosts,
                     "mode": self.mode,
-                    "run_spec": self.spec.to_dict(),
+                    "run_spec": spec.to_dict(),
                 },
                 wal=True,
                 mode="a" if resume_state is not None else "w",
@@ -344,27 +465,29 @@ class Pipeline:
             else None
         )
         root = None
-        spec = self.spec
         if observer is not None and observer.tracing:
-            root = observer.tracer.start(
-                "pipeline.run", mode=self.mode, hosts=service.n_hosts
+            root = observer.tracer.start("pipeline.run", mode=self.mode, hosts=n_hosts)
+            # Scenario-grid keys: which cell of the grid this run is.
+            root.set_attribute(
+                "scenario.scheduler",
+                spec.scheduler.policy if spec.scheduler is not None else "overlap",
             )
-            if spec is not None:
-                # Scenario-grid keys: which cell of the grid this run is.
-                root.set_attribute(
-                    "scenario.scheduler",
-                    spec.scheduler.policy if spec.scheduler is not None else "overlap",
-                )
-                root.set_attribute(
-                    "scenario.contention",
-                    spec.contention.background if spec.contention is not None else 0,
-                )
-                root.set_attribute("scenario.baselines", list(spec.baselines))
-        if observer is not None and spec is not None and spec.contention is not None:
+            root.set_attribute(
+                "scenario.contention",
+                spec.contention.background if spec.contention is not None else 0,
+            )
+            root.set_attribute("scenario.baselines", list(spec.baselines))
+        if observer is not None and spec.contention is not None:
             observer.gauge("scenario.contention.slowdown", spec.contention.slowdown())
         total = 0
         start = time.perf_counter()
-        rounds_iter = pool.rounds(service.ingest, pump_records=service.pump_records)
+        # Each inference round drains up to batch_size records per host, so a
+        # larger default pump rate would overflow any long stream's buffer
+        # even when the consumer keeps up.
+        pump_records = (
+            spec.pump_records if spec.pump_records is not None else spec.batch_size
+        )
+        rounds_iter = pool.rounds(self._service.ingest, pump_records=pump_records)
         try:
             for processed in rounds_iter:
                 total += processed
@@ -378,7 +501,7 @@ class Pipeline:
                         pool,
                         next_round,
                         fsync=checkpoint.fsync,
-                        dispatcher=service.dispatcher,
+                        dispatcher=dispatcher,
                         observer=observer,
                     )
                 next_round += 1
@@ -404,14 +527,25 @@ class Pipeline:
                 self._consume_visits(recorder.visits, None, mixing, observer)
             if mixing is not None:
                 self.mixing_report = mixing.report()
-                self._emit_mixing(self.mixing_report, observer, service.dispatcher)
+                self._emit_mixing(self.mixing_report, observer, dispatcher)
             if root is not None:
                 root.set_attribute("slices", total)
                 observer.tracer.end(root)
-            service.dispatcher.shutdown()
+            dispatcher.shutdown()
             if observer is not None:
                 observer.close()
-            self._fleet_result = service._build_result(self.mode, total, elapsed, pool)
+            self._fleet_result = FleetResult(
+                mode=self.mode,
+                n_hosts=n_hosts,
+                total_slices=total,
+                elapsed_seconds=elapsed,
+                estimates=pool.estimates(),
+                dropped_records=self._service.ingest.drop_report(),
+                engine_cache=pool.cache_stats(),
+                metrics=self._metrics.summary(),
+                quarantined=pool.quarantined_hosts(),
+                chain_trace=recorder,
+            )
 
     @staticmethod
     def _write_checkpoint(
@@ -507,32 +641,21 @@ class Pipeline:
         JSON lines alongside it (``<sink>.comparison.jsonl``).
         """
         slices = list(self.stream())
-        service = self._service
         comparison = comparison_path = None
-        if self.spec is not None and self.spec.baselines:
+        if self.spec.baselines:
             from repro.api.comparison import build_comparison
 
-            comparison = build_comparison(self.spec, service, slices)
-            if service.chain_sink is not None:
+            comparison = build_comparison(self.spec, self._service, slices)
+            if self._chain_sink is not None:
                 comparison_path = comparison.write_jsonl(
-                    f"{service.chain_sink}.comparison.jsonl"
+                    f"{self._chain_sink}.comparison.jsonl"
                 )
         return PipelineResult(
             slices=slices,
             fleet=self.fleet_result,
-            chain_trace=service.chain_recorder,
-            chain_path=service.chain_sink,
+            chain_trace=self.chain_recorder,
+            chain_path=self._chain_sink,
             mixing=self.mixing_report,
             comparison=comparison,
             comparison_path=comparison_path,
         )
-
-    def run_fleet(self) -> FleetResult:
-        """Execute without per-slice collection; returns the fleet summary.
-
-        This is the legacy ``FleetService.run`` body: same loop, no
-        streaming tap, so the historical hot path stays untouched.
-        """
-        for _ in self._rounds():
-            pass
-        return self.fleet_result

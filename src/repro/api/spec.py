@@ -24,9 +24,9 @@ that describe *what* to run without touching *how*:
   observer and fleet sizing.
 
 ``Pipeline.from_spec(spec)`` (:mod:`repro.api.pipeline`) turns a spec into
-an executable pipeline; the legacy ``PerfSession`` / ``FleetService``
-front doors consume :class:`EstimatorSpec` / :class:`RecorderSpec` too, so
-estimator resolution has one implementation everywhere.
+an executable pipeline — the one way to build a fleet run.  The single-host
+``PerfSession`` consumes :class:`EstimatorSpec` / :class:`RecorderSpec`
+too, so estimator resolution has one implementation everywhere.
 """
 
 from __future__ import annotations
@@ -228,8 +228,8 @@ class HostSpec:
     perf capture.
 
     ``trace`` (a tracefile path) makes this a replay host, in which case
-    the synthetic knobs (``seed``/``n_ticks``/``arch``/``events``) must be
-    left unset — the recorded stream defines them.
+    the synthetic knobs (``seed``/``n_ticks``/``arch``/``events``) are
+    rejected — the recorded stream defines them.
 
     ``perf`` (a perf capture path) makes this a real-trace host ingested
     through :mod:`repro.perfio`: ``format`` names the capture format
@@ -296,6 +296,19 @@ class HostSpec:
                     f"one of {UNKNOWN_POLICIES}"
                 )
         else:
+            if self.trace is not None:
+                overridden = [
+                    name
+                    for name in ("seed", "n_ticks", "arch", "events")
+                    if getattr(self, name) is not None
+                ]
+                if overridden:
+                    raise ValueError(
+                        f"replay host (trace={self.trace!r}) streams its "
+                        f"recorded records; {', '.join(overridden)} cannot be "
+                        f"overridden — drop the field(s), or drop trace= to "
+                        f"simulate a synthetic host instead"
+                    )
             if self.format != "auto":
                 raise ValueError(
                     "HostSpec.format applies to real-trace hosts only; set "
@@ -371,13 +384,20 @@ class ContentionSpec:
         return contention_slowdown(background=self.background, size_mb=self.size_mb)
 
 
+#: Execution modes of a fleet run (see :class:`RunSpec`).
+_MODES = ("pool", "serial")
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """A complete declarative estimation run.
 
-    The event selection mirrors ``PerfSession``/``FleetService``: explicit
-    ``events`` win over ``metrics`` (derived-metric selection), and with
-    neither the standard profiling set is monitored.  ``engine_overrides``
+    The event selection mirrors ``PerfSession``: explicit ``events`` win
+    over ``metrics`` (derived-metric selection), and with neither the
+    standard profiling set is monitored.  ``mode`` is ``"pool"`` (hosts
+    sharded across ``n_workers`` with shared engines) or ``"serial"`` (one
+    worker building a dedicated engine and schedule per host — the
+    baseline; estimates are identical).  ``engine_overrides``
     is the escape hatch for engine kwargs the spec does not model
     (key/value pairs, applied last).  ``fault_policy`` opts the workers
     into retry/timeout/quarantine enforcement
@@ -423,6 +443,8 @@ class RunSpec:
         _frozen_tuple(self, "hosts")
         _frozen_tuple(self, "engine_overrides")
         _frozen_tuple(self, "baselines")
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if self.baselines:
             import repro.baselines  # noqa: F401  (registers the baseline entries)
         for name in self.baselines:
@@ -452,7 +474,8 @@ class RunSpec:
         return cls(hosts=hosts, **kwargs)
 
     def engine_kwargs(self) -> Dict:
-        """The engine configuration this spec resolves to."""
+        """The engine configuration this spec resolves to: the estimator's
+        kwargs, with ``engine_overrides`` entries winning."""
         kwargs = self.estimator.engine_kwargs()
         kwargs.update(self.engine_overrides)
         return kwargs

@@ -9,7 +9,6 @@ and the error metric.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -91,9 +90,6 @@ class PerfSession:
         configure BayesPerf tilted-moment computation (estimator names
         resolve through the :mod:`repro.fg.registry`; explicit
         ``engine_kwargs`` entries win).
-    moment_estimator:
-        Deprecated string shorthand for ``estimator=EstimatorSpec(name)``
-        (emits ``DeprecationWarning``; behaviour is unchanged).
     use_compiled_kernel:
         Route the BayesPerf engine's solves through the vectorized array
         path (default).  Set to ``False`` to run each estimator's reference
@@ -109,8 +105,6 @@ class PerfSession:
         (slice, EP iteration, site) chain to when the ``"mcmc"`` estimator
         runs — the capture side of the accelerator co-simulation (see
         ``examples/accelerator_cosim.py``).
-    chain_recorder:
-        Deprecated alias for ``recorder`` (emits ``DeprecationWarning``).
     engine_kwargs:
         Extra keyword arguments forwarded to :class:`BayesPerfEngine`
         (an explicit ``use_compiled_kernel`` entry here wins over the
@@ -130,10 +124,8 @@ class PerfSession:
         reference: str = "same-run",
         read_interval_ticks: int = 8,
         estimator=None,
-        moment_estimator: Optional[str] = None,
         use_compiled_kernel: Optional[bool] = None,
         recorder=None,
-        chain_recorder: Optional[ChainTrace] = None,
         engine_kwargs: Optional[Dict] = None,
     ) -> None:
         if method not in KNOWN_METHODS:
@@ -164,23 +156,6 @@ class PerfSession:
             for key, value in estimator.engine_kwargs().items():
                 self.engine_kwargs.setdefault(key, value)
         self.engine_kwargs.setdefault("use_compiled_kernel", True)
-        if moment_estimator is not None:
-            warnings.warn(
-                "PerfSession(moment_estimator=...) is deprecated; pass "
-                "estimator=EstimatorSpec(name) from repro.api",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.engine_kwargs.setdefault("moment_estimator", moment_estimator)
-        if chain_recorder is not None:
-            warnings.warn(
-                "PerfSession(chain_recorder=...) is deprecated; pass "
-                "recorder=<ChainTrace> (or a RecorderSpec from repro.api)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if recorder is None:
-                recorder = chain_recorder
         if recorder is not None:
             if isinstance(recorder, ChainTrace):
                 trace = recorder

@@ -1,7 +1,7 @@
 """Moment-estimator registry: one catalogue for every tilted-moment engine.
 
 Historically each front door (``BayesPerfEngine``, ``PerfSession``,
-``FleetService``, the fleet CLI) carried its own copy of the
+the fleet service, the fleet CLI) carried its own copy of the
 ``moment_estimator`` string table and its own validation message, so adding
 an estimator meant touching all of them.  The registry inverts that: the
 estimator implementations in :mod:`repro.fg.mcmc` / :mod:`repro.fg.compiled`

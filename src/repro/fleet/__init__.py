@@ -19,9 +19,11 @@ reproduction accordingly:
 * :mod:`repro.fleet.wal` — write-ahead-log recovery: load a crashed run's
   checkpoint state and roll back its uncommitted suffix;
 * :mod:`repro.fleet.chaos` — the deterministic fault-injection harness
-  (:class:`FaultInjector`) the fault-tolerance tests run on;
-* :mod:`repro.fleet.service` — the :class:`FleetService` facade tying it all
-  together.
+  (:class:`FaultInjector`) the fault-tolerance tests run on.
+
+:meth:`repro.api.Pipeline.from_spec` assembles these parts into a run from
+a :class:`~repro.api.RunSpec`; a finished run's summary is a
+:class:`FleetResult`.
 
 Run the synthetic demo, replay a trace, or resume a crashed checkpointed
 run from the command line with ``python -m repro.fleet``.
@@ -50,7 +52,6 @@ from repro.fleet.events import (
 )
 from repro.fleet.faults import FaultPolicySpec, SliceFailed, SliceTimeout
 from repro.fleet.ingest import FleetIngest, HostChannel, ReplayHostSource, SyntheticHostSource
-from repro.fleet.service import FleetResult, FleetService
 from repro.fleet.tracefile import (
     TraceFile,
     TraceFormatError,
@@ -63,7 +64,7 @@ from repro.fleet.tracefile import (
     write_trace,
 )
 from repro.fleet.wal import WalState, load_wal, truncate_to_commit
-from repro.fleet.workers import EngineCache, InferenceWorker, WorkerPool
+from repro.fleet.workers import EngineCache, FleetResult, InferenceWorker, WorkerPool
 
 __all__ = [
     "BackpressureDetected",
@@ -96,7 +97,6 @@ __all__ = [
     "ReplayHostSource",
     "SyntheticHostSource",
     "FleetResult",
-    "FleetService",
     "TraceFile",
     "TraceFormatError",
     "TraceWorkload",

@@ -10,7 +10,7 @@ Six subcommands:
   metrics-registry summary at the end of the run, and ``--trace-out`` writes
   the run's span tree as JSONL;
 * ``record`` — run one monitoring session and write a replayable trace file;
-* ``replay`` — feed a recorded trace back through the service and (when the
+* ``replay`` — feed a recorded trace back through the pipeline and (when the
   file carries the original estimates) verify the round-trip is exact;
 * ``report`` — chain-health (mixing) analysis and run-log summary of a
   recorded trace file, without re-running inference;
@@ -39,7 +39,6 @@ from repro.api import (
     baseline_names,
 )
 from repro.fg.registry import engine_estimator_names, get_estimator
-from repro.fleet.service import FleetService
 from repro.fleet.tracefile import (
     TraceFile,
     TraceFormatError,
@@ -188,23 +187,33 @@ def _demo_observer(args) -> Optional[ObserverSpec]:
     )
 
 
-def _build_demo_service(args, *, n_workers: int, observe: bool = True) -> FleetService:
+def _demo_spec(args, *, mode: str = "pool", observe: bool = True) -> RunSpec:
+    """The run every ``demo`` variant executes, from the CLI flags."""
     metrics = tuple(m for m in args.derived_metrics.split(",") if m) or None
-    service = FleetService(
-        args.arch,
+    return RunSpec(
+        arch=args.arch,
         metrics=metrics,
-        n_workers=n_workers,
+        hosts=tuple(
+            HostSpec(workload=args.workload, seed=index, n_ticks=args.ticks)
+            for index in range(args.hosts)
+        ),
         estimator=EstimatorSpec(args.estimator),
         observer=_demo_observer(args) if observe else None,
+        mode=mode,
+        n_workers=args.workers,
+        scheduler=(
+            SchedulerSpec(policy=args.scheduler) if args.scheduler != "overlap" else None
+        ),
+        contention=(
+            ContentionSpec(background=args.contention) if args.contention else None
+        ),
+        baselines=tuple(args.baselines),
     )
-    for index in range(args.hosts):
-        service.add_host(args.workload, seed=index, n_ticks=args.ticks)
-    return service
 
 
 def _run_demo_stream(args) -> int:
     """Streaming demo: per-slice results arrive while the fleet runs."""
-    pipeline = Pipeline(_build_demo_service(args, n_workers=args.workers))
+    pipeline = Pipeline.from_spec(_demo_spec(args))
     shown = 0
     total = 0
     for result in pipeline.stream():
@@ -223,76 +232,42 @@ def _run_demo_stream(args) -> int:
     return 0
 
 
-def _run_demo_grid(args) -> int:
-    """Scenario-grid demo: one spec-driven run, throughput + comparison table."""
-    metrics = tuple(m for m in args.derived_metrics.split(",") if m) or None
-    spec = RunSpec(
-        arch=args.arch,
-        metrics=metrics,
-        hosts=tuple(
-            HostSpec(workload=args.workload, seed=index, n_ticks=args.ticks)
-            for index in range(args.hosts)
-        ),
-        estimator=EstimatorSpec(args.estimator),
-        observer=_demo_observer(args),
-        n_workers=args.workers,
-        scheduler=(
-            SchedulerSpec(policy=args.scheduler) if args.scheduler != "overlap" else None
-        ),
-        contention=(
-            ContentionSpec(background=args.contention) if args.contention else None
-        ),
-        baselines=tuple(args.baselines),
-    )
-    result = Pipeline.from_spec(spec).run()
-    fleet = result.fleet
-    print(
-        f"  scenario: scheduler={args.scheduler} contention={args.contention} "
-        f"-> {fleet.total_slices} slices at {fleet.slices_per_second:.1f} slices/s"
-    )
-    if result.comparison is not None:
-        for line in result.comparison.render().splitlines():
-            print(f"  {line}")
-    if args.trace_out is not None:
-        print(f"  spans written to {args.trace_out}")
-    return 0
-
-
 def _run_demo(args) -> int:
     print(
         f"Fleet demo: {args.hosts} hosts x {args.ticks} quanta on {args.arch} "
-        f"({args.workload!r}, {args.estimator} estimator)"
+        f"({args.workload!r}, {args.estimator} estimator, "
+        f"scheduler={args.scheduler}, contention={args.contention})"
     )
-    if args.baselines or args.scheduler != "overlap" or args.contention:
-        # Any scenario-grid flag routes through the spec'd pipeline: the
-        # grid axes are RunSpec fields, not service kwargs.
-        return _run_demo_grid(args)
     if args.stream:
         return _run_demo_stream(args)
     results = {}
-    modes = (("pool", args.workers),) + ((("serial", 1),) if args.serial else ())
-    for mode, workers in modes:
+    for mode in ("pool", "serial") if args.serial else ("pool",):
         # Only the pool run is observed: a second observer would reopen (and
         # clobber) the same span-trace file for the serial baseline.
-        service = _build_demo_service(args, n_workers=workers, observe=mode == "pool")
-        results[mode] = service.run(mode=mode)
+        spec = _demo_spec(args, mode=mode, observe=mode == "pool")
+        results[mode] = Pipeline.from_spec(spec).run()
     if args.trace_out is not None:
         print(f"  spans written to {args.trace_out}")
     for mode, result in results.items():
-        cache = result.engine_cache
+        fleet = result.fleet
+        cache = fleet.engine_cache
         print(
-            f"  {mode:6s}: {result.total_slices} slices in "
-            f"{result.elapsed_seconds:.2f}s = {result.slices_per_second:7.1f} slices/s "
+            f"  {mode:6s}: {fleet.total_slices} slices in "
+            f"{fleet.elapsed_seconds:.2f}s = {fleet.slices_per_second:7.1f} slices/s "
             f"(engines built: {cache['engines_built']}, cache hits: {cache['hits']}, "
-            f"dropped: {result.total_dropped})"
+            f"dropped: {fleet.total_dropped})"
         )
     if "serial" in results:
         speedup = results["pool"].slices_per_second / max(
             results["serial"].slices_per_second, 1e-9
         )
         print(f"  worker pool speedup over per-host serial construction: {speedup:.2f}x")
-    sample_host = next(iter(results["pool"].estimates))
-    estimates = results["pool"].estimates[sample_host]
+    pool = results["pool"]
+    if pool.comparison is not None:
+        for line in pool.comparison.render().splitlines():
+            print(f"  {line}")
+    sample_host = next(iter(pool.estimates))
+    estimates = pool.estimates[sample_host]
     last = estimates.at(len(estimates) - 1)
     shown = ", ".join(f"{k}={v:.3g}" for k, v in list(last.items())[:3])
     print(f"  e.g. {sample_host} final slice: {shown}")
@@ -316,10 +291,11 @@ def _run_record(args) -> int:
 
 def _run_replay(args) -> int:
     trace = read_trace(args.trace)
-    service = FleetService(trace.arch or "x86", events=trace.events, n_workers=1)
-    host_id = service.add_trace(trace)
-    result = service.run()
-    estimates = result.estimates[host_id]
+    spec = RunSpec(
+        arch=trace.arch or "x86", hosts=(HostSpec(trace=args.trace),), n_workers=1
+    )
+    result = Pipeline.from_spec(spec).run()
+    (estimates,) = result.estimates.values()
     print(
         f"Replayed {len(estimates)} quanta of {trace.workload!r} ({trace.arch}) at "
         f"{result.slices_per_second:.1f} slices/s"
@@ -349,7 +325,7 @@ def _run_resume(args) -> int:
     except (TraceFormatError, ValueError) as error:
         print(f"Cannot resume: {error}")
         return 1
-    result = pipeline.run_fleet()
+    result = pipeline.run().fleet
     print(
         f"Resumed {args.trace}: {result.total_slices} slices re-executed at "
         f"{result.slices_per_second:.1f} slices/s "

@@ -25,7 +25,6 @@ from repro.fleet.events import (
     SessionStarted,
 )
 from repro.fleet.tracefile import TraceFile
-from repro.pmu.noise import NoiseModel
 from repro.pmu.sampling import MultiplexedSampler, SamplingRecord
 from repro.scheduling.cache import build_schedule, cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
@@ -50,9 +49,6 @@ class SyntheticHostSource:
         n_ticks: Optional[int] = None,
         seed: int = 0,
         samples_per_tick: int = 4,
-        noise: Optional[NoiseModel] = None,
-        machine_config: Optional[MachineConfig] = None,
-        use_schedule_cache: bool = True,
     ) -> None:
         self.host_id = host_id
         self.spec = spec
@@ -61,26 +57,21 @@ class SyntheticHostSource:
         self.seed = seed
         self.n_ticks = n_ticks if n_ticks is not None else spec.total_ticks
         self.samples_per_tick = samples_per_tick
-        self.noise = noise
-        self.machine_config = machine_config
         #: When false every host builds its own schedule — the per-host
         #: construction cost the fleet's shared caches exist to amortise
-        #: (kept as the serial baseline's behaviour).
-        self.use_schedule_cache = use_schedule_cache
+        #: (the serial baseline's behaviour; set by the pipeline).
+        self.use_schedule_cache = True
         #: Multiplexing policy (a :data:`repro.scheduling.SCHEDULE_KINDS`
         #: name) and its seed.  Set by ``Pipeline.from_spec`` from
-        #: ``SchedulerSpec`` after host registration — ``records()`` is
-        #: lazy, so the policy lands before any record is pumped.
+        #: ``SchedulerSpec`` — ``records()`` is lazy, so the policy lands
+        #: before any record is pumped.
         self.schedule_policy = "overlap"
         self.schedule_seed = 0
         self.workload_name = spec.name
 
     def records(self) -> Iterator[SamplingRecord]:
         catalog: EventCatalog = catalog_for(self.arch)
-        config = self.machine_config if self.machine_config is not None else MachineConfig(
-            name=catalog.name
-        )
-        machine = Machine(config, self.spec, seed=self.seed)
+        machine = Machine(MachineConfig(name=catalog.name), self.spec, seed=self.seed)
         trace = machine.run(self.n_ticks)
         if self.use_schedule_cache:
             schedule = cached_schedule(
@@ -93,7 +84,6 @@ class SyntheticHostSource:
         sampler = MultiplexedSampler(
             catalog,
             schedule,
-            noise=self.noise,
             samples_per_tick=self.samples_per_tick,
             seed=self.seed + 1,
         )

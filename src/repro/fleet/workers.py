@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.engine import BayesPerfEngine, EngineState
@@ -44,6 +44,7 @@ from repro.fleet.events import (
     SliceSkipped,
 )
 from repro.fleet.faults import FaultPolicySpec, SliceFailed, SliceTimeout
+from repro.fg.mcmc import ChainTrace
 from repro.fleet.ingest import FleetIngest, HostChannel
 from repro.pmu.traces import EstimateTrace
 
@@ -476,6 +477,34 @@ class InferenceWorker:
 
     def estimates(self) -> Dict[str, EstimateTrace]:
         return {host_id: run.estimates for host_id, run in self._runs.items()}
+
+
+@dataclass
+class FleetResult:
+    """Everything one fleet run produces."""
+
+    mode: str
+    n_hosts: int
+    total_slices: int
+    elapsed_seconds: float
+    estimates: Dict[str, EstimateTrace] = field(default_factory=dict)
+    dropped_records: Dict[str, int] = field(default_factory=dict)
+    engine_cache: Dict[str, int] = field(default_factory=dict)
+    metrics: Dict[str, int] = field(default_factory=dict)
+    #: Hosts excised mid-run by an ``on_exhausted="quarantine"`` policy.
+    quarantined: Tuple[str, ...] = ()
+    #: The run's shared chain recorder (populated when the fleet ran a
+    #: per-site MCMC estimator with one attached), ``None`` otherwise.
+    chain_trace: Optional[ChainTrace] = None
+
+    @property
+    def slices_per_second(self) -> float:
+        """Inference throughput of the run."""
+        return self.total_slices / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
+
+    @property
+    def total_dropped(self) -> int:
+        return sum(self.dropped_records.values())
 
 
 class WorkerPool:

@@ -10,10 +10,9 @@ pure — the same ``(spec, contention parameters)`` always yields the same
 modified spec — which keeps contended runs exactly as replayable and
 WAL-resumable as uncontended ones.
 
-``repro.api`` exposes this through ``ContentionSpec`` on ``RunSpec``; the
-modified spec flows into ``FleetService.add_host`` through the existing
-``workload`` parameter (specs are first-class there), so no service surface
-changes.
+``repro.api`` exposes this through ``ContentionSpec`` on ``RunSpec``:
+``Pipeline.from_spec`` builds every synthetic host's source from the
+modified spec, so contention changes the trace, not the estimator.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The unified `repro.api` pipeline: spec-driven runs, the estimator
-registry, streaming with bounded recorder memory, and the deprecation shims
-over the legacy entry points."""
+registry, streaming with bounded recorder memory, and the fleet CLI built
+on top of them."""
 
 from pathlib import Path
 
@@ -10,12 +10,13 @@ from repro.api import EstimatorSpec, HostSpec, Pipeline, RecorderSpec, RunSpec
 from repro.core.engine import BayesPerfEngine
 from repro.core.session import PerfSession
 from repro.events.registry import catalog_for
-from repro.fg import ChainTrace, estimator_names, get_estimator
+from repro.fg import estimator_names, get_estimator
 from repro.fg.mcmc import BatchedMCMC, BatchedSiteMCMC, ReferenceMCMC
 from repro.fg.ep import ExpectationPropagation, ReferenceSiteMCMC
-from repro.fleet.service import FleetService
+from repro.fleet import FleetIngest, SyntheticHostSource, WorkerPool
 from repro.fleet.tracefile import read_trace
 from repro.fleet.__main__ import main as fleet_main
+from repro.workloads import get_workload
 
 METRICS = ("ipc", "l1d_mpki")
 GOLDEN_TRACE = Path(__file__).parent / "fixtures" / "golden_fleet_trace.jsonl"
@@ -25,13 +26,6 @@ def _small_spec(n_hosts=4, n_ticks=3, **kwargs):
     kwargs.setdefault("metrics", METRICS)
     kwargs.setdefault("n_workers", 2)
     return RunSpec.fleet(n_hosts, "mux-stress", n_ticks=n_ticks, **kwargs)
-
-
-def _legacy_service(n_hosts=4, n_ticks=3, **kwargs):
-    service = FleetService("x86", metrics=METRICS, n_workers=2, **kwargs)
-    for index in range(n_hosts):
-        service.add_host("mux-stress", seed=index, n_ticks=n_ticks)
-    return service
 
 
 # -- the estimator registry ---------------------------------------------------
@@ -132,17 +126,34 @@ class TestSessionSpecPrecedence:
         assert recorder.n_visits > 0
 
 
-# -- Pipeline.run: parity with the legacy entry points ------------------------
+# -- Pipeline.run: parity with the hand-wired fleet parts ---------------------
 
 
 class TestPipelineRun:
-    def test_run_matches_legacy_fleet_service_exactly(self):
+    def test_run_matches_hand_assembled_pool_exactly(self):
+        """``from_spec`` assembles exactly the ingest and worker pool a
+        caller would wire by hand from the same sources."""
         result = Pipeline.from_spec(_small_spec()).run()
-        legacy = _legacy_service().run()
-        assert result.estimates.keys() == legacy.estimates.keys()
+        events = catalog_for("x86").events_for_derived(METRICS)
+        ingest = FleetIngest()
+        pool = WorkerPool(
+            2, dispatcher=ingest.dispatcher, engine_kwargs=EstimatorSpec().engine_kwargs()
+        )
+        for index in range(4):
+            source = SyntheticHostSource(
+                f"host-{index:03d}",
+                get_workload("mux-stress"),
+                events=events,
+                n_ticks=3,
+                seed=index,
+            )
+            pool.assign(ingest.add(source), arch="x86", events=events)
+        total = pool.run_until_drained(ingest, pump_records=8)
+        reference = pool.estimates()
+        assert result.estimates.keys() == reference.keys()
         for host in result.estimates:
-            assert result.estimates[host].values_equal(legacy.estimates[host])
-        assert result.n_slices == legacy.total_slices
+            assert result.estimates[host].values_equal(reference[host])
+        assert result.n_slices == total
         assert result.slices_per_second > 0
 
     def test_run_collects_every_slice_in_order_per_host(self):
@@ -222,7 +233,7 @@ class TestPipelineStream:
         sink = tmp_path / "chains.jsonl"
         pipeline = Pipeline.from_spec(self._stream_spec(sink=str(sink)))
         slices = sum(1 for _ in pipeline.stream())
-        recorder = pipeline.service.chain_recorder
+        recorder = pipeline.chain_recorder
         assert slices == 9
         assert recorder.total_recorded > 0
         # Peak memory: bounded by one flush round, not the whole run.
@@ -249,74 +260,6 @@ class TestPipelineStream:
         stream.close()  # consumer walks away mid-run
         assert pipeline.fleet_result is not None
         assert read_trace(sink).chain is not None
-
-
-# -- deprecation shims over the legacy entry points ---------------------------
-
-
-class TestDeprecationShims:
-    def test_session_moment_estimator_kwarg_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="moment_estimator"):
-            legacy = PerfSession("x86", metrics=METRICS, moment_estimator="batched-mcmc")
-        modern = PerfSession(
-            "x86", metrics=METRICS, estimator=EstimatorSpec("batched-mcmc")
-        )
-        assert legacy.engine_kwargs["moment_estimator"] == "batched-mcmc"
-        legacy_run = legacy.run("steady", n_ticks=4, seed=3)
-        modern_run = modern.run("steady", n_ticks=4, seed=3)
-        assert legacy_run.estimates.values_equal(modern_run.estimates)
-
-    def test_session_chain_recorder_kwarg_warns_and_still_records(self):
-        recorder = ChainTrace()
-        with pytest.warns(DeprecationWarning, match="chain_recorder"):
-            session = PerfSession(
-                "x86",
-                metrics=METRICS,
-                estimator=EstimatorSpec("mcmc", samples=15, burn_in=10, ep_iterations=2),
-                chain_recorder=recorder,
-            )
-        session.run("steady", n_ticks=2, seed=0)
-        assert recorder.n_visits > 0
-
-    def test_fleet_chain_recorder_kwarg_warns_and_matches_recorder_param(self):
-        kwargs = dict(
-            engine_kwargs={
-                "moment_estimator": "mcmc",
-                "mcmc_samples": 15,
-                "mcmc_burn_in": 10,
-                "ep_max_iterations": 2,
-            }
-        )
-        legacy_trace, modern_trace = ChainTrace(), ChainTrace()
-        with pytest.warns(DeprecationWarning, match="chain_recorder"):
-            legacy = _legacy_service(
-                n_hosts=2, n_ticks=2, chain_recorder=legacy_trace, **kwargs
-            )
-        modern = _legacy_service(n_hosts=2, n_ticks=2, recorder=modern_trace, **kwargs)
-        legacy_result = legacy.run()
-        modern_result = modern.run()
-        assert legacy_result.chain_trace is legacy_trace
-        assert legacy_trace.visits == modern_trace.visits
-        for host in legacy_result.estimates:
-            assert legacy_result.estimates[host].values_equal(
-                modern_result.estimates[host]
-            )
-
-    def test_legacy_kwargs_still_reproduce_the_golden_trace(self):
-        """The deprecated spellings change nothing numerically: a service
-        built through them replays the committed golden fixture exactly."""
-        golden = read_trace(GOLDEN_TRACE)
-        with pytest.warns(DeprecationWarning):
-            service = FleetService(
-                golden.arch, n_workers=2, chain_recorder=ChainTrace()
-            )
-        host = service.add_trace(GOLDEN_TRACE)
-        result = service.run()
-        got = result.estimates[host]
-        for tick in range(len(golden.estimates)):
-            want = golden.estimates.at(tick)
-            for event, value in want.items():
-                assert got.at(tick)[event] == pytest.approx(value, rel=1e-9)
 
 
 # -- the CLI rides the registry ----------------------------------------------
@@ -348,3 +291,19 @@ class TestFleetCLI:
         )
         assert code == 0
         assert "batched-mcmc estimator" in capsys.readouterr().out
+
+    def test_serial_flag_runs_both_modes(self, capsys):
+        code = fleet_main(["demo", "--hosts", "2", "--ticks", "2", "--serial"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pool  : 4 slices" in out
+        assert "serial: 4 slices" in out
+        assert "speedup" in out
+
+    def test_record_then_replay_round_trips(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        assert fleet_main(["record", "-o", str(path), "--ticks", "4"]) == 0
+        assert fleet_main(["replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Replayed 4 quanta" in out
+        assert "match the recorded ones exactly" in out

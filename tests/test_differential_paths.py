@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import HostSpec, Pipeline, RunSpec
 from repro.core.engine import BayesPerfEngine
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
@@ -47,7 +48,6 @@ from repro.fg import (
 from repro.fg.ep import EPSite
 from repro.fg.mcmc import RandomWalkMetropolis
 from repro.fg.megabatch import KernelExecSpec
-from repro.fleet.service import FleetService
 from repro.fleet.tracefile import read_trace
 from repro.pmu.sampling import MultiplexedSampler
 from repro.scheduling.cache import cached_schedule
@@ -745,14 +745,15 @@ class TestGoldenHeteroFleet:
 
     def test_homogeneous_golden_replays_under_megabatch_engine(self):
         """The pre-existing single-host golden fixture, replayed through the
-        fleet service (whose engines always mega-batch), still reproduces
+        fleet pipeline (whose engines always mega-batch), still reproduces
         its committed estimates — the merge path degrades to a
         single-signature batch."""
         golden = read_trace(GOLDEN_TRACE)
-        service = FleetService(golden.arch, n_workers=2)
-        host = service.add_trace(GOLDEN_TRACE)
-        result = service.run()
-        got, want = result.estimates[host], golden.estimates
+        spec = RunSpec(
+            arch=golden.arch, hosts=(HostSpec(trace=str(GOLDEN_TRACE)),), n_workers=2
+        )
+        result = Pipeline.from_spec(spec).run()
+        got, want = result.estimates["host-000"], golden.estimates
         assert len(got) == len(want)
         for tick in range(len(want)):
             got_values, want_values = got.at(tick), want.at(tick)

@@ -23,13 +23,16 @@ from repro.api import (
     RunSpec,
 )
 from repro.fleet import (
+    EventDispatcher,
     EventLog,
-    FleetService,
+    FleetIngest,
     HostQuarantined,
     MalformedRecordSkipped,
+    ReplayHostSource,
     SliceAttemptFailed,
     SliceRetried,
     SliceSkipped,
+    WorkerPool,
 )
 from repro.fleet.chaos import CrashingStream, Fault, FaultInjector, InjectedCrash
 from repro.fleet.faults import SliceFailed
@@ -59,8 +62,11 @@ def host_ids(n_hosts):
     return ["host-%03d" % index for index in range(n_hosts)]
 
 
-def run_fleet(spec, chaos=None):
-    return Pipeline.from_spec(spec, chaos=chaos).run_fleet()
+def run_fleet(spec, chaos=None, processors=()):
+    pipeline = Pipeline.from_spec(spec, chaos=chaos)
+    for processor in processors:
+        pipeline.service.dispatcher.add(processor)
+    return pipeline.run().fleet
 
 
 def assert_estimates_equal(result_a, result_b, *, exclude=()):
@@ -149,17 +155,10 @@ def test_fault_accounting_matches_injected_schedule():
         11, host_ids(n_hosts), n_ticks, n_raise=3, n_corrupt=2, attempts=1
     )
     log = EventLog(maxlen=None)
-    service = FleetService(
-        "x86",
-        metrics=METRICS,
-        n_workers=2,
-        processors=(log,),
-        fault_policy=FaultPolicySpec(max_attempts=2, on_exhausted="skip", **FAST_RETRY),
-        chaos=chaos,
+    policy = FaultPolicySpec(max_attempts=2, on_exhausted="skip", **FAST_RETRY)
+    result = run_fleet(
+        fleet_spec(n_hosts, n_ticks=n_ticks, fault_policy=policy), chaos, (log,)
     )
-    for index in range(n_hosts):
-        service.add_host("mux-stress", seed=index, n_ticks=n_ticks)
-    result = service.run()
 
     events = list(log.iter())
     failures = [e for e in events if isinstance(e, SliceAttemptFailed)]
@@ -181,19 +180,8 @@ def test_fault_accounting_matches_injected_schedule():
 def test_quarantine_accounting_and_event():
     log = EventLog(maxlen=None)
     chaos = FaultInjector([Fault("raise", "host-001", 2, attempts=99)])
-    service = FleetService(
-        "x86",
-        metrics=METRICS,
-        n_workers=2,
-        processors=(log,),
-        fault_policy=FaultPolicySpec(
-            max_attempts=2, on_exhausted="quarantine", **FAST_RETRY
-        ),
-        chaos=chaos,
-    )
-    for index in range(3):
-        service.add_host("mux-stress", seed=index, n_ticks=5)
-    result = service.run()
+    policy = FaultPolicySpec(max_attempts=2, on_exhausted="quarantine", **FAST_RETRY)
+    result = run_fleet(fleet_spec(3, n_ticks=5, fault_policy=policy), chaos, (log,))
     quarantines = [e for e in log.iter() if isinstance(e, HostQuarantined)]
     assert [e.host for e in quarantines] == ["host-001"]
     assert result.quarantined == ("host-001",)
@@ -237,7 +225,7 @@ def test_killed_run_resumes_bit_identical(tmp_path, crash_after_writes):
     with pytest.raises(InjectedCrash):
         run_fleet(wal_spec(crash_path), chaos)
 
-    resumed = Pipeline.resume(crash_path).run_fleet()
+    resumed = Pipeline.resume(crash_path).run().fleet
     assert_estimates_equal(ref, resumed)
     # The log now holds the complete run: every host, every tick, plus the
     # resume marker — one file tells the whole story.
@@ -273,7 +261,7 @@ def test_resume_before_first_commit_restarts_from_scratch(tmp_path):
     chaos = FaultInjector((), crash_after_writes=1)
     with pytest.raises(InjectedCrash):
         run_fleet(wal_spec(path), chaos)
-    resumed = Pipeline.resume(path).run_fleet()
+    resumed = Pipeline.resume(path).run().fleet
     ref = run_fleet(wal_spec(tmp_path / "ref.jsonl"))
     assert_estimates_equal(ref, resumed)
     trace = read_trace(path)
@@ -306,7 +294,7 @@ def test_resume_accepts_a_log_with_removed_megabatch_knobs(tmp_path):
     lines[0] = json.dumps(header) + "\n"
     crash_path.write_text("".join(lines), encoding="utf-8")
 
-    resumed = Pipeline.resume(crash_path).run_fleet()
+    resumed = Pipeline.resume(crash_path).run().fleet
     assert_estimates_equal(run_fleet(wal_spec(tmp_path / "ref.jsonl")), resumed)
     assert read_trace(crash_path).resumes == 1
 
@@ -342,7 +330,7 @@ def test_aborted_marker_stamps_dirty_shutdowns(tmp_path):
     assert "SliceFailed" in trace.aborted
     # The aborted suffix is uncommitted noise: recovery rolls it back and
     # the resumed run still finishes, bit-identical to a clean faultless run.
-    resumed = Pipeline.resume(path).run_fleet()
+    resumed = Pipeline.resume(path).run().fleet
     ref = run_fleet(fleet_spec(2, n_ticks=4))
     assert_estimates_equal(ref, resumed)
 
@@ -387,12 +375,10 @@ def test_replay_source_tolerates_trailing_garbage(tmp_path):
     with open(path, "a", encoding="utf-8") as stream:
         stream.write('{"type": "sample", "tick":')  # torn tail
     log = EventLog(maxlen=None)
-    service = FleetService("x86", n_workers=1, processors=(log,))
-    trace = read_trace(path)  # strict: only the torn tail is tolerated
-    assert trace.torn_tail
-    host = service.add_trace(trace)
-    result = service.run()
-    assert len(result.estimates[host]) == 4
+    assert read_trace(path).torn_tail  # strict: only the torn tail is tolerated
+    spec = RunSpec(hosts=(HostSpec(trace=str(path)),), n_workers=1)
+    result = run_fleet(spec, processors=(log,))
+    assert len(result.estimates["host-000"]) == 4
     skipped = [e for e in log.iter() if isinstance(e, MalformedRecordSkipped)]
     assert len(skipped) == 1
     assert skipped[0].torn_tail
@@ -410,10 +396,17 @@ def test_replay_source_accounts_midstream_damage(tmp_path):
         read_trace(path)  # mid-stream damage is fatal for strict readers
     trace = read_trace(path, strict=False)
     assert len(trace.malformed_lines) == 2
-    service = FleetService("x86", n_workers=1)
-    host = service.add_trace(trace)
-    result = service.run()
-    assert len(result.estimates[host]) == 4
+    # A leniently read trace replays through the ingest and worker pool the
+    # pipeline assembles, with the damage accounted once on the stream.
+    log = EventLog(maxlen=None)
+    ingest = FleetIngest(dispatcher=EventDispatcher([log]))
+    channel = ingest.add(ReplayHostSource("host-000", trace))
+    pool = WorkerPool(1, dispatcher=ingest.dispatcher)
+    pool.assign(channel, arch=trace.arch, events=trace.events)
+    assert pool.run_until_drained(ingest) == 4
+    assert len(pool.estimates()["host-000"]) == 4
+    skipped = [e for e in log.iter() if isinstance(e, MalformedRecordSkipped)]
+    assert [e.n_lines for e in skipped] == [2]
 
 
 # -- satellite: spec serialization round-trips -------------------------------

@@ -1,10 +1,12 @@
-"""Fleet telemetry service: ingestion, workers, trace record/replay, events."""
+"""Fleet telemetry: ingestion, workers, trace record/replay, events, and
+the fleet runs `Pipeline.from_spec` assembles from them."""
 
 import logging
 from pathlib import Path
 
 import pytest
 
+from repro.api import EstimatorSpec, HostSpec, Pipeline, RunSpec
 from repro.core.engine import BayesPerfEngine
 from repro.core.session import PerfSession
 from repro.events.registry import catalog_for
@@ -22,7 +24,6 @@ from repro.fleet.events import (
     TypedEventProcessor,
 )
 from repro.fleet.ingest import FleetIngest, ReplayHostSource, SyntheticHostSource
-from repro.fleet.service import FleetService
 from repro.fleet.tracefile import (
     TraceFile,
     TraceFormatError,
@@ -46,10 +47,24 @@ METRICS = ("ipc", "l1d_mpki")
 
 
 def small_fleet(n_hosts=4, *, n_ticks=5, n_workers=2, **kwargs):
-    service = FleetService("x86", metrics=METRICS, n_workers=n_workers, **kwargs)
-    for index in range(n_hosts):
-        service.add_host("mux-stress", seed=index, n_ticks=n_ticks)
-    return service
+    return RunSpec.fleet(
+        n_hosts, "mux-stress", n_ticks=n_ticks, metrics=METRICS, n_workers=n_workers, **kwargs
+    )
+
+
+def run_fleet(spec, processors=()):
+    """Run *spec* to completion with extra event processors attached."""
+    pipeline = Pipeline.from_spec(spec)
+    for processor in processors:
+        pipeline.service.dispatcher.add(processor)
+    return pipeline.run().fleet
+
+
+def replay_spec(*paths, host_ids=None, **kwargs):
+    """A fleet replaying recorded tracefiles, one host per path."""
+    ids = host_ids or (None,) * len(paths)
+    hosts = tuple(HostSpec(trace=str(path), host_id=i) for path, i in zip(paths, ids))
+    return RunSpec(hosts=hosts, **kwargs)
 
 
 # -- observability event stream --------------------------------------------
@@ -259,17 +274,16 @@ def test_engine_cache_survives_host_quarantine():
     from repro.fleet.chaos import Fault, FaultInjector
     from repro.fleet.faults import FaultPolicySpec
 
-    clean = small_fleet(n_hosts=4, n_ticks=4).run()
+    clean = run_fleet(small_fleet(n_hosts=4, n_ticks=4))
     chaos = FaultInjector([Fault("raise", "host-002", 1, attempts=99)])
-    service = small_fleet(
+    spec = small_fleet(
         n_hosts=4,
         n_ticks=4,
         fault_policy=FaultPolicySpec(
             max_attempts=2, backoff_base=0.0, on_exhausted="quarantine"
         ),
-        chaos=chaos,
     )
-    result = service.run()
+    result = Pipeline.from_spec(spec, chaos=chaos).run().fleet
     assert result.quarantined == ("host-002",)
     # All four hosts share one engine key: it was built once and kept being
     # reused by the survivors after the quarantine.
@@ -352,10 +366,9 @@ def test_registered_trace_workload_replays_and_is_rejected_by_session(tmp_path):
     record_session_trace(path, "steady", metrics=METRICS, n_ticks=5, seed=2)
     register_trace_workload("fleet-test-trace", path)
     try:
-        service = FleetService("x86", n_workers=1)
-        host = service.add_host("fleet-test-trace")
-        result = service.run()
-        assert len(result.estimates[host]) == 5
+        spec = RunSpec(hosts=(HostSpec(workload="fleet-test-trace"),), n_workers=1)
+        result = run_fleet(spec)
+        assert len(result.estimates["host-000"]) == 5
         # The simulator-facing session API refuses replay-only workloads.
         with pytest.raises(TypeError, match="repro.fleet"):
             PerfSession("x86", metrics=METRICS).run("fleet-test-trace")
@@ -375,12 +388,14 @@ def test_write_trace_estimates_only(tmp_path):
         ReplayHostSource("h0", loaded)
 
 
-# -- the service -------------------------------------------------------------
+# -- the pipeline-assembled fleet --------------------------------------------
 
 
 def test_pool_and_serial_produce_identical_estimates():
-    pool = small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2).run(mode="pool")
-    serial = small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2).run(mode="serial")
+    pool = run_fleet(small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2))
+    serial = run_fleet(
+        small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2, mode="serial")
+    )
     assert pool.estimates.keys() == serial.estimates.keys()
     for host in pool.estimates:
         assert pool.estimates[host].values_equal(serial.estimates[host])
@@ -395,10 +410,8 @@ def test_recorded_trace_replay_matches_original_estimates(tmp_path):
     """Acceptance: record -> replay reproduces EstimateTrace values exactly."""
     path = tmp_path / "roundtrip.jsonl"
     recorded = record_session_trace(path, "KMeans", metrics=METRICS, n_ticks=8, seed=5)
-    service = FleetService("x86", n_workers=2)
-    host = service.add_trace(path)
-    result = service.run()
-    assert result.estimates[host].values_equal(recorded.estimates)
+    result = run_fleet(replay_spec(path, n_workers=2))
+    assert result.estimates["host-000"].values_equal(recorded.estimates)
 
 
 #: Committed golden trace: a small fleet recording whose estimates pin the
@@ -428,9 +441,8 @@ def test_golden_trace_replay_reproduces_committed_estimates():
     observation-summary, binding or kernel code paths fails this test."""
     golden = read_trace(GOLDEN_TRACE)
     assert golden.estimates is not None and len(golden.estimates) == 6
-    service = FleetService(golden.arch, n_workers=2)
-    host = service.add_trace(GOLDEN_TRACE)
-    result = service.run()
+    result = run_fleet(replay_spec(GOLDEN_TRACE, arch=golden.arch, n_workers=2))
+    host = "host-000"
     _assert_traces_match_golden(result.estimates[host], golden.estimates)
     # Spot-pin one value so a wholesale rewrite of the fixture is also caught.
     assert result.estimates[host].at(0)["INST_RETIRED.ANY"] == pytest.approx(
@@ -440,10 +452,10 @@ def test_golden_trace_replay_reproduces_committed_estimates():
 
 def test_golden_trace_batched_replay_matches_serial():
     """The golden fixture replayed through pooled batching equals serial."""
-    pooled = FleetService("x86", n_workers=2)
-    host_a = pooled.add_trace(GOLDEN_TRACE, host_id="golden-a")
-    host_b = pooled.add_trace(GOLDEN_TRACE, host_id="golden-b")
-    result = pooled.run(mode="pool")
+    host_a, host_b = "golden-a", "golden-b"
+    result = run_fleet(
+        replay_spec(GOLDEN_TRACE, GOLDEN_TRACE, host_ids=(host_a, host_b), n_workers=2)
+    )
     # The two replay hosts batch through one shared engine and must agree
     # with each other exactly; agreement with the fixture is near-exact.
     assert result.estimates[host_a].values_equal(result.estimates[host_b])
@@ -453,8 +465,7 @@ def test_golden_trace_batched_replay_matches_serial():
 
 def test_service_runs_sixteen_hosts_end_to_end():
     log = EventLog()
-    service = small_fleet(n_hosts=16, n_ticks=3, n_workers=4, processors=(log,))
-    result = service.run()
+    result = run_fleet(small_fleet(n_hosts=16, n_ticks=3, n_workers=4), (log,))
     assert result.n_hosts == 16
     assert result.total_slices == 48
     assert result.metrics["hosts_completed"] == 16
@@ -466,10 +477,9 @@ def test_service_runs_sixteen_hosts_end_to_end():
 
 
 def test_service_backpressure_is_visible_in_result():
-    service = small_fleet(
-        n_hosts=2, n_ticks=10, n_workers=1, buffer_capacity=2, pump_records=10
+    result = run_fleet(
+        small_fleet(n_hosts=2, n_ticks=10, n_workers=1, buffer_capacity=2, pump_records=10)
     )
-    result = service.run()
     assert result.total_dropped > 0
     assert result.metrics["backpressure_events"] > 0
     # Dropped slices are simply absent from the host's estimate trace.
@@ -477,32 +487,32 @@ def test_service_backpressure_is_visible_in_result():
 
 
 def test_service_guards_misuse():
-    service = small_fleet(n_hosts=1, n_ticks=2)
     with pytest.raises(ValueError, match="mode"):
-        service.run(mode="turbo")
-    service.run()
+        small_fleet(n_hosts=1, n_ticks=2, mode="turbo")
+    with pytest.raises(ValueError, match="at least one HostSpec"):
+        Pipeline.from_spec(RunSpec(metrics=METRICS))
+    pipeline = Pipeline.from_spec(small_fleet(n_hosts=1, n_ticks=2))
+    pipeline.run()
     with pytest.raises(RuntimeError, match="runs once"):
-        service.run()
-    with pytest.raises(RuntimeError, match="after run"):
-        service.add_host("steady", seed=1)
-    empty = FleetService("x86", metrics=METRICS)
-    with pytest.raises(RuntimeError, match="at least one host"):
-        empty.run()
+        pipeline.run()
+    with pytest.raises(RuntimeError, match="runs once"):
+        next(pipeline.stream())
 
 
 def test_long_streams_do_not_drop_by_default():
     """Default pump rate never outruns the drain rate, whatever the length."""
-    service = small_fleet(n_hosts=1, n_ticks=30, n_workers=1, batch_size=2, buffer_capacity=4)
-    result = service.run()
+    result = run_fleet(
+        small_fleet(n_hosts=1, n_ticks=30, n_workers=1, batch_size=2, buffer_capacity=4)
+    )
     assert result.total_dropped == 0
     assert len(result.estimates["host-000"]) == 30
 
 
 def test_mcmc_pool_matches_serial():
     """RNG state rides along in engine snapshots, so sharing stays exact."""
-    kwargs = {"moment_estimator": "mcmc", "mcmc_samples": 25}
-    pool = small_fleet(n_hosts=2, n_ticks=3, batch_size=2, engine_kwargs=kwargs).run("pool")
-    serial = small_fleet(n_hosts=2, n_ticks=3, batch_size=2, engine_kwargs=kwargs).run("serial")
+    kwargs = dict(n_hosts=2, n_ticks=3, batch_size=2, estimator=EstimatorSpec("mcmc", samples=25))
+    pool = run_fleet(small_fleet(**kwargs))
+    serial = run_fleet(small_fleet(mode="serial", **kwargs))
     for host in pool.estimates:
         assert pool.estimates[host].values_equal(serial.estimates[host])
 
@@ -510,9 +520,10 @@ def test_mcmc_pool_matches_serial():
 def test_batched_mcmc_pool_matches_serial():
     """Batched MCMC chains are seeded per record from each host's snapshotted
     RNG stream, so cross-host batching stays bit-identical to serial."""
-    kwargs = {"moment_estimator": "batched-mcmc", "mcmc_samples": 25, "mcmc_burn_in": 15}
-    pool = small_fleet(n_hosts=3, n_ticks=3, batch_size=2, engine_kwargs=kwargs).run("pool")
-    serial = small_fleet(n_hosts=3, n_ticks=3, batch_size=2, engine_kwargs=kwargs).run("serial")
+    estimator = EstimatorSpec("batched-mcmc", samples=25, burn_in=15)
+    kwargs = dict(n_hosts=3, n_ticks=3, batch_size=2, estimator=estimator)
+    pool = run_fleet(small_fleet(**kwargs))
+    serial = run_fleet(small_fleet(mode="serial", **kwargs))
     for host in pool.estimates:
         assert pool.estimates[host].values_equal(serial.estimates[host])
 
@@ -529,25 +540,32 @@ def test_trace_host_rejects_synthetic_overrides(tmp_path):
     record_session_trace(path, "steady", metrics=METRICS, n_ticks=3, seed=0)
     register_trace_workload("fleet-test-override", path)
     try:
-        service = FleetService("x86", metrics=METRICS)
+        spec = RunSpec(hosts=(HostSpec(workload="fleet-test-override", n_ticks=2),))
         with pytest.raises(ValueError, match="n_ticks"):
-            service.add_host("fleet-test-override", n_ticks=2)
+            Pipeline.from_spec(spec)
     finally:
         unregister_workload("fleet-test-override")
 
 
 def test_mixed_arch_fleet_resolves_events_per_catalog():
-    service = FleetService("x86", metrics=METRICS, n_workers=2)
-    x86_host = service.add_host("steady", seed=0, n_ticks=2)
-    ppc_host = service.add_host("steady", seed=1, n_ticks=2, arch="ppc64")
-    result = service.run()
+    x86_host, ppc_host = "host-000", "host-001"
+    spec = RunSpec(
+        metrics=METRICS,
+        hosts=(
+            HostSpec(workload="steady", seed=0, n_ticks=2),
+            HostSpec(workload="steady", seed=1, n_ticks=2, arch="ppc64"),
+        ),
+        n_workers=2,
+    )
+    result = run_fleet(spec)
     # Each host monitors its own architecture's counterpart events.
     x86_events = set(result.estimates[x86_host].at(0))
     ppc_events = set(result.estimates[ppc_host].at(0))
     assert x86_events and ppc_events and x86_events != ppc_events
-    # Misconfigured hosts fail at registration, naming the offending event.
+    # Misconfigured hosts fail in from_spec, naming the offending event.
+    bad = RunSpec(metrics=METRICS, hosts=(HostSpec(events=("NOT_A_COUNTER",)),))
     with pytest.raises(KeyError, match="NOT_A_COUNTER"):
-        FleetService("x86", metrics=METRICS).add_host("steady", events=("NOT_A_COUNTER",))
+        Pipeline.from_spec(bad)
 
 
 def test_worker_pool_shards_round_robin():

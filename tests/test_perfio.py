@@ -364,6 +364,16 @@ class TestHostSpecValidation:
         with pytest.raises(ValueError, match=field):
             HostSpec(perf="a.csv", **kwargs)
 
+    def test_trace_host_rejects_synthetic_knobs(self):
+        with pytest.raises(ValueError, match="seed, n_ticks, arch, events"):
+            HostSpec(
+                trace="golden.jsonl", seed=7, n_ticks=3, arch="ppc64", events=("X",)
+            )
+        with pytest.raises(ValueError, match="n_ticks"):
+            HostSpec(trace="golden.jsonl", n_ticks=3)
+        # The recorded stream's labels stay settable.
+        assert HostSpec(trace="golden.jsonl", host_id="h", workload="w").trace
+
     def test_perf_host_format_and_policy_are_validated(self):
         with pytest.raises(ValueError, match="'auto'"):
             HostSpec(perf="a.csv", format="xml")
@@ -437,12 +447,12 @@ class TestPipelineComposition:
                 checkpoint=CheckpointSpec(path=str(path)), pump_records=4
             )
 
-        reference = Pipeline.from_spec(wal_spec(tmp_path / "ref.jsonl")).run_fleet()
+        reference = Pipeline.from_spec(wal_spec(tmp_path / "ref.jsonl")).run().fleet
         crash_path = tmp_path / "crash.jsonl"
         chaos = FaultInjector((), crash_after_writes=12)
         with pytest.raises(InjectedCrash):
-            Pipeline.from_spec(wal_spec(crash_path), chaos=chaos).run_fleet()
-        resumed = Pipeline.resume(crash_path).run_fleet()
+            Pipeline.from_spec(wal_spec(crash_path), chaos=chaos).run().fleet
+        resumed = Pipeline.resume(crash_path).run().fleet
         trace = resumed.estimates["metal-00"]
         assert trace.values_equal(reference.estimates["metal-00"])
         assert read_trace(crash_path).resumes == 1
@@ -451,7 +461,7 @@ class TestPipelineComposition:
         path = tmp_path / "wal.jsonl"
         Pipeline.from_spec(
             perf_spec(checkpoint=CheckpointSpec(path=str(path)), pump_records=4)
-        ).run_fleet()
+        ).run().fleet
         offsets = []
         with open(path, encoding="utf-8") as handle:
             for line in handle:
