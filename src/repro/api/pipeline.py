@@ -17,6 +17,7 @@ execute it:
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -440,6 +441,13 @@ class Pipeline:
                     entry.get("progress", {}),
                     resume_state.host_estimates.get(host_id, []),
                 )
+            if estimate_writer is not None:
+                # The sink was reopened fresh: refill it with the committed
+                # estimate lines, in write order, so its estimate stream
+                # matches an uninterrupted run's.  (Chain records from before
+                # the crash are not in the WAL and stay lost.)
+                for payload in resume_state.estimates:
+                    estimate_writer.write_estimate_line(json.dumps(payload) + "\n")
             last_commit = resume_state.last_commit_round
             wal_writer.write_resume(-1 if last_commit is None else last_commit)
             next_round = 0 if last_commit is None else last_commit + 1
@@ -447,14 +455,20 @@ class Pipeline:
             inner = on_slice
 
             def tap(host_id, record, means, stds, report):
+                # The slice's estimate line is serialized once and written
+                # to both streams.
+                line = None
                 if estimate_writer is not None:
                     # The complete run log: every slice's posterior lands in
                     # the same sink as the chain records that produced it.
-                    estimate_writer.write_estimate(host_id, record.tick, means, stds)
+                    line = estimate_writer.write_estimate(host_id, record.tick, means, stds)
                 if wal_writer is not None:
                     # The WAL's redo stream: committed estimates are the
                     # slices a resumed run never re-executes.
-                    wal_writer.write_estimate(host_id, record.tick, means, stds)
+                    if line is None:
+                        wal_writer.write_estimate(host_id, record.tick, means, stds)
+                    else:
+                        wal_writer.write_estimate_line(line)
                 if inner is not None:
                     inner(host_id, record, means, stds, report)
 

@@ -355,8 +355,13 @@ class TraceWriter:
         sigma: Optional[Dict[str, float]] = None,
         *,
         method: str = "bayesperf",
-    ) -> None:
-        """Append one host's per-slice estimate record (format version 3)."""
+    ) -> str:
+        """Append one host's per-slice estimate record (format version 3).
+
+        Returns the serialized line (newline included), so a caller logging
+        the same slice to a second writer hands it to
+        :meth:`write_estimate_line` instead of serializing it again.
+        """
         if self._closed:
             raise ValueError("trace writer is closed")
         line: Dict = {
@@ -368,7 +373,15 @@ class TraceWriter:
         }
         if sigma:
             line["sigma"] = {name: float(v) for name, v in sigma.items()}
-        self._stream.write(json.dumps(line) + "\n")
+        text = json.dumps(line) + "\n"
+        self.write_estimate_line(text)
+        return text
+
+    def write_estimate_line(self, text: str) -> None:
+        """Append an estimate line already serialized by :meth:`write_estimate`."""
+        if self._closed:
+            raise ValueError("trace writer is closed")
+        self._stream.write(text)
         self.estimate_records += 1
 
     # -- write-ahead-log records (format version 4) -------------------------

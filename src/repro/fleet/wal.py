@@ -160,6 +160,8 @@ class WalState:
     checkpoints: Dict[str, Dict] = field(default_factory=dict)
     #: Committed estimate payloads per host, in write order.
     host_estimates: Dict[str, List[Dict]] = field(default_factory=dict)
+    #: Every committed estimate payload, all hosts, in write order.
+    estimates: List[Dict] = field(default_factory=list)
     resumes: int = 0
     aborted: Optional[str] = None
     torn_tail: bool = False
@@ -213,9 +215,9 @@ def load_wal(path: Union[str, Path]) -> WalState:
     )
     #: Checkpoints seen since the last commit, keyed (round, host).
     pending: Dict[int, Dict[str, Dict]] = {}
-    #: (host, payload) estimate stream in write order; committed prefix
-    #: length is snapshotted at each commit.
-    estimates: List[Tuple[str, Dict]] = []
+    #: Estimate stream in write order; committed prefix length is
+    #: snapshotted at each commit.
+    estimates: List[Dict] = []
     committed_estimates = 0
     last_index = len(lines) - 1
     for index, (end_offset, line) in enumerate(lines[1:], start=1):
@@ -239,13 +241,14 @@ def load_wal(path: Union[str, Path]) -> WalState:
             committed_estimates = len(estimates)
             pending.clear()
         elif kind == "estimate" and "host" in payload:
-            estimates.append((str(payload["host"]), payload))
+            estimates.append(payload)
         elif kind == "resume":
             state.resumes += 1
         elif kind == "aborted":
             state.aborted = str(payload.get("error", ""))
-    for host, payload in estimates[:committed_estimates]:
-        state.host_estimates.setdefault(host, []).append(payload)
+    state.estimates = estimates[:committed_estimates]
+    for payload in state.estimates:
+        state.host_estimates.setdefault(str(payload["host"]), []).append(payload)
     return state
 
 

@@ -102,26 +102,31 @@ def lower_capture(
     records: List[SamplingRecord] = []
     linenos: List[int] = []
     order: List[str] = []
+    wanted = frozenset(monitored) if monitored is not None else None
     seen = set(monitored or ())
     order.extend(monitored or ())
+    resolve = mapper.resolve
     for group in _group_samples(samples, tick_seconds):
         values: Dict[str, List[float]] = {}
         fractions: Dict[str, List[float]] = {}
         last_lineno = 0
         for sample in group:
-            last_lineno = max(last_lineno, sample.lineno)
-            canonical = mapper.resolve(sample.event)
+            if sample.lineno > last_lineno:
+                last_lineno = sample.lineno
+            canonical = resolve(sample.event)
             if canonical is None:
                 stats.note_unknown(sample.event)
                 continue
-            if monitored is not None and canonical not in monitored:
+            if wanted is not None and canonical not in wanted:
+                continue
+            # Never scheduled onto a counter this quantum (``<not counted>``
+            # or a zero running fraction): genuinely unmeasured, so it must
+            # not appear in the configuration.
+            if sample.value is None:
                 continue
             fraction = sample.fraction()
-            if sample.value is None or (fraction is not None and fraction <= 0.0):
-                # Never scheduled onto a counter this quantum: genuinely
-                # unmeasured, so it must not appear in the configuration.
-                if sample.value is not None:
-                    stats.not_counted += 1
+            if fraction is not None and fraction <= 0.0:
+                stats.not_counted += 1
                 continue
             if canonical not in seen:
                 seen.add(canonical)
@@ -141,7 +146,12 @@ def lower_capture(
             record.samples[event] = np.asarray(values[event], dtype=float)
             event_fractions = fractions.get(event)
             if event_fractions:
-                fraction = float(np.mean(event_fractions))
+                # A lone reading (the interval-block shape) is its own mean.
+                fraction = (
+                    event_fractions[0]
+                    if len(event_fractions) == 1
+                    else float(np.mean(event_fractions))
+                )
                 if fraction < 1.0:
                     record.mux_fraction[event] = fraction
         records.append(record)

@@ -31,9 +31,9 @@ class CounterSample:
     count (it was scheduled off every counter), which is exactly the
     sub-sampling the correction is built to see.  ``enabled`` and
     ``running`` carry the kernel's time-enabled / time-running bookkeeping
-    in nanoseconds when the format provides both; ``running_pct`` is perf
-    stat's pre-computed percentage column.  The multiplexing fraction for a
-    reading is :meth:`fraction`.
+    in nanoseconds when the format provides them (``stat-csv`` carries only
+    the run time); ``running_pct`` is perf stat's pre-computed percentage
+    column.  The multiplexing fraction for a reading is :meth:`fraction`.
     """
 
     timestamp: float

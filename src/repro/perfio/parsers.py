@@ -5,6 +5,10 @@ Each parser is a generator over input lines yielding
 in the shared :class:`~repro.perfio.model.IngestStats` — the
 skip-and-account contract: malformed lines (truncated mid-write,
 interleaved stdout, locale-mangled numbers) are counted, never raised on.
+A number that is not finite (``nan``, ``inf``, ``1e999``) counts as no
+number at all: as a value or timestamp it makes the line malformed, and as
+a running percentage or enabled/running time it reads as absent
+multiplexing bookkeeping.
 
 Supported formats:
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import isfinite
 from typing import Iterable, Iterator, Optional
 
 from repro.perfio.model import PERF_FORMATS, CounterSample, IngestStats
@@ -56,9 +61,23 @@ _SCRIPT_RE = re.compile(
 def _to_float(text: str) -> Optional[float]:
     """Tolerant numeric parse: thousands separators and decimal commas.
 
-    Returns ``None`` when the text is not a number — the caller decides
-    whether that makes the whole line malformed.
+    Returns ``None`` when the text is not a finite number — the caller
+    decides whether that makes the whole line malformed.  ``float()`` runs
+    first: it already strips surrounding whitespace and accepts ``_``
+    digit groups, so any text it takes means the same number the locale
+    cleanup would produce, and the cleanup only runs when it refuses.
     """
+    try:
+        value = float(text)
+    except ValueError:
+        value = _locale_float(text)
+        if value is None:
+            return None
+    return value if isfinite(value) else None
+
+
+def _locale_float(text: str) -> Optional[float]:
+    """The locale cleanup path behind :func:`_to_float`."""
     cleaned = text.strip().replace("_", "").replace(" ", "")
     # Locale thousands groupings also arrive as (narrow) no-break spaces.
     cleaned = cleaned.replace("\u00a0", "").replace("\u202f", "")
@@ -83,45 +102,64 @@ def _to_float(text: str) -> Optional[float]:
 
 
 def iter_stat_csv(lines: Iterable[str], stats: IngestStats) -> Iterator[CounterSample]:
-    """Parse ``perf stat -I ... -x,`` interval CSV output."""
-    for lineno, raw in enumerate(lines, start=1):
-        stats.total_lines += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            # perf stat -o prefixes the file with "# started on <date>".
-            stats.comment_lines += 1
-            continue
-        fields = line.split(",")
-        if len(fields) < 6:
-            stats.skipped_lines += 1
-            continue
-        timestamp = _to_float(fields[0])
-        event = fields[3].strip()
-        if timestamp is None or not event:
-            stats.skipped_lines += 1
-            continue
-        value_text = fields[1].strip()
-        if value_text in _NOT_COUNTED:
-            value: Optional[float] = None
-            stats.not_counted += 1
-        else:
-            value = _to_float(value_text)
-            if value is None:
-                stats.skipped_lines += 1
+    """Parse ``perf stat -I ... -x,`` interval CSV output.
+
+    The fifth column is perf's counter run time and the sixth the
+    percentage of the interval it ran; a reading whose percentage column
+    is empty (or not a finite number) carries no multiplexing bookkeeping
+    and lowers as fully counted.
+    """
+    # Counted in locals and added to *stats* once, when the stream ends.
+    total = comments = skipped = not_counted = parsed = 0
+    # Every row of one interval block repeats its timestamp text.
+    stamp_text: Optional[str] = None
+    stamp: Optional[float] = None
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            total += 1
+            line = raw.strip()
+            if not line:
                 continue
-        enabled = _to_float(fields[4])
-        pct = _to_float(fields[5].rstrip("%"))
-        stats.parsed_samples += 1
-        yield CounterSample(
-            timestamp=timestamp,
-            event=event,
-            value=value,
-            enabled=enabled if enabled is not None else 0.0,
-            running_pct=pct,
-            lineno=lineno,
-        )
+            if line[0] == "#":
+                # perf stat -o prefixes the file with "# started on <date>".
+                comments += 1
+                continue
+            fields = line.split(",")
+            if len(fields) < 6:
+                skipped += 1
+                continue
+            if fields[0] != stamp_text:
+                stamp_text = fields[0]
+                stamp = _to_float(stamp_text)
+            timestamp = stamp
+            event = fields[3].strip()
+            if timestamp is None or not event:
+                skipped += 1
+                continue
+            value_text = fields[1].strip()
+            if value_text in _NOT_COUNTED:
+                # Unmeasured this interval: its run-time columns hold
+                # nothing the lowering uses, so they are not parsed.
+                value: Optional[float] = None
+                running, pct = 0.0, None
+                not_counted += 1
+            else:
+                value = _to_float(value_text)
+                if value is None:
+                    skipped += 1
+                    continue
+                running = _to_float(fields[4]) or 0.0
+                pct = _to_float(fields[5].rstrip("%"))
+            parsed += 1
+            # Positional (timestamp, event, value, enabled, running,
+            # running_pct, cpu, lineno): the hot loop's cheapest call.
+            yield CounterSample(timestamp, event, value, 0.0, running, pct, None, lineno)
+    finally:
+        stats.total_lines += total
+        stats.comment_lines += comments
+        stats.skipped_lines += skipped
+        stats.not_counted += not_counted
+        stats.parsed_samples += parsed
 
 
 def iter_script(lines: Iterable[str], stats: IngestStats) -> Iterator[CounterSample]:
@@ -139,16 +177,18 @@ def iter_script(lines: Iterable[str], stats: IngestStats) -> Iterator[CounterSam
             stats.skipped_lines += 1
             continue
         timestamp = _to_float(match.group("time"))
-        if timestamp is None:
+        period = match.group("period")
+        # A period too long to be a finite float is as unusable as a torn one.
+        value = _to_float(period) if period is not None else 1.0
+        if timestamp is None or value is None:
             stats.skipped_lines += 1
             continue
-        period = match.group("period")
         cpu = match.group("cpu")
         stats.parsed_samples += 1
         yield CounterSample(
             timestamp=timestamp,
             event=match.group("event"),
-            value=float(period) if period is not None else 1.0,
+            value=value,
             cpu=int(cpu) if cpu is not None else None,
             lineno=lineno,
         )
@@ -189,8 +229,11 @@ def iter_jsonl(lines: Iterable[str], stats: IngestStats) -> Iterator[CounterSamp
             if value is None:
                 stats.skipped_lines += 1
                 continue
-        enabled = _first_number(payload, "enabled", "time_enabled") or 0.0
-        running = _first_number(payload, "running", "time_running") or 0.0
+        enabled = _first_number(payload, "enabled", "time_enabled")
+        running = _first_number(payload, "running", "time_running")
+        if enabled is None or running is None:
+            # Half the bookkeeping (one time missing or non-finite) is none.
+            enabled = running = 0.0
         cpu = _first_number(payload, "cpu")
         stats.parsed_samples += 1
         yield CounterSample(
@@ -216,10 +259,16 @@ def _first_field(payload: dict, *keys: str):
 
 
 def _coerce_number(value) -> Optional[float]:
+    """A finite float from a JSON scalar, else ``None`` (``NaN``,
+    ``Infinity``, ``1e999`` and integers past the float range included)."""
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:
+            return None
+        return number if isfinite(number) else None
     if isinstance(value, str):
         return _to_float(value)
     return None

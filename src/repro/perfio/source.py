@@ -19,6 +19,7 @@ capture the run stood.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -57,15 +58,18 @@ class PerfTraceSource:
         if events is not None:
             for name in events:
                 catalog.get(name)  # raises KeyError naming the offending event
-        raw = Path(path).read_bytes().decode("utf-8", errors="replace")
-        pieces = raw.splitlines(keepends=True)
+        data = Path(path).read_bytes()
+        raw = data.decode("utf-8", errors="replace")
+        # Newline-terminated, like a file's lines: every parser strips them.
+        lines = raw.splitlines(keepends=True)
+        # An ASCII capture's character counts are its byte counts.
+        widths = (
+            map(len, lines)
+            if data.isascii()
+            else (len(line.encode("utf-8")) for line in lines)
+        )
         #: Byte offset *after* each source line (1-based lineno -> offset).
-        self._line_ends: List[int] = []
-        position = 0
-        for piece in pieces:
-            position += len(piece.encode("utf-8"))
-            self._line_ends.append(position)
-        lines = [piece.rstrip("\r\n") for piece in pieces]
+        self._line_ends: List[int] = list(accumulate(widths))
         fmt = detect_format(lines) if format in (None, "auto") else format
         parser = parser_for(fmt)
         self.stats = IngestStats(path=self.path, format=fmt)

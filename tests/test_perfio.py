@@ -17,6 +17,8 @@ locale-mangled lines.
 
 import json
 import math
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import CheckpointSpec, HostSpec, Pipeline, RunSpec
+from repro.api import (
+    CheckpointSpec,
+    HostSpec,
+    ObserverSpec,
+    Pipeline,
+    RecorderSpec,
+    RunSpec,
+)
 from repro.core import BayesPerfEngine
 from repro.events import catalog_for
 from repro.fleet.__main__ import main as fleet_main
@@ -41,8 +50,10 @@ from repro.perfio import (
     iter_jsonl,
     iter_script,
     iter_stat_csv,
+    lower_capture,
     parser_for,
 )
+from repro.perfio.parsers import _to_float
 from repro.pmu.sampling import SamplingRecord
 from repro.pmu.configuration import CounterConfiguration
 
@@ -104,6 +115,49 @@ class TestStatCsvParser:
         )
         assert stats.skipped_lines == 0
         assert [s.value for s in samples] == [1234567.0] * 3
+
+    def test_non_finite_value_or_timestamp_is_malformed(self):
+        samples, stats = parse(
+            iter_stat_csv,
+            [
+                "0.1,nan,,cycles,1,50.00,,",
+                "0.1,inf,,cycles,1,50.00,,",
+                "0.1,1e999,,cycles,1,50.00,,",  # overflows to inf
+                "nan,5,,cycles,1,50.00,,",
+                "0.1,-Infinity,,cycles,1,50.00,,",
+            ],
+        )
+        assert samples == []
+        assert stats.skipped_lines == 5
+        assert stats.parsed_samples == 0
+
+    def test_non_finite_bookkeeping_reads_as_absent(self):
+        samples, stats = parse(
+            iter_stat_csv,
+            ["0.1,5,,cycles,inf,nan,,", "0.2,5,,cycles,1e999,50.00,,"],
+        )
+        assert stats.skipped_lines == 0
+        first, second = samples
+        assert first.running == 0.0 and first.running_pct is None
+        assert first.fraction() is None  # fully counted
+        assert second.running == 0.0
+        assert second.fraction() == pytest.approx(0.5)
+
+    def test_empty_percentage_column_means_fully_counted(self):
+        line = "0.1,1000000,,cycles,100000000,,,"
+        samples, stats = parse(iter_stat_csv, [line])
+        (sample,) = samples
+        # The fifth column is perf's counter run time, not time enabled.
+        assert sample.running == 100000000.0
+        assert sample.enabled == 0.0
+        assert sample.running_pct is None
+        assert sample.fraction() is None
+        lowered = lower_capture(samples, SchemaMapper(catalog_for("x86")), stats)
+        (record,) = lowered.records
+        cycles = SchemaMapper(catalog_for("x86")).resolve("cycles")
+        assert record.samples[cycles].tolist() == [1000000.0]
+        assert record.mux_fraction == {}
+        assert stats.not_counted == 0
 
     def test_locale_commas_parse_inside_jsonl_strings(self):
         # Comma-separated CSV cannot carry comma-grouped numbers, but JSON
@@ -179,6 +233,101 @@ class TestJsonlParser:
         assert stats.not_counted == 2
         assert stats.skipped_lines == 4
         assert all(s.value is None for s in samples)
+
+
+    def test_non_finite_numbers(self):
+        samples, stats = parse(
+            iter_jsonl,
+            [
+                '{"ts": 0.1, "event": "cycles", "value": NaN}',
+                '{"ts": 0.1, "event": "cycles", "value": Infinity}',
+                '{"ts": 0.1, "event": "cycles", "value": 1e999}',
+                '{"ts": 0.1, "event": "cycles", "value": 1%s}' % ("0" * 400),
+                '{"ts": NaN, "event": "cycles", "value": 5}',
+                '{"ts": 0.2, "event": "cycles", "value": 5, "enabled": Infinity,'
+                ' "running": 2, "cpu": NaN}',
+                '{"ts": 0.3, "event": "cycles", "value": 6, "enabled": 4, "running": NaN}',
+            ],
+        )
+        assert stats.skipped_lines == 5
+        first, second = samples
+        assert first.value == 5.0 and first.cpu is None
+        assert second.value == 6.0
+        # Non-finite enabled/running time is no multiplexing bookkeeping.
+        for sample in samples:
+            assert sample.enabled == 0.0 and sample.running == 0.0
+            assert sample.fraction() is None
+
+
+class TestNumericParse:
+    """``_to_float`` tries ``float()`` first; it must agree with the
+    locale cleanup path it short-cuts (kept here as the oracle)."""
+
+    @staticmethod
+    def cleanup_oracle(text):
+        cleaned = text.strip().replace("_", "").replace(" ", "")
+        cleaned = cleaned.replace("\u00a0", "").replace("\u202f", "")
+        if not cleaned:
+            return None
+        if "," in cleaned:
+            if re.fullmatch(r"\d{1,3}(?:,\d{3})+(?:\.\d+)?", cleaned):
+                cleaned = cleaned.replace(",", "")
+            elif re.fullmatch(r"\d{1,3}(?:\.\d{3})+(?:,\d+)?", cleaned):
+                cleaned = cleaned.replace(".", "").replace(",", ".")
+            elif re.fullmatch(r"\d+,\d+", cleaned):
+                cleaned = cleaned.replace(",", ".")
+            else:
+                return None
+        try:
+            return float(cleaned)
+        except ValueError:
+            return None
+
+    @staticmethod
+    def locale_number(sign, integer, group, decimal, fraction, exponent, pad):
+        digits = str(integer)
+        if group:
+            head = len(digits) % 3 or 3
+            parts = [digits[:head]] + [
+                digits[i : i + 3] for i in range(head, len(digits), 3)
+            ]
+            digits = group.join(parts)
+        text = sign + digits
+        if fraction is not None:
+            text += decimal + str(fraction)
+        if exponent is not None:
+            text += f"e{exponent}"
+        return pad + text + pad
+
+    numeric_texts = st.one_of(
+        st.text(alphabet="0123456789_ \u00a0\u202f,.+-eEinfatyNI", max_size=16),
+        st.builds(
+            locale_number,
+            st.sampled_from(["", "+", "-"]),
+            st.integers(min_value=0, max_value=10**12),
+            st.sampled_from(["", ",", ".", "_", " ", "\u00a0", "\u202f"]),
+            st.sampled_from([".", ","]),
+            st.none() | st.integers(min_value=0, max_value=999),
+            st.none() | st.integers(min_value=-400, max_value=400),
+            st.sampled_from(["", " ", "\u00a0", "\u202f", "\t"]),
+        ),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=numeric_texts)
+    def test_fast_path_agrees_with_the_cleanup_oracle(self, text):
+        expected = self.cleanup_oracle(text)
+        if expected is not None and not math.isfinite(expected):
+            expected = None  # non-finite numbers are unparseable
+        assert _to_float(text) == expected
+
+    def test_examples(self):
+        assert _to_float(" 1_234.5 ") == 1234.5
+        assert _to_float("1\u00a0234") == 1234.0
+        assert _to_float("1.234.567,89") == 1234567.89
+        assert _to_float("-2.5e3") == -2500.0
+        for text in ("nan", "inf", "-inf", "1e999", "", "  ", "abc"):
+            assert _to_float(text) is None
 
 
 class TestDetectFormat:
@@ -294,6 +443,26 @@ class TestPerfTraceSource:
         assert offsets[-1] <= size
         # Past-the-end pulls clamp to the final record's offset.
         assert source.byte_offset(source.n_ticks + 99) == offsets[-1]
+
+    def test_byte_offsets_are_exact_on_non_ascii_captures(self, tmp_path):
+        events = ("cycles", "instructions", "branches")
+        lines = ["# started on Dö 6 Aug 09:14:02 2026 — ünïcode"]
+        for tick in range(5):
+            for index, event in enumerate(events):
+                # Narrow no-break space thousands groups: 3 bytes each.
+                value = f"{tick + 1}\u202f{index:03d}\u202f{tick * 7:03d}"
+                lines.append(f"0.{tick + 1},{value},,{event},50000000,50.00,,")
+        path = tmp_path / "capture.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = path.read_bytes()
+        source = PerfTraceSource("h0", path, format="stat-csv")
+        assert source.n_ticks == 5
+        for pulled in range(1, 6):
+            # Record n ends with the capture's (1 + n * 3)-th line.
+            last = 1 + pulled * len(events)
+            expected = len(("\n".join(lines[:last]) + "\n").encode("utf-8"))
+            assert source.byte_offset(pulled) == expected
+            assert data[:expected].count(b"\n") == last
 
     def test_torn_tail_is_detected(self, tmp_path):
         path = tmp_path / "torn.csv"
@@ -474,6 +643,83 @@ class TestPipelineComposition:
         assert offsets[-1] <= STAT_FIXTURE.stat().st_size
 
 
+    def test_non_finite_readings_never_reach_the_engine(self, tmp_path):
+        lines = STAT_FIXTURE.read_text(encoding="utf-8").splitlines()
+        edits = {
+            1: (",2306137,", ",nan,"),  # tick 0 cycles
+            10: (",1715219,", ",inf,"),  # tick 1 instructions
+            20: (",50.40,", ",nan,"),  # tick 2 branch-misses: bookkeeping only
+        }
+        for index, (old, new) in edits.items():
+            assert old in lines[index]
+            lines[index] = lines[index].replace(old, new)
+        path = tmp_path / "poisoned.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        source = PerfTraceSource("metal-00", path)
+        assert source.stats.skipped_lines == 1 + 2
+        result = Pipeline.from_spec(
+            RunSpec(hosts=(HostSpec(perf=str(path), host_id="metal-00"),))
+        ).run()
+        assert len(result.slices) == 24
+        for slice_result in result.slices:
+            assert all(math.isfinite(v) for v in slice_result.values.values())
+            assert all(math.isfinite(v) for v in slice_result.sigma.values())
+
+
+def estimate_lines(path):
+    """The raw ``estimate`` lines of a tracefile, in file order."""
+    with open(path, encoding="utf-8") as handle:
+        return [line for line in handle if json.loads(line).get("type") == "estimate"]
+
+
+class TestDurableRealTrace:
+    """The perf-durable shape: perf hosts, an estimate-logging recorder
+    sink and a write-ahead log, each slice's estimate line written to both."""
+
+    @staticmethod
+    def spec(tmp_path, tag):
+        hosts = []
+        for index in range(2):
+            capture = tmp_path / f"metal-{index}.csv"
+            if not capture.exists():
+                shutil.copy(STAT_FIXTURE, capture)
+            hosts.append(HostSpec(perf=str(capture), format="stat-csv", host_id=f"metal-{index}"))
+        return RunSpec(
+            hosts=tuple(hosts),
+            recorder=RecorderSpec(sink=str(tmp_path / f"{tag}.sink.jsonl")),
+            observer=ObserverSpec(estimates=True),
+            checkpoint=CheckpointSpec(path=str(tmp_path / f"{tag}.wal.jsonl")),
+            batch_size=1,
+            pump_records=1,
+        )
+
+    def test_sink_and_wal_estimate_lines_are_byte_identical(self, tmp_path):
+        Pipeline.from_spec(self.spec(tmp_path, "ref")).run()
+        sink = estimate_lines(tmp_path / "ref.sink.jsonl")
+        assert len(sink) == 48
+        assert sink == estimate_lines(tmp_path / "ref.wal.jsonl")
+
+    @pytest.mark.parametrize("stop", ["closed", "crashed"])
+    def test_resume_restores_the_sinks_estimate_lines(self, tmp_path, stop):
+        Pipeline.from_spec(self.spec(tmp_path, "ref")).run()
+        reference = estimate_lines(tmp_path / "ref.sink.jsonl")
+        spec = self.spec(tmp_path, "run")
+        if stop == "closed":
+            stream = Pipeline.from_spec(spec).stream()
+            for _ in range(7):
+                next(stream)
+            stream.close()
+        else:
+            chaos = FaultInjector((), crash_after_writes=12)
+            with pytest.raises(InjectedCrash):
+                Pipeline.from_spec(spec, chaos=chaos).run()
+        interrupted = len(estimate_lines(tmp_path / "run.sink.jsonl"))
+        assert 0 < interrupted < len(reference)
+        Pipeline.resume(tmp_path / "run.wal.jsonl").run()
+        assert estimate_lines(tmp_path / "run.sink.jsonl") == reference
+        assert estimate_lines(tmp_path / "run.wal.jsonl") == reference
+
+
 # -- engine: multiplexing-fraction widening ----------------------------------
 
 
@@ -621,6 +867,18 @@ def mangle(line, cut, locale_commas):
     return line
 
 
+def poison(line, field, token):
+    """Replace one CSV field (a stat-csv column) with *token*."""
+    fields = line.split(",")
+    if field < len(fields):
+        fields[field] = token
+    return ",".join(fields)
+
+
+#: Non-finite spellings, plus an empty field (the missing-percentage case).
+POISON = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999", "")
+JSON_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "0", "2", "0.5", "1000")
+
 mangled_lines = st.one_of(
     st.text(max_size=80),  # arbitrary interleaved garbage
     st.builds(
@@ -628,6 +886,16 @@ mangled_lines = st.one_of(
         st.sampled_from(STAT_LINES + SCRIPT_LINES),
         st.booleans(),
         st.booleans(),
+    ),
+    st.builds(
+        poison,
+        st.sampled_from(STAT_LINES[1:]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(POISON),
+    ),
+    st.builds(
+        '{{"ts": {}, "event": "cycles", "value": {}, "enabled": {}, "running": {}}}'.format,
+        *(st.sampled_from(JSON_NUMBERS) for _ in range(4)),
     ),
 )
 
@@ -649,6 +917,16 @@ class TestFuzzParsers:
         for sample in samples:
             assert isinstance(sample, CounterSample)
             assert math.isfinite(sample.timestamp)
+            assert sample.value is None or math.isfinite(sample.value)
+            assert math.isfinite(sample.enabled) and math.isfinite(sample.running)
+            assert sample.running_pct is None or math.isfinite(sample.running_pct)
+        # Lowered, every sample is finite and every recorded multiplexing
+        # fraction is a genuine partial one.
+        mapper = SchemaMapper(catalog_for("x86"), on_unknown="skip")
+        for record in lower_capture(samples, mapper, stats).records:
+            for values in record.samples.values():
+                assert np.isfinite(values).all()
+            assert all(0.0 < f < 1.0 for f in record.mux_fraction.values())
 
     @settings(max_examples=30, deadline=None)
     @given(lines=st.lists(mangled_lines, max_size=20))
