@@ -15,8 +15,8 @@ three ticks, churning every tick).  Two measurements:
 * ``fleet`` — the same fleet end-to-end through ``process_batch`` with warm
   default engines: ``fragmented`` feeds each round one signature group per
   call (so no call holds two signatures and nothing merges), ``megabatch``
-  feeds the whole round in one call.  The shared per-record
-  prepare/finalize Python bounds this ratio far below the solve-stage win
+  feeds the whole round in one call.  The shared prepare/finalize and
+  the per-call grouping bound this ratio far below the solve-stage win
   (Amdahl), so the acceptance bar is an honest >= 1.2x.
 
 Both modes must agree **exactly** (padded lanes are bit-exact no-ops) —
@@ -82,61 +82,47 @@ def _hetero_fleet():
 
 
 def _prepare_rounds(catalog, union, hosts):
-    """Prepared slices grouped by (tick, signature) — both modes' shared input."""
+    """One prepared fresh-state batch per tick — both modes' shared input."""
     scratch = BayesPerfEngine(
         catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
     )
-    prepared = []
-    rounds = []  # per tick: {signature: [prepared indices]}
-    for tick in range(TICKS):
-        groups = {}
-        for _, records in hosts:
-            scratch.reset()
-            slice_ = scratch._prepare_slice(records[tick])
-            groups.setdefault(slice_.measured, []).append(len(prepared))
-            prepared.append(slice_)
-        rounds.append(groups)
-    return prepared, rounds
+    return [
+        scratch._prepare_batch([(None, records[tick]) for _, records in hosts])
+        for tick in range(TICKS)
+    ]
 
 
-def _solve_fragmented(catalog, union, prepared, rounds):
+def _solve_fragmented(catalog, union, rounds):
     """Cold per-signature solve: one kernel compile + batch per group."""
     engine = BayesPerfEngine(
         catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
     )
     start = time.perf_counter()
     results = []
-    for groups in rounds:
-        for signature, indices in groups.items():
-            kernel, binder = engine._compiled_kernel(prepared[indices[0]])
-            solved = engine._solve_group_arrays(
-                [prepared[i] for i in indices], kernel, binder
-            )
+    for tick, batch in enumerate(rounds):
+        for group in batch.groups:
+            kernel, binder = engine._compiled_kernel(batch, group)
+            means = engine._solve_group_arrays(batch, group, kernel, binder)[0]
             results.extend(
-                (signature, index, solved[slot][0])
-                for slot, index in enumerate(indices)
+                (group.signature, (tick, int(row)), mean)
+                for row, mean in zip(group.rows, means.tolist())
             )
     return time.perf_counter() - start, results
 
 
-def _solve_megabatch(catalog, union, prepared, rounds):
+def _solve_megabatch(catalog, union, rounds):
     """Cold mega-batched solve: one canonical structure, one call per tick."""
     engine = BayesPerfEngine(
         catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
     )
     start = time.perf_counter()
     results = []
-    for groups in rounds:
-        merged = [
-            (signature, [prepared[i] for i in indices])
-            for signature, indices in groups.items()
-        ]
-        solved = engine._solve_megabatch(merged)
-        position = 0
-        for signature, indices in groups.items():
-            for index in indices:
-                results.append((signature, index, solved[position][0]))
-                position += 1
+    for tick, batch in enumerate(rounds):
+        means = engine._solve_megabatch(batch, batch.groups)[0].tolist()
+        lanes = [(group.signature, int(row)) for group in batch.groups for row in group.rows]
+        results.extend(
+            (signature, (tick, row), mean) for (signature, row), mean in zip(lanes, means)
+        )
     return time.perf_counter() - start, results
 
 
@@ -170,9 +156,9 @@ def _run_fleet(engine, hosts, fragmented):
 @pytest.mark.benchmark(group="megabatch")
 def test_bench_megabatch_solve_stage(benchmark):
     catalog, union, hosts = _hetero_fleet()
-    prepared, rounds = _prepare_rounds(catalog, union, hosts)
-    signatures = {signature for groups in rounds for signature in groups}
-    total_slices = len(prepared)
+    rounds = _prepare_rounds(catalog, union, hosts)
+    signatures = {group.signature for batch in rounds for group in batch.groups}
+    total_slices = sum(len(batch.records) for batch in rounds)
     timings = {"fragmented": [], "megabatch": []}
     results = {}
 
@@ -185,7 +171,7 @@ def test_bench_megabatch_solve_stage(benchmark):
                 ("fragmented", _solve_fragmented),
                 ("megabatch", _solve_megabatch),
             ):
-                elapsed, results[mode] = solver(catalog, union, prepared, rounds)
+                elapsed, results[mode] = solver(catalog, union, rounds)
                 timings[mode].append(elapsed)
         while (
             _best("fragmented") / _best("megabatch") <= 3.0
@@ -195,7 +181,7 @@ def test_bench_megabatch_solve_stage(benchmark):
                 ("fragmented", _solve_fragmented),
                 ("megabatch", _solve_megabatch),
             ):
-                elapsed, results[mode] = solver(catalog, union, prepared, rounds)
+                elapsed, results[mode] = solver(catalog, union, rounds)
                 timings[mode].append(elapsed)
         return timings
 
@@ -323,8 +309,8 @@ def test_bench_megabatch_fleet_end_to_end(benchmark):
         }
     )
 
-    # The end-to-end ratio is Amdahl-bounded by the shared per-record
-    # prepare/finalize Python; the solve-stage bench carries the 3x bar.
+    # The end-to-end ratio is Amdahl-bounded by the shared prepare/finalize
+    # and report building; the solve-stage bench carries the 3x bar.
     assert speedup >= 1.2, (
         f"end-to-end mega-batching only {speedup:.2f}x fragmented (need >= 1.2x)"
     )

@@ -24,8 +24,13 @@ objects), and batches solve through
 estimator.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
 a single slice is a batch of one, and a batch spanning several
 measured-event signatures is mega-batched into one analytic kernel call
-automatically (:mod:`repro.fg.megabatch`).  Every fast path keeps a
-reference twin — the object-walking
+automatically (:mod:`repro.fg.megabatch`).
+
+Temporal state is array-native too: an :class:`EngineState` holds rows in
+engine event order (NaN = nothing known yet), and ``process_batch``
+prepares and finalizes a whole batch as ``(B, n)`` array expressions.
+
+Every fast path keeps a reference twin — the object-walking
 :class:`~repro.fg.ep.ExpectationPropagation` loop for the analytic kernel,
 :class:`~repro.fg.mcmc.ReferenceMCMC` for the batched sampler — selectable
 with ``use_compiled_kernel=False`` so differential tests can pin the pairs
@@ -75,7 +80,7 @@ from repro.pmu.sampling import SampledTrace, SamplingRecord
 from repro.pmu.traces import EstimateTrace
 
 
-@dataclass
+@dataclass(eq=False)
 class EngineState:
     """Snapshot of one monitoring run's temporal state.
 
@@ -86,10 +91,17 @@ class EngineState:
     runs — the fleet worker pool checkpoints a host's state after each batch
     and restores it before the next, instead of constructing a fresh engine
     per host.
+
+    ``prior_mean`` and ``scale`` are rows aligned with ``events``; a NaN
+    prior mean marks an event with nothing known yet.  States produced by
+    an engine carry its own event tuple and restore as-is; any other
+    ``events`` order is scattered by name (see
+    :meth:`BayesPerfEngine.restore`).
     """
 
-    prior_mean: Dict[str, Optional[float]] = field(default_factory=dict)
-    scale: Dict[str, float] = field(default_factory=dict)
+    events: Tuple[str, ...] = ()
+    prior_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
+    scale: np.ndarray = field(default_factory=lambda: np.empty(0))
     tick: int = 0
     rng_state: Optional[Dict] = None
 
@@ -114,36 +126,64 @@ class ObservationSummaries:
         return len(self.events)
 
 
-@dataclass
-class _PreparedSlice:
-    """One record's slice-local model, built before (batched) inference.
+@dataclass(eq=False)
+class _SliceGroup:
+    """The records of a prepared batch that measured the same events."""
 
-    Captures everything :meth:`BayesPerfEngine.process_batch` derives from
-    a monitoring run's temporal state *before* running inference, as plain
-    ndarrays, so a batch of slices from different monitoring runs can be
-    prepared sequentially and then solved in one vectorized kernel call.
-    """
-
-    record: SamplingRecord
     #: Measured events, in record order.  Doubles as the graph-structure
     #: signature: which events were measured fully determines the slice's
     #: factor-graph shape (the constraint topology is fixed per engine).
-    measured: Tuple[str, ...]
-    summaries: ObservationSummaries
-    #: Normalised projected observation moments, ``(E,)`` each.
+    signature: Tuple[str, ...]
+    #: Batch rows of the group's records, and the engine slots of
+    #: ``signature``.
+    rows: np.ndarray
+    slots: np.ndarray
+    #: Normalised projected observation moments and the Student-t degrees
+    #: of freedom, ``(G, E)`` each.
     obs_mean: np.ndarray
     obs_scale: np.ndarray
     obs_variance: np.ndarray
-    #: Per-event normalisation scales over every engine variable, ``(n,)``.
-    scales_vec: np.ndarray
-    #: Temporal prior in normalised space, ``(n,)`` each.
-    prior_mean_vec: np.ndarray
-    prior_var_vec: np.ndarray
-    scale: Dict[str, float]
-    tick: int
-    rng_state: Optional[Dict]
-    #: Per-record seed for the batched MCMC estimator's chains.
-    mcmc_seed: int = 0
+    df: np.ndarray
+
+
+@dataclass
+class _PreparedBatch:
+    """Everything a batch's solves read, as ``(B, n)`` rows in event order."""
+
+    records: List[SamplingRecord]
+    summaries: List[ObservationSummaries]
+    groups: List[_SliceGroup]
+    #: Per-event normalisation scales.
+    scale: np.ndarray
+    #: Temporal prior in normalised space.
+    prior_mean: np.ndarray
+    prior_var: np.ndarray
+    #: Incoming tick and RNG state (after any seed draw) per record.
+    ticks: List[int]
+    rng_states: List[Optional[Dict]]
+    #: Per-record seed for the sampled estimators' chains.
+    mcmc_seeds: List[int]
+
+
+#: One group's solve: means, variances (``(G, n)``, normalised),
+#: EP iterations and convergence flags (``(G,)``).
+_Solved = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _row_median(values: np.ndarray, valid: np.ndarray, default: float) -> np.ndarray:
+    """Median of each row's *valid* entries, *default* for rows with none.
+
+    One ``np.sort`` of the NaN-masked rows (NaN sorts last): the middle
+    element, or ``(lo + hi) / 2.0`` for an even count — bit-identical to
+    ``np.median`` over each row's valid values.
+    """
+    count = valid.sum(axis=1)
+    ordered = np.sort(np.where(valid, values, np.nan), axis=1)
+    rows = np.arange(values.shape[0])
+    lo = ordered[rows, np.maximum(count - 1, 0) // 2]
+    hi = ordered[rows, count // 2]
+    median = np.where(count % 2 == 1, lo, (lo + hi) / 2.0)
+    return np.where(count > 0, median, default)
 
 
 class BayesPerfEngine:
@@ -290,12 +330,19 @@ class BayesPerfEngine:
         self.use_compiled_kernel = use_compiled_kernel
         self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
         self._kernel_pool = None
-        self._seed = seed
+        #: Scratch generator of the sampled estimators' per-record seed
+        #: draws; a run's RNG position lives in its state's ``rng_state``.
         self._rng = np.random.default_rng(seed)
+        self._seed_rng_state = self._rng.bit_generator.state
         self.name = "bayesperf"
 
         self._relation_groups = self._group_relations()
         self._event_slot: Dict[str, int] = {e: i for i, e in enumerate(self.events)}
+        # The fresh-run rows: nothing known, unit scales.  Read-only, so
+        # every run that starts from them can share them.
+        self._unknown = np.full(len(self.events), np.nan)
+        self._unit = np.ones(len(self.events))
+        self._unknown.flags.writeable = self._unit.flags.writeable = False
         #: Compiled kernels per measured-event signature (``None`` marks a
         #: signature that failed to compile and should use reference EP).
         self._kernel_cache: Dict[Tuple[str, ...], Optional[CompiledEPKernel]] = {}
@@ -315,35 +362,47 @@ class BayesPerfEngine:
         The RNG is re-seeded too, so two runs over the same records produce
         identical results even with an MCMC moment estimator.
         """
-        self._prior_mean: Dict[str, Optional[float]] = {event: None for event in self.events}
-        self._scale: Dict[str, float] = {event: 1.0 for event in self.events}
-        self._tick = 0
-        self._rng = np.random.default_rng(self._seed)
+        self._prior_mean, self._scale, self._tick, self._rng_state = self._state_rows(None)
 
     def snapshot(self) -> EngineState:
         """Capture the temporal state of the current monitoring run."""
         return EngineState(
-            prior_mean=dict(self._prior_mean),
-            scale=dict(self._scale),
+            events=self.events,
+            prior_mean=self._prior_mean.copy(),
+            scale=self._scale.copy(),
             tick=self._tick,
-            rng_state=self._rng.bit_generator.state,
+            rng_state=self._rng_state,
         )
 
     def restore(self, state: EngineState) -> None:
         """Resume a monitoring run from a previously captured snapshot.
 
-        Unknown events in the snapshot are rejected: a snapshot can only be
-        restored into an engine built for the same (catalog, event-set) key.
+        A state carrying this engine's event tuple is taken as-is (the
+        engine never writes a state's rows).  Any other state is scattered
+        by name, and an event unknown to this engine in it is rejected: a
+        snapshot can only be restored into an engine built for the same
+        (catalog, event-set) key.
         """
-        unknown = [event for event in state.prior_mean if event not in self._prior_mean]
+        self._prior_mean, self._scale, self._tick, self._rng_state = self._state_rows(state)
+
+    def _state_rows(
+        self, state: Optional[EngineState]
+    ) -> Tuple[np.ndarray, np.ndarray, int, Dict]:
+        """``(prior_mean, scale, tick, rng_state)`` of *state* in event order."""
+        if state is None:
+            return self._unknown, self._unit, 0, self._seed_rng_state
+        rng_state = state.rng_state if state.rng_state is not None else self._seed_rng_state
+        if state.events == self.events:
+            return state.prior_mean, state.scale, state.tick, rng_state
+        unknown = [event for event in state.events if event not in self._event_slot]
         if unknown:
             raise ValueError(f"snapshot mentions events unknown to this engine: {unknown}")
-        self.reset()
-        self._prior_mean.update(state.prior_mean)
-        self._scale.update(state.scale)
-        self._tick = state.tick
-        if state.rng_state is not None:
-            self._rng.bit_generator.state = state.rng_state
+        slots = [self._event_slot[event] for event in state.events]
+        prior_mean = self._unknown.copy()
+        scale = self._unit.copy()
+        prior_mean[slots] = state.prior_mean
+        scale[slots] = state.scale
+        return prior_mean, scale, state.tick, rng_state
 
     # -- construction helpers -------------------------------------------------
 
@@ -429,6 +488,15 @@ class BayesPerfEngine:
                     std / math.sqrt(count), abs(total) * self.min_relative_sigma, 1e-9
                 )
                 dfs[i] = float(max(count - 1, 1))
+        finite = np.isfinite(totals)
+        if not finite.all():
+            # A NaN or infinite sub-sample would turn the whole slice's
+            # posterior into NaN; reject it like an empty sample array.
+            event = events[int(np.argmin(finite))]
+            raise ValueError(
+                f"record tick {record.tick} has non-finite samples for "
+                f"measured event {event!r}"
+            )
         if record.mux_fraction:
             # Real traces carry perf's t_running/t_enabled bookkeeping: an
             # event that counted only a fraction f of the quantum reports a
@@ -441,47 +509,6 @@ class BayesPerfEngine:
                 if fraction is not None and 0.0 < fraction < 1.0:
                     scales[i] /= math.sqrt(fraction)
         return ObservationSummaries(tuple(events), totals, scales, dfs)
-
-    def _ensure_scales(self, summaries: ObservationSummaries) -> None:
-        """Initialise or refresh the per-event normalisation scales.
-
-        Observed events are always rescaled to their current measured
-        magnitude so that a previous bad estimate can never make a fresh
-        observation numerically irrelevant.
-        """
-        magnitudes = np.abs(summaries.loc)
-        positive = magnitudes[magnitudes > 0]
-        fallback = float(np.median(positive)) if positive.size else 1.0
-        observed = dict(zip(summaries.events, magnitudes))
-        for event in self.events:
-            prior = self._prior_mean[event]
-            magnitude = observed.get(event, 0.0)
-            if magnitude > 0:
-                self._scale[event] = max(float(magnitude), 1e-9)
-            elif prior is not None and prior > 0:
-                self._scale[event] = prior
-            elif self._scale[event] <= 0 or self._scale[event] == 1.0:
-                self._scale[event] = max(fallback, 1e-9)
-
-    def _intensity_ratio(self, summaries: ObservationSummaries) -> float:
-        """Common-mode activity change since the previous slice (§3 chaining).
-
-        Events measured in this slice that also have an estimate from the
-        previous slice (always including the fixed counters) vote on how much
-        the overall activity level moved; the median ratio is used to advance
-        the temporal prior of every event that was *not* measured.
-        """
-        if not self.use_intensity_chain:
-            return 1.0
-        ratios = []
-        for event, loc in zip(summaries.events, summaries.loc):
-            previous = self._prior_mean.get(event)
-            if previous is not None and previous > 0 and loc > 0:
-                ratios.append(loc / previous)
-        if not ratios:
-            return 1.0
-        ratio = float(np.median(ratios))
-        return float(min(max(ratio, 0.2), 5.0))
 
     def _build_factors(
         self, summaries: ObservationSummaries, scales: Mapping[str, float]
@@ -539,32 +566,16 @@ class BayesPerfEngine:
             constraint_groups.append(factors)
         return observation_factors, constraint_groups
 
-    def _build_prior_arrays(self, intensity_ratio: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Temporal prior over all events in normalised space, as arrays.
+    def _scale_view(self, batch: _PreparedBatch, row: int) -> Dict[str, float]:
+        """One record's normalisation scales by event name."""
+        return dict(zip(self.events, batch.scale[row].tolist()))
 
-        The previous slice's posterior mean, advanced by the common-mode
-        intensity ratio, becomes the prior mean; its spread is the relative
-        ``drift`` the workload is expected to exhibit between slices.
-        """
-        means = np.empty(len(self.events))
-        variances = np.empty(len(self.events))
-        for i, event in enumerate(self.events):
-            prior = self._prior_mean[event]
-            if prior is not None and prior > 0:
-                mean = prior * intensity_ratio / self._scale[event]
-                means[i] = mean
-                variances[i] = (self.drift * mean + 1e-6) ** 2
-            else:
-                # Nothing known yet: a broad prior centred on the event's scale.
-                means[i] = 1.0
-                variances[i] = 25.0
-        return means, variances
-
-    def _prior_density(self, prepared: _PreparedSlice) -> GaussianDensity:
-        """The prepared slice's temporal prior as a Gaussian object."""
-        means = {e: float(m) for e, m in zip(self.events, prepared.prior_mean_vec)}
-        variances = {e: float(v) for e, v in zip(self.events, prepared.prior_var_vec)}
-        return GaussianDensity.diagonal(means, variances)
+    def _prior_density(self, batch: _PreparedBatch, row: int) -> GaussianDensity:
+        """One prepared record's temporal prior as a Gaussian object."""
+        return GaussianDensity.diagonal(
+            dict(zip(self.events, batch.prior_mean[row].tolist())),
+            dict(zip(self.events, batch.prior_var[row].tolist())),
+        )
 
     # -- inference -------------------------------------------------------------
 
@@ -646,9 +657,9 @@ class BayesPerfEngine:
         )
 
     def _compiled_kernel(
-        self, prepared: _PreparedSlice
+        self, batch: _PreparedBatch, group: _SliceGroup
     ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """Cached compiled kernel + binder for this slice's graph structure.
+        """Cached compiled kernel + binder for *group*'s graph structure.
 
         The structure is fully determined by which monitored events the
         slice measured (the constraint topology is fixed per engine), so
@@ -658,7 +669,7 @@ class BayesPerfEngine:
         """
         if not self._compiled_path():
             return None
-        signature = prepared.measured
+        signature = group.signature
         observer = self._observer
         try:
             kernel = self._kernel_cache[signature]
@@ -672,8 +683,9 @@ class BayesPerfEngine:
                 if observer is not None
                 else nullcontext()
             ):
+                row = int(group.rows[0])
                 observation_factors, constraint_groups = self._build_factors(
-                    prepared.summaries, prepared.scale
+                    batch.summaries[row], self._scale_view(batch, row)
                 )
                 site_lists = self._site_factor_lists(
                     observation_factors, constraint_groups
@@ -784,10 +796,8 @@ class BayesPerfEngine:
             repair_groups,
         )
 
-    def _megabatch_eligible(
-        self, groups: Dict[Tuple[str, ...], List[int]], prepared: List[_PreparedSlice]
-    ) -> List[Tuple[str, ...]]:
-        """Signatures of this batch that may merge into one canonical solve.
+    def _megabatch_eligible(self, batch: _PreparedBatch) -> List[_SliceGroup]:
+        """Signature groups of this batch that may merge into one canonical solve.
 
         A group qualifies when it measured at least one event and every
         record's projected observation precision is finite and strictly
@@ -802,25 +812,32 @@ class BayesPerfEngine:
         if (
             self.moment_estimator != "analytic"
             or not self._compiled_path()
-            or len(groups) < 2
+            or len(batch.groups) < 2
             or self._megabatch_structure() is None
         ):
             return []
         eligible = [
-            signature
-            for signature, indices in groups.items()
-            if signature
-            and all(
-                observation_certified(prepared[index].obs_variance)
-                for index in indices
-            )
+            group
+            for group in batch.groups
+            if group.signature and observation_certified(group.obs_variance)
         ]
         return eligible if len(eligible) >= 2 else []
 
+    def _prior_system(
+        self, batch: _PreparedBatch, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Diagonal prior precision ``(G, n, n)`` and shift ``(G, n)`` of *rows*."""
+        prior_mean = batch.prior_mean[rows]
+        prior_var = batch.prior_var[rows]
+        count, n = prior_mean.shape
+        prior_precision = np.zeros((count, n, n))
+        diagonal = np.arange(n)
+        prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
+        return prior_precision, prior_mean / prior_var
+
     def _solve_megabatch(
-        self,
-        groups: List[Tuple[Tuple[str, ...], List[_PreparedSlice]]],
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
+        self, batch: _PreparedBatch, groups: List[_SliceGroup]
+    ) -> _Solved:
         """Solve several signature groups in one canonical kernel call.
 
         Records are laid out group-contiguously in one bucketed
@@ -836,36 +853,31 @@ class BayesPerfEngine:
         in the flattened (group-major) record order.
         """
         kernel, binder = self._megabatch_structure()
-        flat = [p for _, members in groups for p in members]
-        batch, n = len(flat), len(self.events)
+        rows = np.concatenate([group.rows for group in groups])
+        lanes, n = len(rows), len(self.events)
         obs_site = binder.observation.site
         observer = self._observer
         with (
-            observer.span("kernel.megabind", batch=batch, signatures=len(groups))
+            observer.span("kernel.megabind", batch=lanes, signatures=len(groups))
             if observer is not None
             else nullcontext()
         ):
-            width = max(len(signature) for signature, _ in groups)
+            width = max(len(group.signature) for group in groups)
             blocks = []
-            row = 0
-            for signature, members in groups:
-                rows = np.arange(row, row + len(members))
-                slots = np.array(
-                    [self._event_slot[event] for event in signature], dtype=np.intp
-                )
+            start = 0
+            for group in groups:
                 blocks.append(
                     (
-                        rows,
-                        slots,
-                        padding_slots(width, slots, n),
-                        np.stack([p.obs_mean for p in members]),
-                        np.stack([p.obs_variance for p in members]),
+                        np.arange(start, start + len(group.rows)),
+                        group.slots,
+                        padding_slots(width, group.slots, n),
+                        group.obs_mean,
+                        group.obs_variance,
                     )
                 )
-                row += len(members)
-            obs_block = bind_bucketed_observation(width, batch, blocks)
-            slot_table = obs_block[2]
-            scales = np.stack([p.scales_vec for p in flat])
+                start += len(group.rows)
+            obs_block = bind_bucketed_observation(width, lanes, blocks)
+            scales = batch.scale[rows]
             stacked: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(  # type: ignore[list-item]
                 binder.structure.sites
             )
@@ -873,16 +885,10 @@ class BayesPerfEngine:
             for constraint in binder.constraints:
                 site = binder.structure.sites[constraint.site]
                 stacked[constraint.site] = constraint.bind(scales[:, site.index])
-
-            prior_mean = np.stack([p.prior_mean_vec for p in flat])
-            prior_var = np.stack([p.prior_var_vec for p in flat])
-            prior_precision = np.zeros((batch, n, n))
-            diagonal = np.arange(n)
-            prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
-            prior_shift = prior_mean / prior_var
+            prior_precision, prior_shift = self._prior_system(batch, rows)
 
         with (
-            observer.span("kernel.solve", batch=batch, estimator="megabatch")
+            observer.span("kernel.solve", batch=lanes, estimator="megabatch")
             if observer is not None
             else nullcontext()
         ):
@@ -892,152 +898,203 @@ class BayesPerfEngine:
                 prior_precision,
                 prior_shift,
                 certified_sites=(obs_site,),
-                site_index_overrides={obs_site: slot_table},
+                site_index_overrides={obs_site: obs_block[2]},
                 repair_groups=[block[0] for block in blocks],
             )
-        # ``tolist()`` yields the same binary64 values ``float(...)`` would;
-        # bulk extraction just skips the per-element numpy scalar round trip.
-        names = result.variables
-        means = result.means.tolist()
-        variances = result.variances.tolist()
-        return [
-            (
-                dict(zip(names, means[b])),
-                dict(zip(names, variances[b])),
-                int(result.iterations[b]),
-                bool(result.converged[b]),
-            )
-            for b in range(batch)
-        ]
+        return result.means, result.variances, result.iterations, result.converged
 
     def _solve_reference(
-        self, prepared: _PreparedSlice
+        self, batch: _PreparedBatch, row: int
     ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
-        """Solve one prepared slice through its estimator's reference twin.
+        """Solve one prepared record through its estimator's reference twin.
 
         The per-slice solve behind ``use_compiled_kernel=False`` and behind
         any signature whose structure does not compile: the object-walking
         EP loop for ``"analytic"``, the registered twins for the sampled
-        estimators.  It reads only *prepared*, never the engine's temporal
-        state, so it composes with batch preparation like every other solve.
+        estimators (walking Python factor objects per step, seeded with the
+        same per-record seed the batched path would use — the differential
+        harness pins each pair within floating-point noise).  It reads only
+        *batch*, never the engine's temporal state, so it composes with
+        batch preparation like every other solve.
         """
-        if self.moment_estimator == "batched-mcmc":
-            means, variances = self._solve_reference_mcmc(prepared)
-            return means, variances, 0, True
-        if self.moment_estimator == "mcmc":
-            return self._solve_reference_site_mcmc(prepared)
         observation_factors, constraint_groups = self._build_factors(
-            prepared.summaries, prepared.scale
+            batch.summaries[row], self._scale_view(batch, row)
         )
-        graph, sites = self._assemble_graph(
-            self._site_factor_lists(observation_factors, constraint_groups)
-        )
+        prior = self._prior_density(batch, row)
+        if self.moment_estimator == "batched-mcmc":
+            factors: List[Factor] = list(observation_factors)
+            for group in constraint_groups:
+                factors.extend(group)
+            # The registry names the twin class, so swapping a registered
+            # implementation swaps every entry point at once.
+            twin = self._estimator.reference(
+                factors,
+                prior,
+                n_samples=self.mcmc_samples,
+                burn_in=self.mcmc_burn_in,
+                adapt=self.mcmc_adapt,
+            )
+            moments = twin.run(rng=np.random.default_rng(batch.mcmc_seeds[row]))
+            return moments.mean(), moments.variance(), 0, True
+        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
+        if self.moment_estimator == "mcmc":
+            # Per-site coupled-chain moment estimation inside the same EP loop.
+            twin = self._estimator.reference(
+                site_lists,
+                prior,
+                n_samples=self.mcmc_samples,
+                burn_in=self.mcmc_burn_in,
+                adapt=self.mcmc_adapt,
+                damping=self.ep_damping,
+                max_iterations=self.ep_max_iterations,
+                recorder=self.chain_recorder,
+            )
+            moments = twin.run(
+                rng=np.random.default_rng(batch.mcmc_seeds[row]),
+                tick=batch.records[row].tick,
+            )
+            return moments.mean(), moments.variance(), moments.iterations, moments.converged
+        graph, sites = self._assemble_graph(site_lists)
         result = ExpectationPropagation(
             graph,
             sites,
-            self._prior_density(prepared),
+            prior,
             damping=self.ep_damping,
             max_iterations=self.ep_max_iterations,
         ).run()
         return result.posterior.mean(), result.posterior.variance(), result.iterations, result.converged
 
-    def _solve_reference_mcmc(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """Reference twin of the batched MCMC estimator (object-based).
+    def _prior_moments(
+        self, batch: _PreparedBatch, row: int
+    ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
+        """Slice with no sites at all: the posterior is the prior."""
+        prior = self._prior_density(batch, row)
+        return prior.mean(), prior.variance(), 0, True
 
-        Walks the slice's Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins the two within floating-point noise.
+    def _solved_rows(
+        self, results: Sequence[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]
+    ) -> _Solved:
+        """Per-record ``(means, variances, iterations, converged)`` as rows."""
+        means, variances, iterations, converged = zip(*results)
+        events = self.events
+        return (
+            np.array([[row[e] for e in events] for row in means]),
+            np.array([[row[e] for e in events] for row in variances]),
+            np.array(iterations),
+            np.array(converged),
+        )
+
+    def _prepare_batch(
+        self, items: Sequence[Tuple[Optional[EngineState], SamplingRecord]]
+    ) -> _PreparedBatch:
+        """Advance every record's temporal state and build the batch's arrays.
+
+        One batch-wide pass over ``(B, n)`` rows in engine event order: the
+        measured totals are scattered into a NaN-padded matrix, then the
+        common-mode intensity ratio, the normalisation-scale refresh and
+        the temporal prior are array expressions over it.  Only the
+        observation summaries are computed per record.
         """
-        observation_factors, constraint_groups = self._build_factors(
-            prepared.summaries, prepared.scale
-        )
-        factors: List[Factor] = list(observation_factors)
-        for group in constraint_groups:
-            factors.extend(group)
-        # The registry names the twin class, so swapping a registered
-        # implementation swaps every entry point at once.
-        twin = self._estimator.reference(
-            factors,
-            self._prior_density(prepared),
-            n_samples=self.mcmc_samples,
-            burn_in=self.mcmc_burn_in,
-            adapt=self.mcmc_adapt,
-        )
-        moments = twin.run(rng=np.random.default_rng(prepared.mcmc_seed))
-        return moments.mean(), moments.variance()
+        records = [record for _, record in items]
+        rows = [self._state_rows(state) for state, _ in items]
+        prior = np.stack([row[0] for row in rows])
+        scale = np.stack([row[1] for row in rows])
+        summaries = [self._observation_summaries(record) for record in records]
+        members: Dict[Tuple[str, ...], List[int]] = {}
+        for index, summary in enumerate(summaries):
+            members.setdefault(summary.events, []).append(index)
+        loc = np.full(prior.shape, np.nan)
+        layout = []
+        for signature, indices in members.items():
+            group_rows = np.array(indices, dtype=np.intp)
+            slots = np.array([self._event_slot[e] for e in signature], dtype=np.intp)
+            group_loc = np.stack([summaries[i].loc for i in indices])
+            loc[group_rows[:, None], slots] = group_loc
+            layout.append((signature, group_rows, slots, group_loc))
 
-    def _solve_reference_site_mcmc(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[Dict[str, float], Dict[str, float], int, bool]:
-        """Reference twin of the batched per-site tilted MCMC (object-based).
-
-        Runs the identical EP loop with per-site coupled-chain moment
-        estimation, walking Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins the two within floating-point noise.
-        """
-        observation_factors, constraint_groups = self._build_factors(
-            prepared.summaries, prepared.scale
-        )
-        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-        twin = self._estimator.reference(
-            site_lists,
-            self._prior_density(prepared),
-            n_samples=self.mcmc_samples,
-            burn_in=self.mcmc_burn_in,
-            adapt=self.mcmc_adapt,
-            damping=self.ep_damping,
-            max_iterations=self.ep_max_iterations,
-            recorder=self.chain_recorder,
-        )
-        moments = twin.run(
-            rng=np.random.default_rng(prepared.mcmc_seed), tick=prepared.record.tick
-        )
-        return moments.mean(), moments.variance(), moments.iterations, moments.converged
-
-    def _prepare_slice(self, record: SamplingRecord) -> _PreparedSlice:
-        """Advance the temporal state and build one slice's arrays."""
-        summaries = self._observation_summaries(record)
-        intensity_ratio = self._intensity_ratio(summaries)
-        self._ensure_scales(summaries)
-        scale_obs = np.array([self._scale[event] for event in summaries.events])
-        obs_mean = summaries.loc / scale_obs
-        obs_scale = np.maximum(summaries.scale / scale_obs, 1e-9)
-        if self.observation_model == "student_t":
-            obs_variance = student_t_moment_variance(obs_scale, summaries.df)
+        # Common-mode activity change since the previous slice (§3
+        # chaining): events measured now that also have a previous estimate
+        # vote with loc / prior; the clamped median ratio advances the
+        # temporal prior of every event that was *not* measured.
+        known = prior > 0
+        if self.use_intensity_chain:
+            voting = known & (loc > 0)
+            ratios = np.divide(loc, prior, out=np.ones_like(loc), where=voting)
+            ratio = np.clip(_row_median(ratios, voting, 1.0), 0.2, 5.0)
         else:
-            obs_variance = obs_scale**2
-        scales_vec = np.array([self._scale[event] for event in self.events])
-        prior_mean_vec, prior_var_vec = self._build_prior_arrays(intensity_ratio)
-        mcmc_seed = 0
+            ratio = np.ones(len(records))
+
+        # Normalisation scales: a measured event is always rescaled to its
+        # current magnitude, so a previous bad estimate can never make a
+        # fresh observation numerically irrelevant; otherwise the prior,
+        # else the slice's median measured magnitude for a unit (unset) scale.
+        magnitude = np.abs(loc)
+        measured = magnitude > 0
+        fallback = np.maximum(_row_median(magnitude, measured, 1.0), 1e-9)
+        stale = (scale <= 0) | (scale == 1.0)
+        scale = np.where(
+            measured,
+            np.maximum(magnitude, 1e-9),
+            np.where(known, prior, np.where(stale, fallback[:, None], scale)),
+        )
+
+        # The previous posterior mean, advanced by the intensity ratio,
+        # becomes the prior mean; its spread is the relative ``drift`` the
+        # workload is expected to exhibit between slices.  ``float_power``
+        # is libm ``pow`` — what the scalar ``x ** 2`` computed — where
+        # ``np.square`` can differ by an ULP.  Nothing known yet: a broad
+        # prior centred on the event's scale.
+        prior_mean = np.where(known, prior * ratio[:, None] / scale, 1.0)
+        prior_var = np.where(
+            known, np.float_power(self.drift * prior_mean + 1e-6, 2.0), 25.0
+        )
+
+        groups = []
+        for signature, group_rows, slots, group_loc in layout:
+            scale_obs = scale[group_rows[:, None], slots]
+            df = np.stack([summaries[i].df for i in group_rows])
+            obs_scale = np.maximum(
+                np.stack([summaries[i].scale for i in group_rows]) / scale_obs, 1e-9
+            )
+            if self.observation_model == "student_t":
+                obs_variance = student_t_moment_variance(obs_scale, df)
+            else:
+                obs_variance = obs_scale**2
+            groups.append(
+                _SliceGroup(
+                    signature, group_rows, slots, group_loc / scale_obs, obs_scale, obs_variance, df
+                )
+            )
+
+        rng_states = [row[3] for row in rows]
+        mcmc_seeds = [0] * len(records)
         if self.moment_estimator in ("batched-mcmc", "mcmc"):
-            # Drawn per record under that record's restored state, so a
-            # batch member samples the same chain its looped twin would.
-            mcmc_seed = int(self._rng.integers(0, 2**63))
-        return _PreparedSlice(
-            record=record,
-            measured=summaries.events,
+            # Drawn per record under that record's RNG state, so a batch
+            # member samples the same chain its looped twin would.
+            rng = self._rng
+            for index, rng_state in enumerate(rng_states):
+                rng.bit_generator.state = rng_state
+                mcmc_seeds[index] = int(rng.integers(0, 2**63))
+                rng_states[index] = rng.bit_generator.state
+        return _PreparedBatch(
+            records=records,
             summaries=summaries,
-            obs_mean=obs_mean,
-            obs_scale=obs_scale,
-            obs_variance=obs_variance,
-            scales_vec=scales_vec,
-            prior_mean_vec=prior_mean_vec,
-            prior_var_vec=prior_var_vec,
-            scale=dict(self._scale),
-            tick=self._tick,
-            rng_state=self._rng.bit_generator.state,
-            mcmc_seed=mcmc_seed,
+            groups=groups,
+            scale=scale,
+            prior_mean=prior_mean,
+            prior_var=prior_var,
+            ticks=[row[2] for row in rows],
+            rng_states=rng_states,
+            mcmc_seeds=mcmc_seeds,
         )
 
     def _solve_group_arrays(
         self,
-        group: List[_PreparedSlice],
+        batch: _PreparedBatch,
+        group: _SliceGroup,
         kernel: CompiledEPKernel,
         binder: CompiledBinder,
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
+    ) -> _Solved:
         """Solve one same-signature group through the array-native path.
 
         Every step — binding, priors, the EP kernel or the batched MCMC
@@ -1045,167 +1102,111 @@ class BayesPerfEngine:
         bit-identical to the same slice inside a larger group.
         """
         observer = self._observer
+        size = len(group.rows)
         with (
-            observer.span("kernel.bind", batch=len(group))
+            observer.span("kernel.bind", batch=size)
             if observer is not None
             else nullcontext()
         ):
-            obs_mean = np.stack([p.obs_mean for p in group])
-            obs_variance = np.stack([p.obs_variance for p in group])
-            scales = np.stack([p.scales_vec for p in group])
-            stacked = binder.bind_batch(obs_mean, obs_variance, scales)
-
-            prior_mean = np.stack([p.prior_mean_vec for p in group])
-            prior_var = np.stack([p.prior_var_vec for p in group])
-            batch, n = prior_mean.shape
-            prior_precision = np.zeros((batch, n, n))
-            diagonal = np.arange(n)
-            prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
-            prior_shift = prior_mean / prior_var
+            stacked = binder.bind_batch(
+                group.obs_mean, group.obs_variance, batch.scale[group.rows]
+            )
+            prior_precision, prior_shift = self._prior_system(batch, group.rows)
 
         with (
-            observer.span(
-                "kernel.solve", batch=len(group), estimator=self.moment_estimator
-            )
+            observer.span("kernel.solve", batch=size, estimator=self.moment_estimator)
             if observer is not None
             else nullcontext()
         ):
-            return self._dispatch_group_solve(
-                group, kernel, binder, stacked, prior_precision, prior_shift,
-                obs_mean, obs_variance,
-            )
-
-    def _dispatch_group_solve(
-        self,
-        group: List[_PreparedSlice],
-        kernel: CompiledEPKernel,
-        binder: CompiledBinder,
-        stacked,
-        prior_precision: np.ndarray,
-        prior_shift: np.ndarray,
-        obs_mean: np.ndarray,
-        obs_variance: np.ndarray,
-    ) -> List[Tuple[Mapping[str, float], Mapping[str, float], int, bool]]:
-        """Route one bound group to its estimator's batched solve."""
-        batch = prior_shift.shape[0]
-        if self.moment_estimator == "analytic":
-            result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
-            return [
-                (
-                    result.mean_dict(b),
-                    result.variance_dict(b),
-                    int(result.iterations[b]),
-                    bool(result.converged[b]),
+            if self.moment_estimator == "analytic":
+                result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
+                return result.means, result.variances, result.iterations, result.converged
+            seeds = [batch.mcmc_seeds[row] for row in group.rows]
+            student_t = self.observation_model == "student_t" and bool(group.signature)
+            if self.moment_estimator == "mcmc":
+                # Per-site tilted MCMC inside the EP loop: the accelerator's
+                # inner loop, batched over the group.  The observation site's
+                # non-Gaussian correction lives in *site-local* coordinates
+                # (the binder's slot table).
+                site_tails = {}
+                if student_t:
+                    site_tails[binder.observation.site] = self._student_t_tail(
+                        group, binder.observation.slots
+                    )
+                sampler = self._estimator.batched(
+                    kernel,
+                    n_samples=self.mcmc_samples,
+                    burn_in=self.mcmc_burn_in,
+                    adapt=self.mcmc_adapt,
+                    recorder=self.chain_recorder,
                 )
-                for b in range(batch)
-            ]
-
-        measured = group[0].measured
-        if self.moment_estimator == "mcmc":
-            # Per-site tilted MCMC inside the EP loop: the accelerator's
-            # inner loop, batched over the group.  The observation site's
-            # non-Gaussian correction lives in *site-local* coordinates
-            # (the binder's slot table).
-            site_tails = {}
-            if self.observation_model == "student_t" and measured:
-                site_tails[binder.observation.site] = StudentTTail(
-                    slots=binder.observation.slots,
-                    loc=obs_mean,
-                    scale=np.stack([p.obs_scale for p in group]),
-                    df=np.stack([p.summaries.df for p in group]),
-                    variance=obs_variance,
+                solved = sampler.run(
+                    stacked,
+                    prior_precision,
+                    prior_shift,
+                    seeds=seeds,
+                    site_tails=site_tails,
+                    ticks=[batch.records[row].tick for row in group.rows],
                 )
+                return solved.means, solved.variances, solved.iterations, solved.converged
+
+            # Batched MCMC: the coupled-chain estimator over the same buffers.
             sampler = self._estimator.batched(
                 kernel,
                 n_samples=self.mcmc_samples,
                 burn_in=self.mcmc_burn_in,
                 adapt=self.mcmc_adapt,
-                recorder=self.chain_recorder,
             )
-            solved = sampler.run(
+            sampled = sampler.run(
                 stacked,
                 prior_precision,
                 prior_shift,
-                seeds=[p.mcmc_seed for p in group],
-                site_tails=site_tails,
-                ticks=[p.record.tick for p in group],
+                seeds=seeds,
+                extra_log_density=(
+                    self._student_t_tail(group, group.slots) if student_t else None
+                ),
             )
-            return [
-                (
-                    solved.mean_dict(b),
-                    solved.variance_dict(b),
-                    int(solved.iterations[b]),
-                    bool(solved.converged[b]),
-                )
-                for b in range(batch)
-            ]
+            return sampled.means, sampled.variances, np.zeros(size, int), np.ones(size, bool)
 
-        # Batched MCMC: the coupled-chain estimator over the same buffers.
-        extra = None
-        if self.observation_model == "student_t" and measured:
-            extra = StudentTTail(
-                slots=np.array([self._event_slot[e] for e in measured], dtype=np.intp),
-                loc=obs_mean,
-                scale=np.stack([p.obs_scale for p in group]),
-                df=np.stack([p.summaries.df for p in group]),
-                variance=obs_variance,
-            )
-        sampler = self._estimator.batched(
-            kernel,
-            n_samples=self.mcmc_samples,
-            burn_in=self.mcmc_burn_in,
-            adapt=self.mcmc_adapt,
+    @staticmethod
+    def _student_t_tail(group: _SliceGroup, slots: np.ndarray) -> StudentTTail:
+        """The group's Student-t observation correction on *slots*."""
+        return StudentTTail(
+            slots=slots,
+            loc=group.obs_mean,
+            scale=group.obs_scale,
+            df=group.df,
+            variance=group.obs_variance,
         )
-        sampled = sampler.run(
-            stacked,
-            prior_precision,
-            prior_shift,
-            seeds=[p.mcmc_seed for p in group],
-            extra_log_density=extra,
-        )
-        return [
-            (sampled.mean_dict(b), sampled.variance_dict(b), 0, True)
-            for b in range(batch)
-        ]
 
     def _finalize(
-        self,
-        prepared: _PreparedSlice,
-        means: Mapping[str, float],
-        variances: Mapping[str, float],
-        iterations: int,
-        converged: bool,
-    ) -> Tuple[PosteriorReport, EngineState]:
-        """Turn one slice's posterior into a report + successor state."""
-        report = PosteriorReport(
-            tick=prepared.record.tick,
-            measured_events=prepared.measured,
-            ep_iterations=iterations,
-            ep_converged=converged,
-        )
-        prior_mean: Dict[str, Optional[float]] = {}
-        for event in self.events:
-            scale = prepared.scale[event]
-            mean = max(means[event] * scale, 0.0)
-            std = math.sqrt(max(variances[event], 0.0)) * scale
-            if event in self.monitored_events:
-                report.estimates[event] = EventEstimate(event=event, mean=mean, std=std)
-            # The temporal state for the next slice (latent events too).
-            prior_mean[event] = max(mean, 1e-9)
-        state = EngineState(
-            prior_mean=prior_mean,
-            scale=prepared.scale,
-            tick=prepared.tick + 1,
-            rng_state=prepared.rng_state,
-        )
-        return report, state
-
-    def _prior_moments(
-        self, prepared: _PreparedSlice
-    ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
-        """Slice with no sites at all: the posterior is the prior."""
-        prior = self._prior_density(prepared)
-        return prior.mean(), prior.variance(), 0, True
+        self, batch: _PreparedBatch, solved: _Solved
+    ) -> List[Tuple[PosteriorReport, EngineState]]:
+        """Turn the batch's ``(B, n)`` posterior into reports + successor states."""
+        means, variances, iterations, converged = solved
+        scale = batch.scale
+        mean = np.maximum(means * scale, 0.0)
+        std = np.sqrt(np.maximum(variances, 0.0)) * scale
+        # The temporal state for the next slice (latent events too).
+        next_prior = np.maximum(mean, 1e-9)
+        monitored = self.monitored_events
+        mean_rows = mean[:, : len(monitored)].tolist()
+        std_rows = std[:, : len(monitored)].tolist()
+        out = []
+        for b, record in enumerate(batch.records):
+            estimates = {
+                event: EventEstimate(event=event, mean=m, std=s)
+                for event, m, s in zip(monitored, mean_rows[b], std_rows[b])
+            }
+            report = PosteriorReport(
+                record.tick, estimates, batch.summaries[b].events,
+                ep_iterations=int(iterations[b]), ep_converged=bool(converged[b]),
+            )
+            state = EngineState(
+                self.events, next_prior[b], scale[b], batch.ticks[b] + 1, batch.rng_states[b]
+            )
+            out.append((report, state))
+        return out
 
     def process_record(self, record: SamplingRecord) -> PosteriorReport:
         """Infer the posterior for one scheduler time slice.
@@ -1224,9 +1225,9 @@ class BayesPerfEngine:
         """Solve many independent slices: the engine's one solve path.
 
         Each item pairs a monitoring run's temporal state (``None`` for a
-        fresh run) with its next record.  Slices are prepared sequentially
-        (the cheap, state-dependent part) and grouped by graph-structure
-        signature.  Under the compiled analytic estimator, a batch with two
+        fresh run) with its next record.  The batch is prepared in one
+        array pass over its ``(B, n)`` state rows (the cheap,
+        state-dependent part) and grouped by graph-structure signature.  Under the compiled analytic estimator, a batch with two
         or more certified signatures merges them into one canonical
         mega-batched kernel call (:mod:`repro.fg.megabatch`).  Every other
         group is solved in one array-native pass (the analytic kernel or
@@ -1236,50 +1237,45 @@ class BayesPerfEngine:
         batch of one would give.  Returns each slice's report and successor
         state, in input order.
         """
-        prepared: List[_PreparedSlice] = []
-        for state, record in items:
-            self.restore(state) if state is not None else self.reset()
-            prepared.append(self._prepare_slice(record))
-
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for index, slice_ in enumerate(prepared):
-            groups.setdefault(slice_.measured, []).append(index)
-        # Per-slice (means, variances, iterations, converged), input order.
-        solved: List[Optional[Tuple]] = [None] * len(prepared)
+        batch = self._prepare_batch(items)
+        solved = (
+            np.empty(batch.scale.shape),
+            np.empty(batch.scale.shape),
+            np.empty(len(items), dtype=int),
+            np.empty(len(items), dtype=bool),
+        )
+        remaining = batch.groups
 
         # Cross-signature mega-batching: merge every eligible signature
         # group into one canonical full-width solve (bit-identical to the
         # per-signature solves below — padded lanes are exact no-ops).
-        mega_signatures = self._megabatch_eligible(groups, prepared)
-        if mega_signatures:
+        mega = self._megabatch_eligible(batch)
+        if mega:
             observer = self._observer
             if observer is not None:
                 observer.count("kernel.megabatch.rounds")
-                observer.count("kernel.megabatch.signatures", len(mega_signatures))
-            merged_indices = [groups.pop(signature) for signature in mega_signatures]
-            merged = [
-                (signature, [prepared[index] for index in indices])
-                for signature, indices in zip(mega_signatures, merged_indices)
-            ]
-            flat = [index for indices in merged_indices for index in indices]
-            for index, result in zip(flat, self._solve_megabatch(merged)):
-                solved[index] = result
+                observer.count("kernel.megabatch.signatures", len(mega))
+            rows = np.concatenate([group.rows for group in mega])
+            for out, values in zip(solved, self._solve_megabatch(batch, mega)):
+                out[rows] = values
+            remaining = [group for group in batch.groups if group not in mega]
 
-        for signature, indices in groups.items():
-            members = [prepared[index] for index in indices]
-            if not (signature or self._has_sites):
-                results = [self._prior_moments(slice_) for slice_ in members]
+        for group in remaining:
+            if not (group.signature or self._has_sites):
+                result = self._solved_rows(
+                    [self._prior_moments(batch, row) for row in group.rows]
+                )
             else:
-                compiled = self._compiled_kernel(members[0])
+                compiled = self._compiled_kernel(batch, group)
                 if compiled is None:
-                    results = [self._solve_reference(slice_) for slice_ in members]
+                    result = self._solved_rows(
+                        [self._solve_reference(batch, row) for row in group.rows]
+                    )
                 else:
-                    results = self._solve_group_arrays(members, *compiled)
-            for index, result in zip(indices, results):
-                solved[index] = result
-        return [
-            self._finalize(slice_, *result) for slice_, result in zip(prepared, solved)
-        ]
+                    result = self._solve_group_arrays(batch, group, *compiled)
+            for out, values in zip(solved, result):
+                out[group.rows] = values
+        return self._finalize(batch, solved)
 
     def correct(self, sampled: SampledTrace) -> EstimateTrace:
         """Correct a full sampled trace, returning per-tick estimates."""

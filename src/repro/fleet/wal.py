@@ -27,9 +27,12 @@ are the bridge between this module and the worker pool's
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.engine import EngineState
 from repro.fleet.tracefile import (
@@ -54,34 +57,43 @@ __all__ = [
 def engine_state_to_json(state: Optional[EngineState]) -> Optional[Dict]:
     """JSON form of an engine snapshot (``None`` for a host yet to solve).
 
-    The RNG state (a NumPy bit-generator state dict of ints/strings) is JSON
-    round-trip exact, so a restored engine continues the identical stream.
+    The state's event-order rows are written as event-keyed objects, with
+    ``null`` for an unknown prior mean.  The RNG state (a NumPy
+    bit-generator state dict of ints/strings) is JSON round-trip exact, so
+    a restored engine continues the identical stream.
     """
     if state is None:
         return None
+    events = state.events
     return {
         "prior_mean": {
-            event: (None if value is None else float(value))
-            for event, value in state.prior_mean.items()
+            event: (None if math.isnan(value) else value)
+            for event, value in zip(events, state.prior_mean.tolist())
         },
-        "scale": {event: float(value) for event, value in state.scale.items()},
+        "scale": dict(zip(events, state.scale.tolist())),
         "tick": int(state.tick),
         "rng_state": state.rng_state,
     }
 
 
 def engine_state_from_json(payload: Optional[Dict]) -> Optional[EngineState]:
-    """Inverse of :func:`engine_state_to_json`."""
+    """Inverse of :func:`engine_state_to_json`.
+
+    Builds the named form :meth:`~repro.core.engine.BayesPerfEngine.restore`
+    scatters: the events of both objects, a NaN prior mean for ``null`` (or
+    a missing key) and a unit scale for a missing key — the fresh-run
+    defaults.
+    """
     if payload is None:
         return None
+    prior_mean = payload.get("prior_mean", {})
+    scale = payload.get("scale", {})
+    events = tuple(dict.fromkeys([*prior_mean, *scale]))
     return EngineState(
-        prior_mean={
-            event: (None if value is None else float(value))
-            for event, value in payload.get("prior_mean", {}).items()
-        },
-        scale={
-            event: float(value) for event, value in payload.get("scale", {}).items()
-        },
+        events=events,
+        # ``None`` (JSON null or a missing key) converts to NaN.
+        prior_mean=np.array([prior_mean.get(event) for event in events], dtype=float),
+        scale=np.array([scale.get(event, 1.0) for event in events], dtype=float),
         tick=int(payload.get("tick", 0)),
         rng_state=payload.get("rng_state"),
     )

@@ -98,6 +98,8 @@ class HostRun:
     channel: HostChannel
     key: EngineKey
     estimates: EstimateTrace
+    #: The host's temporal state (event-order rows; ``None`` until its
+    #: first slice is solved), threaded through ``process_batch``.
     engine_state: Optional[EngineState] = None
     #: Dedicated engine used when sharing is disabled (the serial baseline
     #: constructs one engine per host instead of hitting the cache).

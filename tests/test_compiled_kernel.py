@@ -176,8 +176,8 @@ class TestEngineEquivalence:
                 assert report.means() == want.means()
                 assert report.stds() == want.stds()
                 assert report.ep_iterations == want.ep_iterations
-            assert states[h].prior_mean == state.prior_mean
-            assert states[h].scale == state.scale
+            assert np.array_equal(states[h].prior_mean, state.prior_mean, equal_nan=True)
+            assert np.array_equal(states[h].scale, state.scale, equal_nan=True)
             assert states[h].tick == state.tick
 
     def test_kernel_cache_reused_across_slices(self, records):

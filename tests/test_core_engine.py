@@ -121,7 +121,7 @@ class TestBayesPerfEngine:
         engine = BayesPerfEngine(catalog, events)
         engine.process_record(sampled.records[0])
         engine.reset()
-        assert all(v is None for v in engine._prior_mean.values())
+        assert np.isnan(engine._prior_mean).all()
 
 
 class TestPerfSession:

@@ -263,18 +263,15 @@ class TestBatchBitIdentity:
     def test_binder_blocks_bit_identical_across_batch_sizes(self, engine_and_records):
         catalog, events, sampled = engine_and_records
         engine = BayesPerfEngine(catalog, events)
-        engine.reset()
-        base = engine._prepare_slice(sampled.records[0])
-        kernel, binder = engine._compiled_kernel(base)
-        group = [base] * 5
+        base = engine._prepare_batch([(None, sampled.records[0])])
+        (group,) = base.groups
+        kernel, binder = engine._compiled_kernel(base, group)
         batched = binder.bind_batch(
-            np.stack([p.obs_mean for p in group]),
-            np.stack([p.obs_variance for p in group]),
-            np.stack([p.scales_vec for p in group]),
+            np.repeat(group.obs_mean, 5, axis=0),
+            np.repeat(group.obs_variance, 5, axis=0),
+            np.repeat(base.scale, 5, axis=0),
         )
-        single = binder.bind_batch(
-            base.obs_mean[None], base.obs_variance[None], base.scales_vec[None]
-        )
+        single = binder.bind_batch(group.obs_mean, group.obs_variance, base.scale)
         for (bp, bs), (sp, ss) in zip(batched, single):
             for b in range(5):
                 assert np.array_equal(bp[b], sp[0])
@@ -285,16 +282,12 @@ class TestBatchBitIdentity:
         catalog, events, sampled = engine_and_records
         engine = BayesPerfEngine(catalog, events)
         for record in sampled.records[:4]:
-            engine.reset()
-            prepared = engine._prepare_slice(record)
-            kernel, binder = engine._compiled_kernel(prepared)
-            arrays = binder.bind_batch(
-                prepared.obs_mean[None],
-                prepared.obs_variance[None],
-                prepared.scales_vec[None],
-            )
+            prepared = engine._prepare_batch([(None, record)])
+            (group,) = prepared.groups
+            kernel, binder = engine._compiled_kernel(prepared, group)
+            arrays = binder.bind_batch(group.obs_mean, group.obs_variance, prepared.scale)
             observation_factors, constraint_groups = engine._build_factors(
-                prepared.summaries, prepared.scale
+                prepared.summaries[0], engine._scale_view(prepared, 0)
             )
             site_lists = engine._site_factor_lists(observation_factors, constraint_groups)
             objects = kernel.structure.bind([factors for _, factors in site_lists])
@@ -560,6 +553,24 @@ class TestEngineDifferential:
             samples={**record.samples, next(iter(record.samples)): np.empty(0)},
         )
         with pytest.raises(ValueError, match="no samples"):
+            engine.process_record(broken)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sub_sample_fails_loudly(self, workload, bad):
+        """One NaN/inf sub-sample must raise, naming the tick and event."""
+        catalog, events, sampled = workload
+        engine = BayesPerfEngine(catalog, events)
+        record = sampled.records[0]
+        event = next(iter(record.samples))
+        samples = np.array(record.samples[event], dtype=float)
+        samples[0] = bad
+        broken = type(record)(
+            tick=record.tick,
+            configuration=record.configuration,
+            samples={**record.samples, event: samples},
+        )
+        match = f"tick {record.tick} has non-finite samples .*{event}"
+        with pytest.raises(ValueError, match=match):
             engine.process_record(broken)
 
 

@@ -12,6 +12,7 @@ fault-matrix job (``pytest -m chaos``).
 """
 
 import json
+import math
 
 import pytest
 
@@ -36,7 +37,12 @@ from repro.fleet import (
 )
 from repro.fleet.chaos import CrashingStream, Fault, FaultInjector, InjectedCrash
 from repro.fleet.faults import SliceFailed
-from repro.fleet.tracefile import read_trace, record_session_trace
+from repro.fleet.tracefile import (
+    TraceFormatError,
+    parse_sample,
+    read_trace,
+    record_session_trace,
+)
 from repro.fleet.wal import load_wal, truncate_to_commit
 
 pytestmark = pytest.mark.chaos
@@ -367,6 +373,40 @@ def test_cli_resume_continues_a_crashed_run(tmp_path, capsys):
 
 
 # -- satellite: replay ingestion tolerates damaged lines ---------------------
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_sub_sample_line_is_malformed(tmp_path, bad, ragged):
+    """A NaN/inf sub-sample (valid JSON to ``json.loads``) is a damaged line."""
+    path = tmp_path / "host.jsonl"
+    record_session_trace(path, "steady", n_ticks=4)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = [i for i, line in enumerate(lines) if '"type": "sample"' in line][1]
+    payload = json.loads(lines[index])
+    first, *rest = payload["samples"].values()
+    first[0] = bad
+    if ragged:
+        rest[-1].pop()
+    lines[index] = json.dumps(payload)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        read_trace(path)
+    trace = read_trace(path, strict=False)
+    assert trace.malformed_lines == (index + 1,)
+    assert len(trace.sampled.records) == 3
+    # The lenient trace replays with finite posteriors only.
+    ingest = FleetIngest(dispatcher=EventDispatcher([]))
+    channel = ingest.add(ReplayHostSource("host-000", trace))
+    pool = WorkerPool(1, dispatcher=ingest.dispatcher)
+    pool.assign(channel, arch=trace.arch, events=trace.events)
+    assert pool.run_until_drained(ingest) == 3
+    estimates = pool.estimates()["host-000"]
+    for tick in range(len(estimates)):
+        assert all(math.isfinite(value) for value in estimates.at(tick).values())
+    first[0] = 1.0  # repaired, the line parses (ragged counts included)
+    parsed = parse_sample(payload).samples.values()
+    assert [len(row) for row in parsed] == [len(row) for row in payload["samples"].values()]
 
 
 def test_replay_source_tolerates_trailing_garbage(tmp_path):

@@ -1,6 +1,7 @@
 """Fleet telemetry: ingestion, workers, trace record/replay, events, and
 the fleet runs `Pipeline.from_spec` assembles from them."""
 
+import copy
 import logging
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from repro.fleet.tracefile import (
     register_trace_workload,
     write_trace,
 )
+from repro.fleet.wal import engine_state_from_json, engine_state_to_json
 from repro.fleet.workers import EngineCache, WorkerPool, engine_key
 from repro.pmu.traces import EstimateTrace
 from repro.scheduling.cache import cached_schedule, schedule_cache_stats
@@ -223,10 +225,12 @@ def test_engine_snapshot_restore_is_exact():
 def test_engine_restore_rejects_unknown_events():
     catalog = catalog_for("x86")
     engine = BayesPerfEngine(catalog, catalog.events_for_derived(METRICS))
-    state = engine.snapshot()
-    state.prior_mean["NOT_AN_EVENT"] = 1.0
-    with pytest.raises(ValueError, match="NOT_AN_EVENT"):
-        engine.restore(state)
+    payload = engine_state_to_json(engine.snapshot())
+    for key in ("prior_mean", "scale"):
+        tampered = copy.deepcopy(payload)
+        tampered[key]["NOT_AN_EVENT"] = 1.0
+        with pytest.raises(ValueError, match="NOT_AN_EVENT"):
+            engine.restore(engine_state_from_json(tampered))
 
 
 # -- shared caches -----------------------------------------------------------

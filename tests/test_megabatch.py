@@ -105,15 +105,9 @@ def _solve_batch(engine, records, by_signature=False):
 
 
 def _groups(engine, records):
-    """Prepared slices of fresh-state *records* and their signature groups."""
-    prepared = []
-    for record in records:
-        engine.reset()
-        prepared.append(engine._prepare_slice(record))
-    groups = {}
-    for index, slice_ in enumerate(prepared):
-        groups.setdefault(slice_.measured, []).append(index)
-    return groups, prepared
+    """Signature groups of fresh-state *records*, and their prepared batch."""
+    prepared = engine._prepare_batch([(None, record) for record in records])
+    return prepared.groups, prepared
 
 
 @st.composite
@@ -170,7 +164,7 @@ class TestMegabatchDifferential:
         engine = BayesPerfEngine(CATALOG, UNION)
         groups, prepared = _groups(engine, records)
         assert len(groups) >= 2, "fleet must be heterogeneous for this test"
-        eligible = engine._megabatch_eligible(groups, prepared)
+        eligible = engine._megabatch_eligible(prepared)
         assert len(eligible) >= 2, "mega-batch eligibility must engage here"
 
     def test_not_engaged_for_one_signature_or_non_analytic(self):
@@ -179,7 +173,7 @@ class TestMegabatchDifferential:
         default_engine = BayesPerfEngine(CATALOG, UNION)
         groups, prepared = _groups(default_engine, uniform)
         assert len(groups) == 1
-        assert default_engine._megabatch_eligible(groups, prepared) == []
+        assert default_engine._megabatch_eligible(prepared) == []
         for engine in (
             BayesPerfEngine(
                 CATALOG, UNION, moment_estimator="batched-mcmc",
@@ -189,7 +183,7 @@ class TestMegabatchDifferential:
         ):
             groups, prepared = _groups(engine, mixed)
             assert len(groups) == 2
-            assert engine._megabatch_eligible(groups, prepared) == []
+            assert engine._megabatch_eligible(prepared) == []
 
 
 class TestRepairGroupComposition:
