@@ -79,7 +79,7 @@ def test_bench_fleet_pool_vs_serial(benchmark):
     for result in (serial, pool):
         assert result.n_hosts == N_HOSTS
         assert result.total_slices == N_HOSTS * TICKS_PER_HOST
-        assert result.metrics["hosts_completed"] == N_HOSTS
+        assert result.metrics["hosts.completed"] == N_HOSTS
         assert result.total_dropped == 0
     # Sharing really happened: the pool builds one engine per worker, the
     # serial baseline one per host.

@@ -44,6 +44,7 @@ from repro.fleet.wal import (
 )
 from repro.fleet.workers import FleetResult, WorkerPool
 from repro.fg.mcmc import ChainTrace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.mixing import MixingAccumulator, MixingReport
 from repro.pmu.traces import EstimateTrace
 from repro.workloads import contended_workload, get_workload
@@ -204,7 +205,9 @@ class _Service:
     Attach extra :class:`~repro.fleet.events.EventProcessor`s with
     ``pipeline.service.dispatcher.add(processor)`` before running.  They
     see every event, ``SessionStarted`` included: the hosts' channels join
-    ``ingest`` only when the drive loop starts.
+    ``ingest`` only when the drive loop starts.  On a traced run (an
+    ``ObserverSpec`` with ``trace``) they also see every finished
+    :class:`~repro.obs.spans.Span`.
     """
 
     dispatcher: EventDispatcher
@@ -240,19 +243,31 @@ class Pipeline:
         self.chain_recorder: Optional[ChainTrace] = self._engine_kwargs.get(
             "chain_recorder"
         )
-        self._observer = spec.observer.build() if spec.observer is not None else None
+        if (
+            spec.observer is not None
+            and spec.observer.estimates
+            and self._chain_sink is None
+        ):
+            raise ValueError(
+                "ObserverSpec(estimates=True) streams per-slice estimate "
+                "records into the trace sink; configure "
+                "recorder=RecorderSpec(sink=...) too"
+            )
+        # One event stream per run: fleet events and finished spans.
+        dispatcher = EventDispatcher()
+        self._observer = (
+            spec.observer.build(dispatcher) if spec.observer is not None else None
+        )
         if self._observer is not None:
-            if self._observer.estimates and self._chain_sink is None:
-                raise ValueError(
-                    "ObserverSpec(estimates=True) streams per-slice estimate "
-                    "records into the trace sink; configure "
-                    "recorder=RecorderSpec(sink=...) too"
-                )
             # Engines share the same observer instance, so kernel-stage spans
             # and cache counters land in the run's tracer/registry.
             self._engine_kwargs.setdefault("observer", self._observer)
-        self._metrics = MetricsProcessor()
-        dispatcher = EventDispatcher([self._metrics])
+        #: The run's one metrics store: the observer's registry, which the
+        #: event counters share, or a private one when unobserved.
+        self._registry = (
+            self._observer.metrics if self._observer is not None else MetricsRegistry()
+        )
+        dispatcher.add(MetricsProcessor(self._registry))
         ingest = FleetIngest(buffer_capacity=spec.buffer_capacity, dispatcher=dispatcher)
         self._service = _Service(dispatcher, ingest)
         self._started = False
@@ -474,9 +489,7 @@ class Pipeline:
 
             pool.set_on_slice(tap)
         mixing = (
-            MixingAccumulator()
-            if observer is not None and observer.mixing and recorder is not None
-            else None
+            MixingAccumulator() if observer is not None and recorder is not None else None
         )
         root = None
         if observer is not None and observer.tracing:
@@ -516,7 +529,6 @@ class Pipeline:
                         next_round,
                         fsync=checkpoint.fsync,
                         dispatcher=dispatcher,
-                        observer=observer,
                     )
                 next_round += 1
                 yield processed
@@ -545,9 +557,10 @@ class Pipeline:
             if root is not None:
                 root.set_attribute("slices", total)
                 observer.tracer.end(root)
-            dispatcher.shutdown()
             if observer is not None:
+                # Leftover spans end while the exporter is still open.
                 observer.close()
+            dispatcher.shutdown()
             self._fleet_result = FleetResult(
                 mode=self.mode,
                 n_hosts=n_hosts,
@@ -556,15 +569,13 @@ class Pipeline:
                 estimates=pool.estimates(),
                 dropped_records=self._service.ingest.drop_report(),
                 engine_cache=pool.cache_stats(),
-                metrics=self._metrics.summary(),
+                metrics=self._registry.summary()["counters"],
                 quarantined=pool.quarantined_hosts(),
                 chain_trace=recorder,
             )
 
     @staticmethod
-    def _write_checkpoint(
-        wal_writer, pool, round_idx, *, fsync, dispatcher, observer
-    ) -> None:
+    def _write_checkpoint(wal_writer, pool, round_idx, *, fsync, dispatcher) -> None:
         """Checkpoint every host and seal the round with a commit marker."""
         runs = pool.runs()
         for host_id in sorted(runs):
@@ -574,8 +585,6 @@ class Pipeline:
         dispatcher.emit(
             CheckpointWritten(host="fleet", round_idx=round_idx, n_hosts=len(runs))
         )
-        if observer is not None:
-            observer.count("wal.commits")
 
     @staticmethod
     def _consume_visits(visits, writer, mixing, observer) -> None:
@@ -614,7 +623,6 @@ class Pipeline:
                             detail=flag.detail,
                         )
                     )
-                    observer.count(f"mixing.flags.{flag.reason}")
         observer.gauge("mixing.acceptance.median", report.median_acceptance)
 
     def stream(self) -> Iterator[SliceResult]:

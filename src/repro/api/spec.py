@@ -10,8 +10,8 @@ that describe *what* to run without touching *how*:
   chain, optionally streaming the records to a tracefile sink as the run
   progresses (bounded recorder memory).
 * :class:`ObserverSpec` — observability: OTel-style span export, the
-  metrics registry, per-slice estimate records in the trace sink, and the
-  end-of-run chain-health (mixing) analysis.  Off by default.
+  metrics summary export, per-slice estimate records in the trace sink, and
+  the end-of-run chain-health (mixing) analysis.  Off by default.
 * :class:`HostSpec` — one fleet host: a synthetic workload simulation or a
   recorded trace replay.
 * :class:`SchedulerSpec` — the multiplexing policy rotating events across
@@ -37,6 +37,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.fg.mcmc import ChainTrace
 from repro.fg.megabatch import KernelExecSpec
 from repro.fg.registry import get_estimator
+from repro.fleet.events import EventDispatcher
 from repro.fleet.faults import FaultPolicySpec
 from repro.obs.observer import Observer
 
@@ -163,23 +164,19 @@ class ObserverSpec:
 
     ``trace`` names a JSONL file that receives one OTLP-shaped dict per
     finished span (the run → round → slice → kernel hierarchy).
-    ``metrics`` enables the metrics registry and names where its summary
-    goes: ``"console"`` (or ``"-"``) prints it, anything else is a JSON
-    file path.  ``estimates=True`` streams one ``"estimate"`` record per
-    completed slice into the recorder's tracefile sink (requires a
-    :class:`RecorderSpec` with ``sink`` set), making the tracefile a
-    complete replayable run log.  ``mixing`` (on whenever the observer is
-    present) runs the fleet-wide chain-health analysis over recorded chain
-    visits at end of run and emits its findings as events and spans.
-    ``spans_in_memory`` additionally retains finished spans on
-    ``Observer.spans`` for inspection.
+    ``metrics`` names where the run's metrics summary goes: ``"console"``
+    (or ``"-"``) prints it, anything else is a JSON file path.
+    ``estimates=True`` streams one ``"estimate"`` record per completed slice
+    into the recorder's tracefile sink (requires a :class:`RecorderSpec`
+    with ``sink`` set), making the tracefile a complete replayable run log.
+    With an observer present and chains recorded, the fleet-wide
+    chain-health analysis runs at end of run and emits its findings as
+    events and spans.
     """
 
     trace: Optional[str] = None
     metrics: Optional[str] = None
     estimates: bool = False
-    mixing: bool = True
-    spans_in_memory: bool = False
 
     def __post_init__(self) -> None:
         for name in ("trace", "metrics"):
@@ -187,14 +184,13 @@ class ObserverSpec:
             if value is not None and not isinstance(value, str):
                 object.__setattr__(self, name, str(value))
 
-    def build(self) -> Observer:
-        """Materialise the run's :class:`~repro.obs.Observer`."""
+    def build(self, dispatcher: EventDispatcher) -> Observer:
+        """Materialise the run's :class:`~repro.obs.Observer` on *dispatcher*."""
         return Observer.from_options(
+            dispatcher,
             trace=self.trace,
             metrics=self.metrics,
             estimates=self.estimates,
-            mixing=self.mixing,
-            spans_in_memory=self.spans_in_memory,
         )
 
 
@@ -512,6 +508,12 @@ class RunSpec:
             kernel_exec = dict(estimator["kernel_exec"])
             kernel_exec.pop("partition", None)
             estimator["kernel_exec"] = kernel_exec
+        # Logs written before spans joined the event stream carry two
+        # observer knobs that no longer exist (mixing always runs; spans
+        # reach an attached EventLog): drop them too.
+        observer = dict(data.get("observer") or {})
+        observer.pop("mixing", None)
+        observer.pop("spans_in_memory", None)
         return cls(
             arch=data.get("arch", "x86"),
             events=tuple(data["events"]) if data.get("events") is not None else None,
@@ -519,9 +521,7 @@ class RunSpec:
             hosts=tuple(HostSpec(**dict(host)) for host in data.get("hosts", ())),
             estimator=EstimatorSpec(**estimator),
             recorder=recorder,
-            observer=(
-                ObserverSpec(**dict(data["observer"])) if data.get("observer") else None
-            ),
+            observer=ObserverSpec(**observer) if data.get("observer") else None,
             mode=data.get("mode", "pool"),
             n_workers=int(data.get("n_workers", 4)),
             batch_size=int(data.get("batch_size", 8)),

@@ -12,8 +12,8 @@ reproduction accordingly:
 * :mod:`repro.fleet.tracefile` — a versioned JSONL record/replay format, so
   externally captured or previously recorded runs become replayable
   workloads;
-* :mod:`repro.fleet.events` — a unified observability event stream with
-  push-based processors and pull-based iteration;
+* :mod:`repro.fleet.events` — the run's one event stream (fleet events and
+  finished spans) with push-based processors and pull-based iteration;
 * :mod:`repro.fleet.faults` — worker retry/timeout/backoff/quarantine
   policies (:class:`FaultPolicySpec`);
 * :mod:`repro.fleet.wal` — write-ahead-log recovery: load a crashed run's
@@ -39,7 +39,6 @@ from repro.fleet.events import (
     EventProcessor,
     FleetEvent,
     HostQuarantined,
-    LoggingProcessor,
     MalformedRecordSkipped,
     MetricsProcessor,
     SessionCompleted,
@@ -48,7 +47,6 @@ from repro.fleet.events import (
     SliceCompleted,
     SliceRetried,
     SliceSkipped,
-    TypedEventProcessor,
 )
 from repro.fleet.faults import FaultPolicySpec, SliceFailed, SliceTimeout
 from repro.fleet.ingest import FleetIngest, HostChannel, ReplayHostSource, SyntheticHostSource
@@ -75,7 +73,6 @@ __all__ = [
     "EventProcessor",
     "FleetEvent",
     "HostQuarantined",
-    "LoggingProcessor",
     "MalformedRecordSkipped",
     "MetricsProcessor",
     "SessionCompleted",
@@ -84,7 +81,6 @@ __all__ = [
     "SliceCompleted",
     "SliceRetried",
     "SliceSkipped",
-    "TypedEventProcessor",
     "Fault",
     "FaultInjector",
     "FaultPolicySpec",

@@ -1,11 +1,14 @@
-"""Unified observability event stream for the fleet service.
+"""The run's one event stream: fleet events and finished spans.
 
 Events are the primitive; processors consume them.  Every stage of the fleet
 pipeline (ingestion, workers, service) emits plain dataclass events into one
-:class:`EventDispatcher`, and pluggable :class:`EventProcessor` instances
-handle logging, metrics aggregation or buffering.  Consumption is push-based
-(implement ``on_event``) or pull-based (attach an :class:`EventLog` and walk
-its ``iter()``).
+:class:`EventDispatcher` per run, and the run's tracer emits each finished
+:class:`~repro.obs.spans.Span` into the same dispatcher.  Pluggable
+:class:`EventProcessor` instances consume the stream: the
+:class:`MetricsProcessor` counts fleet events into the run's one metrics
+registry, the span exporter writes spans, an :class:`EventLog` buffers
+everything.  Consumption is push-based (implement ``on_event``) or
+pull-based (attach an :class:`EventLog` and walk its ``iter()``).
 
 Dispatch is best-effort: a failing processor never breaks the data path.
 """
@@ -15,7 +18,10 @@ from __future__ import annotations
 import logging
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -150,166 +156,57 @@ class CheckpointWritten(FleetEvent):
 class EventProcessor:
     """Base class for push-based event consumers.
 
-    Subclass and override :meth:`on_event` to receive every event, or use
-    :class:`TypedEventProcessor` for per-type dispatch.
+    Subclass and override :meth:`on_event`; it receives every event of the
+    run, fleet events and finished spans (:class:`~repro.obs.spans.Span`)
+    alike, so a processor tests the types it handles and ignores the rest.
     """
 
-    def on_event(self, event: FleetEvent) -> None:
+    def on_event(self, event: object) -> None:
         """Called for every event.  Override in subclasses."""
 
     def shutdown(self) -> None:
         """Called once when the run completes.  Override to flush buffers."""
 
 
-#: Event type -> typed handler method name.  Keyed on the class itself (not
-#: its name) so dispatch survives renames and follows subclassing via the MRO.
-_EVENT_HANDLERS: Dict[type, str] = {
-    SessionStarted: "on_session_started",
-    SliceCompleted: "on_slice_completed",
-    EstimateReady: "on_estimate_ready",
-    BackpressureDetected: "on_backpressure",
-    SessionCompleted: "on_session_completed",
-    ChainHealthFlagged: "on_chain_health_flagged",
-    SliceAttemptFailed: "on_slice_attempt_failed",
-    SliceRetried: "on_slice_retried",
-    SliceSkipped: "on_slice_skipped",
-    HostQuarantined: "on_host_quarantined",
-    MalformedRecordSkipped: "on_malformed_record_skipped",
-    CheckpointWritten: "on_checkpoint_written",
+#: Event type -> the registry counter each event of that type increments.
+#: Keyed on the class itself, so a rename cannot silently drop a counter.
+_EVENT_COUNTERS: Dict[type, str] = {
+    SessionStarted: "hosts.started",
+    SliceCompleted: "slices.solved",
+    BackpressureDetected: "ingest.backpressure",
+    SessionCompleted: "hosts.completed",
+    ChainHealthFlagged: "mixing.flags",
+    SliceAttemptFailed: "slice.attempt_failures",
+    SliceRetried: "slice.retries",
+    SliceSkipped: "slice.skips",
+    HostQuarantined: "hosts.quarantined",
+    MalformedRecordSkipped: "records.malformed",
+    CheckpointWritten: "wal.commits",
 }
 
 
-class TypedEventProcessor(EventProcessor):
-    """Dispatches :meth:`on_event` to typed handlers; unknown types are ignored.
+class MetricsProcessor(EventProcessor):
+    """Counts the event stream into the run's metrics registry.
 
-    Dispatch walks the event's MRO, so a subclass of a known event type
-    reaches the parent type's handler unless a more specific one is mapped.
+    Stateless: every count lives in *registry*, under the names of
+    ``_EVENT_COUNTERS``.  A chain-health flag counts under
+    ``mixing.flags.<reason>``; a malformed-record event adds its ``n_lines``.
     """
 
-    def on_event(self, event: FleetEvent) -> None:
-        for klass in type(event).__mro__:
-            method_name = _EVENT_HANDLERS.get(klass)
-            if method_name is not None:
-                getattr(self, method_name)(event)
-                return
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
 
-    def on_session_started(self, event: SessionStarted) -> None: ...
-
-    def on_slice_completed(self, event: SliceCompleted) -> None: ...
-
-    def on_estimate_ready(self, event: EstimateReady) -> None: ...
-
-    def on_backpressure(self, event: BackpressureDetected) -> None: ...
-
-    def on_session_completed(self, event: SessionCompleted) -> None: ...
-
-    def on_chain_health_flagged(self, event: ChainHealthFlagged) -> None: ...
-
-    def on_slice_attempt_failed(self, event: SliceAttemptFailed) -> None: ...
-
-    def on_slice_retried(self, event: SliceRetried) -> None: ...
-
-    def on_slice_skipped(self, event: SliceSkipped) -> None: ...
-
-    def on_host_quarantined(self, event: HostQuarantined) -> None: ...
-
-    def on_malformed_record_skipped(self, event: MalformedRecordSkipped) -> None: ...
-
-    def on_checkpoint_written(self, event: CheckpointWritten) -> None: ...
-
-
-class LoggingProcessor(EventProcessor):
-    """Writes every event to a :mod:`logging` logger (one line per event)."""
-
-    def __init__(
-        self, log: Optional[logging.Logger] = None, *, level: int = logging.INFO
-    ) -> None:
-        self.log = log if log is not None else logger
-        self.level = level
-
-    def on_event(self, event: FleetEvent) -> None:
-        self.log.log(self.level, "%s %s", type(event).__name__, event)
-
-
-class MetricsProcessor(TypedEventProcessor):
-    """In-memory aggregation of the event stream into fleet-level metrics."""
-
-    def __init__(self) -> None:
-        self.events_by_kind: Counter = Counter()
-        self.slices_by_host: Counter = Counter()
-        self.dropped_by_host: Counter = Counter()
-        self.backpressure_events = 0
-        self.hosts_started = 0
-        self.hosts_completed = 0
-        self.mixing_flags: Counter = Counter()
-        self.attempt_failures: Counter = Counter()
-        self.retries_by_host: Counter = Counter()
-        self.skips_by_host: Counter = Counter()
-        self.quarantined_hosts: Counter = Counter()
-        self.malformed_records = 0
-        self.checkpoints_committed = 0
-
-    def on_event(self, event: FleetEvent) -> None:
-        self.events_by_kind[type(event).__name__] += 1
-        super().on_event(event)
-
-    def on_session_started(self, event: SessionStarted) -> None:
-        self.hosts_started += 1
-
-    def on_slice_completed(self, event: SliceCompleted) -> None:
-        self.slices_by_host[event.host] += 1
-
-    def on_backpressure(self, event: BackpressureDetected) -> None:
-        self.backpressure_events += 1
-        self.dropped_by_host[event.host] = event.total_dropped
-
-    def on_session_completed(self, event: SessionCompleted) -> None:
-        self.hosts_completed += 1
-
-    def on_chain_health_flagged(self, event: ChainHealthFlagged) -> None:
-        self.mixing_flags[event.reason] += 1
-
-    def on_slice_attempt_failed(self, event: SliceAttemptFailed) -> None:
-        self.attempt_failures[event.host] += 1
-
-    def on_slice_retried(self, event: SliceRetried) -> None:
-        self.retries_by_host[event.host] += 1
-
-    def on_slice_skipped(self, event: SliceSkipped) -> None:
-        self.skips_by_host[event.host] += 1
-
-    def on_host_quarantined(self, event: HostQuarantined) -> None:
-        self.quarantined_hosts[event.host] += 1
-
-    def on_malformed_record_skipped(self, event: MalformedRecordSkipped) -> None:
-        self.malformed_records += event.n_lines
-
-    def on_checkpoint_written(self, event: CheckpointWritten) -> None:
-        self.checkpoints_committed += 1
-
-    @property
-    def total_slices(self) -> int:
-        return sum(self.slices_by_host.values())
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped_by_host.values())
-
-    def summary(self) -> Dict[str, int]:
-        """Scalar counters, ready for printing or assertions."""
-        return {
-            "hosts_started": self.hosts_started,
-            "hosts_completed": self.hosts_completed,
-            "total_slices": self.total_slices,
-            "total_dropped": self.total_dropped,
-            "backpressure_events": self.backpressure_events,
-            "mixing_flags": sum(self.mixing_flags.values()),
-            "slice_retries": sum(self.retries_by_host.values()),
-            "slice_skips": sum(self.skips_by_host.values()),
-            "hosts_quarantined": len(self.quarantined_hosts),
-            "malformed_records": self.malformed_records,
-            "checkpoints_committed": self.checkpoints_committed,
-        }
+    def on_event(self, event: object) -> None:
+        kind = type(event)
+        name = _EVENT_COUNTERS.get(kind)
+        if name is None:
+            return
+        if kind is ChainHealthFlagged:
+            self.registry.counter(f"{name}.{event.reason}").inc()
+        elif kind is MalformedRecordSkipped:
+            self.registry.counter(name).inc(event.n_lines)
+        else:
+            self.registry.counter(name).inc()
 
 
 class EventLog(EventProcessor):
@@ -321,10 +218,10 @@ class EventLog(EventProcessor):
     """
 
     def __init__(self, maxlen: Optional[int] = 65536) -> None:
-        self._buffer: Deque[FleetEvent] = deque(maxlen=maxlen)
+        self._buffer: Deque[object] = deque(maxlen=maxlen)
         self.discarded = 0
 
-    def on_event(self, event: FleetEvent) -> None:
+    def on_event(self, event: object) -> None:
         if self._buffer.maxlen is not None and len(self._buffer) == self._buffer.maxlen:
             self.discarded += 1
         self._buffer.append(event)
@@ -332,12 +229,12 @@ class EventLog(EventProcessor):
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def iter(self) -> Iterator[FleetEvent]:
+    def iter(self) -> Iterator[object]:
         """Drain buffered events (pull-based consumption)."""
         while self._buffer:
             yield self._buffer.popleft()
 
-    def snapshot(self) -> Tuple[FleetEvent, ...]:
+    def snapshot(self) -> Tuple[object, ...]:
         """Buffered events without consuming them."""
         return tuple(self._buffer)
 
@@ -357,15 +254,10 @@ class EventDispatcher:
         self._processors: List[EventProcessor] = list(processors) if processors else []
         self._failures: Counter = Counter()
 
-    @property
-    def active(self) -> bool:
-        """True when at least one processor is registered."""
-        return bool(self._processors)
-
     def add(self, processor: EventProcessor) -> None:
         self._processors.append(processor)
 
-    def emit(self, event: FleetEvent) -> None:
+    def emit(self, event: object) -> None:
         """Send *event* to every processor; a failing processor is logged."""
         for processor in self._processors:
             try:

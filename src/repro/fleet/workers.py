@@ -373,8 +373,6 @@ class InferenceWorker:
                         error=f"{type(error).__name__}: {error}",
                     )
                 )
-                if observer is not None:
-                    observer.count("slice.attempt_failures")
                 if attempt < policy.max_attempts:
                     delay = policy.backoff_delay(host, record.tick, attempt)
                     if delay > 0:
@@ -387,8 +385,6 @@ class InferenceWorker:
                             delay_seconds=delay,
                         )
                     )
-                    if observer is not None:
-                        observer.count("slice.retries")
         return self._exhaust(run, record, policy, last_error)
 
     def _exhaust(
@@ -407,8 +403,6 @@ class InferenceWorker:
                     error=reason,
                 )
             )
-            if self.observer is not None:
-                self.observer.count("slice.skips")
             return None
         if policy.on_exhausted == "quarantine":
             run.quarantined = True
@@ -422,8 +416,6 @@ class InferenceWorker:
                     error=reason,
                 )
             )
-            if self.observer is not None:
-                self.observer.count("hosts.quarantined")
             return None
         raise SliceFailed(host, record.tick, policy.max_attempts, reason) from error
 
@@ -448,7 +440,6 @@ class InferenceWorker:
         observer.observe(
             "batch.occupancy", n_records, buckets=(1, 2, 4, 8, 16, 32, 64, 128)
         )
-        observer.count("slices.solved", n_records)
 
     def _process_serial(self, run: HostRun, records: List) -> int:
         """Per-host sequential solves (the dedicated-engine baseline).
@@ -492,6 +483,8 @@ class FleetResult:
     estimates: Dict[str, EstimateTrace] = field(default_factory=dict)
     dropped_records: Dict[str, int] = field(default_factory=dict)
     engine_cache: Dict[str, int] = field(default_factory=dict)
+    #: The run's metrics-registry counters, fleet-event counts included
+    #: (``slices.solved``, ``slice.retries``, ``hosts.quarantined``, ...).
     metrics: Dict[str, int] = field(default_factory=dict)
     #: Hosts excised mid-run by an ``on_exhausted="quarantine"`` policy.
     quarantined: Tuple[str, ...] = ()

@@ -4,11 +4,15 @@ Three layers, composable and individually optional:
 
 * :mod:`repro.obs.spans` — an OTel-compatible span model and
   :class:`Tracer` instrumenting the whole pipeline (run → worker round →
-  per-slice solve → kernel compile/bind/solve), exported as OTLP-shaped
-  JSONL or kept in memory;
+  per-slice solve → kernel compile/bind/solve).  Finished spans are events:
+  they travel the run's :class:`~repro.fleet.events.EventDispatcher` with
+  the fleet events, and :class:`JsonlSpanExporter` is the processor that
+  writes them as OTLP-shaped JSONL;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms behind one
-  :class:`MetricsRegistry` (slice latency, batch occupancy, ring-buffer
-  depth, kernel-cache hit rate, chain acceptance), with console and JSON
+  :class:`MetricsRegistry` per run (slice latency, batch occupancy,
+  ring-buffer depth, kernel-cache hit rate, chain acceptance, plus every
+  fleet event counted once by the
+  :class:`~repro.fleet.events.MetricsProcessor`), with console and JSON
   exports;
 * :mod:`repro.obs.mixing` — fleet-wide chain-health analytics over the
   per-window burn-in acceptance trajectories chain traces carry (stuck
@@ -29,21 +33,13 @@ from repro.obs.mixing import (
     analyze_tracefile,
 )
 from repro.obs.observer import Observer
-from repro.obs.spans import (
-    InMemorySpanProcessor,
-    JsonlSpanExporter,
-    Span,
-    SpanContext,
-    SpanProcessor,
-    Tracer,
-)
+from repro.obs.spans import JsonlSpanExporter, Span, SpanContext, Tracer
 
 __all__ = [
     "ChainHealthFlag",
     "Counter",
     "Gauge",
     "Histogram",
-    "InMemorySpanProcessor",
     "JsonlSpanExporter",
     "MetricsRegistry",
     "MixingAccumulator",
@@ -51,7 +47,6 @@ __all__ = [
     "Observer",
     "Span",
     "SpanContext",
-    "SpanProcessor",
     "Tracer",
     "analyze_chain",
     "analyze_tracefile",

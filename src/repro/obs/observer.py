@@ -4,16 +4,17 @@ Every instrumentation site in the pipeline (engine kernel stages, worker
 solves, the drive loop) holds at most an ``Optional[Observer]``; when it is
 ``None`` — the default everywhere — the hot path pays nothing.  When
 present, the observer's null-safe helpers route spans to the
-:class:`~repro.obs.spans.Tracer` and measurements to the
-:class:`~repro.obs.metrics.MetricsRegistry`, each of which is independently
-optional (a metrics-only observer never constructs spans and vice versa).
+:class:`~repro.obs.spans.Tracer` (which emits each finished span into the
+run's event dispatcher) and measurements to the run's one
+:class:`~repro.obs.metrics.MetricsRegistry`, the same registry the fleet
+events are counted into.
 
-``Observer.from_options`` is the one constructor the spec layer and the CLI
-share: *trace* names the span JSONL export path, *metrics* names the
-summary destination (``"console"``/``"-"`` prints, anything else is a JSON
-file path), *estimates* asks the pipeline to stream per-slice estimate
-records into the recorder's tracefile sink, and *mixing* runs the
-chain-health analysis at end of run.
+``Observer.from_options`` is the one constructor the spec layer uses:
+*trace* names the span JSONL export path (the tracer exists only then),
+*metrics* names where the registry's summary goes at close
+(``"console"``/``"-"`` prints, anything else is a JSON file path), and
+*estimates* asks the pipeline to stream per-slice estimate records into
+the recorder's tracefile sink.
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Optional, Sequence
 
+from repro.fleet.events import EventDispatcher
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import (
-    InMemorySpanProcessor,
-    JsonlSpanExporter,
-    SpanProcessor,
-    Tracer,
-)
+from repro.obs.spans import JsonlSpanExporter, Tracer
 
 __all__ = ["Observer"]
 
@@ -35,7 +32,7 @@ _NULL = nullcontext()
 
 
 class Observer:
-    """A run's observability bundle; ``close()`` flushes every export."""
+    """A run's observability bundle; ``close()`` ends spans and exports."""
 
     def __init__(
         self,
@@ -43,47 +40,39 @@ class Observer:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         estimates: bool = False,
-        mixing: bool = True,
         metrics_sink: Optional[str] = None,
     ) -> None:
         self.tracer = tracer
         self.metrics = metrics
         self.estimates = estimates
-        self.mixing = mixing
         self.metrics_sink = metrics_sink
-        #: The in-memory span sink, when one was requested (test inspection).
-        self.spans: Optional[InMemorySpanProcessor] = None
         self._closed = False
 
     @classmethod
     def from_options(
         cls,
+        dispatcher: EventDispatcher,
         *,
         trace: Optional[str] = None,
         metrics: Optional[str] = None,
         estimates: bool = False,
-        mixing: bool = True,
-        spans_in_memory: bool = False,
     ) -> "Observer":
-        """Build an observer from the :class:`~repro.api.ObserverSpec` knobs."""
-        processors: list[SpanProcessor] = []
-        memory: Optional[InMemorySpanProcessor] = None
+        """Build an observer from the :class:`~repro.api.ObserverSpec` knobs.
+
+        With *trace* set, the span exporter joins *dispatcher* and the
+        tracer emits into it.  The registry always exists; *metrics* only
+        names its export.
+        """
+        tracer = None
         if trace is not None:
-            processors.append(JsonlSpanExporter(trace))
-        if spans_in_memory:
-            memory = InMemorySpanProcessor()
-            processors.append(memory)
-        tracer = Tracer(processors) if processors else None
-        registry = MetricsRegistry() if metrics is not None else None
-        observer = cls(
+            dispatcher.add(JsonlSpanExporter(trace))
+            tracer = Tracer(dispatcher)
+        return cls(
             tracer=tracer,
-            metrics=registry,
+            metrics=MetricsRegistry(),
             estimates=estimates,
-            mixing=mixing,
             metrics_sink=metrics,
         )
-        observer.spans = memory
-        return observer
 
     # -- null-safe instrumentation helpers --------------------------------
 
@@ -118,7 +107,11 @@ class Observer:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Flush spans and export the metrics summary (idempotent)."""
+        """End leftover spans and export the metrics summary (idempotent).
+
+        Call it before the dispatcher's ``shutdown`` closes the span
+        exporter.
+        """
         if self._closed:
             return
         self._closed = True

@@ -6,10 +6,11 @@ parent link, free-form attributes, and both wall-clock and CPU timing.  A
 :class:`Tracer` hands spans out as context managers and maintains the active
 span stack, so nested instrumentation (pipeline run → worker round →
 per-slice solve → kernel stage) parents itself without any explicit
-plumbing.  Finished spans fan out to :class:`SpanProcessor` instances —
-:class:`JsonlSpanExporter` writes OTLP-shaped dicts one per line (greppable,
-ingestable by collectors), :class:`InMemorySpanProcessor` keeps the finished
-spans and reconstructs the tree for tests and reports.
+plumbing.  Spans are events: the tracer emits each finished span into the
+run's :class:`~repro.fleet.events.EventDispatcher`, the same stream the
+fleet events travel, and :class:`JsonlSpanExporter` is the event processor
+that writes them as OTLP-shaped dicts one per line (greppable, ingestable
+by collectors).
 
 Everything here is synchronous and single-process, matching the fleet drive
 loop; the active-span stack is therefore a plain list, and ``end()`` is
@@ -25,14 +26,14 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
+
+from repro.fleet.events import EventDispatcher, EventProcessor
 
 __all__ = [
-    "InMemorySpanProcessor",
     "JsonlSpanExporter",
     "Span",
     "SpanContext",
-    "SpanProcessor",
     "Tracer",
 ]
 
@@ -101,20 +102,7 @@ class Span:
         }
 
 
-class SpanProcessor:
-    """Base class for span consumers (the event-processor idiom for spans)."""
-
-    def on_start(self, span: Span) -> None:
-        """Called when a span starts.  Override as needed."""
-
-    def on_end(self, span: Span) -> None:
-        """Called when a span ends.  Override as needed."""
-
-    def shutdown(self) -> None:
-        """Called once when tracing shuts down.  Override to flush buffers."""
-
-
-class JsonlSpanExporter(SpanProcessor):
+class JsonlSpanExporter(EventProcessor):
     """Writes every finished span to a JSONL file, one OTLP dict per line."""
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -122,41 +110,14 @@ class JsonlSpanExporter(SpanProcessor):
         self._stream = self.path.open("w", encoding="utf-8")
         self.exported = 0
 
-    def on_end(self, span: Span) -> None:
-        self._stream.write(json.dumps(span.to_otlp()) + "\n")
-        self.exported += 1
+    def on_event(self, event: object) -> None:
+        if isinstance(event, Span):
+            self._stream.write(json.dumps(event.to_otlp()) + "\n")
+            self.exported += 1
 
     def shutdown(self) -> None:
         if not self._stream.closed:
             self._stream.close()
-
-
-class InMemorySpanProcessor(SpanProcessor):
-    """Keeps finished spans and reconstructs the tree (the testing sink)."""
-
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
-
-    def on_end(self, span: Span) -> None:
-        self.spans.append(span)
-
-    def by_name(self, name: str) -> List[Span]:
-        return [span for span in self.spans if span.name == name]
-
-    def roots(self) -> List[Span]:
-        """Spans whose parent never finished here (usually the run roots)."""
-        ids = {span.span_id for span in self.spans}
-        return [span for span in self.spans if span.parent_id not in ids]
-
-    def children(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def tree(self) -> Dict[Optional[str], List[Span]]:
-        """Parent span id -> finished children, in completion order."""
-        tree: Dict[Optional[str], List[Span]] = {}
-        for span in self.spans:
-            tree.setdefault(span.parent_id, []).append(span)
-        return tree
 
 
 class _ActiveSpan:
@@ -179,21 +140,19 @@ class _ActiveSpan:
 
 
 class Tracer:
-    """Starts spans, tracks the active stack, fans finished spans out.
+    """Starts spans, tracks the active stack, emits finished spans.
 
-    One tracer per run: every span it starts shares one ``trace_id``.  The
-    parent of a new span is whatever span is currently innermost — callers
-    never pass parents explicitly, the call structure *is* the tree.
+    One tracer per run: every span it starts shares one ``trace_id``, and
+    every span it ends goes to *dispatcher* as an event.  The parent of a
+    new span is whatever span is currently innermost — callers never pass
+    parents explicitly, the call structure *is* the tree.
     """
 
-    def __init__(self, processors: Sequence[SpanProcessor] = ()) -> None:
-        self._processors: List[SpanProcessor] = list(processors)
+    def __init__(self, dispatcher: EventDispatcher) -> None:
+        self.dispatcher = dispatcher
         self.trace_id = uuid.uuid4().hex
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
-
-    def add(self, processor: SpanProcessor) -> None:
-        self._processors.append(processor)
 
     @property
     def current(self) -> Optional[Span]:
@@ -214,12 +173,10 @@ class Tracer:
             _start_cpu=time.process_time_ns(),
         )
         self._stack.append(span)
-        for processor in self._processors:
-            processor.on_start(span)
         return span
 
     def end(self, span: Span) -> None:
-        """Finish *span* and hand it to every processor.
+        """Finish *span* and emit it into the run's event stream.
 
         Closure is stack-tolerant: ending a span that is not innermost just
         removes it from wherever it sits (an early-terminated consumer may
@@ -233,16 +190,17 @@ class Tracer:
         span.cpu_ns = max(time.process_time_ns() - span._start_cpu, 0)
         if span in self._stack:
             self._stack.remove(span)
-        for processor in self._processors:
-            processor.on_end(span)
+        self.dispatcher.emit(span)
 
     def span(self, name: str, **attributes) -> _ActiveSpan:
         """Start a span as a context manager: ``with tracer.span("x"): ...``."""
         return _ActiveSpan(self, self.start(name, **attributes))
 
     def shutdown(self) -> None:
-        """End any spans left active (outermost last), then flush processors."""
+        """End any spans left active, outermost last.
+
+        Call it before the dispatcher's own ``shutdown`` closes the
+        exporters, so the leftover spans are still written.
+        """
         while self._stack:
             self.end(self._stack[-1])
-        for processor in self._processors:
-            processor.shutdown()

@@ -83,6 +83,14 @@ def test_run_spec_kernel_exec_round_trips_through_dict():
     legacy["estimator"]["megabatch"] = True
     legacy["estimator"]["kernel_exec"]["partition"] = "signature"
     assert api.RunSpec.from_dict(legacy) == spec
+    # So do dicts written before spans joined the event stream: their
+    # observer carries ``mixing`` and ``spans_in_memory``.
+    observed = dataclasses.replace(
+        spec, observer=api.ObserverSpec(trace="s.jsonl", metrics="-")
+    )
+    legacy = observed.to_dict()
+    legacy["observer"].update(mixing=True, spans_in_memory=False)
+    assert api.RunSpec.from_dict(legacy) == observed
 
 
 def test_recorder_spec_fields_are_pinned():
@@ -90,13 +98,7 @@ def test_recorder_spec_fields_are_pinned():
 
 
 def test_observer_spec_fields_are_pinned():
-    assert _field_names(api.ObserverSpec) == (
-        "trace",
-        "metrics",
-        "estimates",
-        "mixing",
-        "spans_in_memory",
-    )
+    assert _field_names(api.ObserverSpec) == ("trace", "metrics", "estimates")
 
 
 def test_host_spec_fields_are_pinned():

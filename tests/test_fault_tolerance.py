@@ -20,6 +20,7 @@ from repro.api import (
     CheckpointSpec,
     FaultPolicySpec,
     HostSpec,
+    ObserverSpec,
     Pipeline,
     RunSpec,
 )
@@ -106,7 +107,7 @@ def test_skip_policy_drops_only_the_corrupt_slices():
     policy = FaultPolicySpec(max_attempts=2, on_exhausted="skip", **FAST_RETRY)
     faulty = run_fleet(fleet_spec(fault_policy=policy), chaos)
     assert faulty.total_slices == clean.total_slices - 2
-    assert faulty.metrics["slice_skips"] == 2
+    assert faulty.metrics["slice.skips"] == 2
     # Untouched hosts are bit-identical; damaged hosts lose one tick each.
     assert_estimates_equal(clean, faulty, exclude=("host-000", "host-002"))
     assert len(faulty.estimates["host-000"]) == len(clean.estimates["host-000"]) - 1
@@ -140,7 +141,7 @@ def test_timeout_discards_the_hung_attempt_and_retries():
     policy = FaultPolicySpec(max_attempts=2, timeout_seconds=0.01, **FAST_RETRY)
     faulty = run_fleet(fleet_spec(n_hosts=2, n_ticks=3, fault_policy=policy), chaos)
     assert chaos.injected["hang"] == 1
-    assert faulty.metrics["slice_retries"] == 1
+    assert faulty.metrics["slice.retries"] == 1
     assert_estimates_equal(clean, faulty)
 
 
@@ -176,8 +177,8 @@ def test_fault_accounting_matches_injected_schedule():
     assert len(skips) == len(chaos.corrupt_faults)
     assert len(failures) == len(chaos.solve_faults) + 2 * len(chaos.corrupt_faults)
     assert result.total_slices == n_hosts * n_ticks - len(skips)
-    assert result.metrics["slice_retries"] == len(retries)
-    assert result.metrics["slice_skips"] == len(skips)
+    assert result.metrics["slice.retries"] == len(retries)
+    assert result.metrics["slice.skips"] == len(skips)
     # The failed slices' coordinates are exactly the scheduled cells.
     failed_cells = {(e.host, e.tick) for e in failures}
     assert failed_cells == set(chaos.solve_faults) | set(chaos.corrupt_faults)
@@ -191,7 +192,41 @@ def test_quarantine_accounting_and_event():
     quarantines = [e for e in log.iter() if isinstance(e, HostQuarantined)]
     assert [e.host for e in quarantines] == ["host-001"]
     assert result.quarantined == ("host-001",)
-    assert result.metrics["hosts_quarantined"] == 1
+    assert result.metrics["hosts.quarantined"] == 1
+
+
+@pytest.mark.parametrize("on_exhausted", ["skip", "quarantine"])
+def test_metrics_count_each_outcome_once(tmp_path, on_exhausted):
+    """One metrics store: the run's counters are the exported ones, and each
+    fault outcome is counted exactly once per event."""
+    n_hosts, n_ticks = 4, 6
+    chaos = FaultInjector.seeded(
+        11, host_ids(n_hosts), n_ticks, n_raise=3, n_corrupt=2, attempts=1
+    )
+    sink = tmp_path / "metrics.json"
+    log = EventLog(maxlen=None)
+    policy = FaultPolicySpec(max_attempts=2, on_exhausted=on_exhausted, **FAST_RETRY)
+    spec = fleet_spec(
+        n_hosts,
+        n_ticks=n_ticks,
+        fault_policy=policy,
+        observer=ObserverSpec(metrics=str(sink)),
+    )
+    result = run_fleet(spec, chaos, (log,))
+
+    assert result.metrics == json.loads(sink.read_text())["counters"]
+    events = list(log.iter())
+    for name, kind in (
+        ("slice.attempt_failures", SliceAttemptFailed),
+        ("slice.retries", SliceRetried),
+        ("slice.skips", SliceSkipped),
+        ("hosts.quarantined", HostQuarantined),
+    ):
+        assert result.metrics.get(name, 0) == sum(isinstance(e, kind) for e in events)
+    assert result.metrics["slice.retries"] > 0
+    outcome = "slice.skips" if on_exhausted == "skip" else "hosts.quarantined"
+    assert result.metrics[outcome] > 0
+    assert result.metrics["slices.solved"] == result.total_slices
 
 
 def test_backoff_delay_is_deterministic_and_bounded():

@@ -17,12 +17,10 @@ from repro.fleet.events import (
     EventDispatcher,
     EventLog,
     EventProcessor,
-    LoggingProcessor,
     MetricsProcessor,
     SessionCompleted,
     SessionStarted,
     SliceCompleted,
-    TypedEventProcessor,
 )
 from repro.fleet.ingest import FleetIngest, ReplayHostSource, SyntheticHostSource
 from repro.fleet.tracefile import (
@@ -35,6 +33,7 @@ from repro.fleet.tracefile import (
 )
 from repro.fleet.wal import engine_state_from_json, engine_state_to_json
 from repro.fleet.workers import EngineCache, WorkerPool, engine_key
+from repro.obs import MetricsRegistry
 from repro.pmu.traces import EstimateTrace
 from repro.scheduling.cache import cached_schedule, schedule_cache_stats
 from repro.workloads.registry import (
@@ -72,26 +71,6 @@ def replay_spec(*paths, host_ids=None, **kwargs):
 # -- observability event stream --------------------------------------------
 
 
-class _Recorder(TypedEventProcessor):
-    def __init__(self):
-        self.seen = []
-
-    def on_session_started(self, event):
-        self.seen.append(("start", event.host))
-
-    def on_slice_completed(self, event):
-        self.seen.append(("slice", event.tick))
-
-
-def test_typed_processor_dispatches_by_event_type():
-    recorder = _Recorder()
-    dispatcher = EventDispatcher([recorder])
-    dispatcher.emit(SessionStarted(host="h0", arch="x86", workload="steady", n_events=3))
-    dispatcher.emit(SliceCompleted(host="h0", tick=7, worker=0, n_measured=3))
-    dispatcher.emit(EstimateReady(host="h0", first_tick=0, last_tick=7, n_slices=8))
-    assert recorder.seen == [("start", "h0"), ("slice", 7)]
-
-
 def test_dispatcher_is_best_effort(caplog):
     class Exploding(EventProcessor):
         def on_event(self, event):
@@ -116,26 +95,21 @@ def test_event_log_pull_iteration_drains():
     assert len(log) == 0
 
 
-def test_logging_processor_writes_lines(caplog):
-    processor = LoggingProcessor(logging.getLogger("fleet-test"))
-    with caplog.at_level(logging.INFO, logger="fleet-test"):
-        processor.on_event(BackpressureDetected(host="h9", dropped=3))
-    assert any("BackpressureDetected" in record.message for record in caplog.records)
-
-
 def test_metrics_processor_aggregates():
-    metrics = MetricsProcessor()
+    registry = MetricsRegistry()
+    metrics = MetricsProcessor(registry)
     metrics.on_event(SessionStarted(host="a"))
     metrics.on_event(SliceCompleted(host="a", tick=0))
     metrics.on_event(SliceCompleted(host="a", tick=1))
     metrics.on_event(BackpressureDetected(host="a", dropped=2, total_dropped=2))
+    metrics.on_event(EstimateReady(host="a", first_tick=0, last_tick=1, n_slices=2))
     metrics.on_event(SessionCompleted(host="a", n_slices=2))
-    summary = metrics.summary()
-    assert summary["hosts_started"] == 1
-    assert summary["hosts_completed"] == 1
-    assert summary["total_slices"] == 2
-    assert summary["total_dropped"] == 2
-    assert summary["backpressure_events"] == 1
+    assert registry.summary()["counters"] == {
+        "hosts.started": 1,
+        "hosts.completed": 1,
+        "slices.solved": 2,
+        "ingest.backpressure": 1,
+    }
 
 
 # -- ingestion ---------------------------------------------------------------
@@ -472,7 +446,7 @@ def test_service_runs_sixteen_hosts_end_to_end():
     result = run_fleet(small_fleet(n_hosts=16, n_ticks=3, n_workers=4), (log,))
     assert result.n_hosts == 16
     assert result.total_slices == 48
-    assert result.metrics["hosts_completed"] == 16
+    assert result.metrics["hosts.completed"] == 16
     assert result.slices_per_second > 0
     assert len(result.estimates) == 16
     assert all(len(trace) == 3 for trace in result.estimates.values())
@@ -485,7 +459,7 @@ def test_service_backpressure_is_visible_in_result():
         small_fleet(n_hosts=2, n_ticks=10, n_workers=1, buffer_capacity=2, pump_records=10)
     )
     assert result.total_dropped > 0
-    assert result.metrics["backpressure_events"] > 0
+    assert result.metrics["ingest.backpressure"] > 0
     # Dropped slices are simply absent from the host's estimate trace.
     assert all(len(trace) < 10 for trace in result.estimates.values())
 

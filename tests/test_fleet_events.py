@@ -1,6 +1,6 @@
 """Edge cases of the fleet event stream: log overflow, mid-iteration
 appends, failing-processor isolation, rate-limited failure logging, and the
-type-keyed handler dispatch."""
+type-keyed event counters."""
 
 import logging
 from dataclasses import dataclass
@@ -11,10 +11,11 @@ from repro.fleet.events import (
     EventLog,
     EventProcessor,
     FleetEvent,
+    MalformedRecordSkipped,
     MetricsProcessor,
     SliceCompleted,
-    TypedEventProcessor,
 )
+from repro.obs import MetricsRegistry
 
 
 def _slices(n):
@@ -106,7 +107,7 @@ class TestDispatcher:
         assert not any("events during the run" in r.getMessage() for r in caplog.records)
 
 
-# -- typed dispatch -----------------------------------------------------------
+# -- typed dispatch: the class-keyed event counters ---------------------------
 
 
 @dataclass(frozen=True)
@@ -122,30 +123,33 @@ class _UnknownEvent(FleetEvent):
 
 
 class TestTypedDispatch:
-    def test_dispatch_is_keyed_on_the_type_not_its_name(self):
-        received = []
-
-        class Handler(TypedEventProcessor):
-            def on_slice_completed(self, event):
-                received.append(event)
-
-        handler = Handler()
-        handler.on_event(SliceCompleted(host="a", tick=1))
-        # A subclass reaches the parent type's handler via the MRO — the old
-        # class-name table would have silently dropped it.
-        handler.on_event(_FancySliceCompleted(host="a", tick=2))
-        assert [event.tick for event in received] == [1, 2]
-
     def test_unknown_event_types_are_ignored(self):
-        TypedEventProcessor().on_event(_UnknownEvent(host="a"))  # no raise
+        registry = MetricsRegistry()
+        MetricsProcessor(registry).on_event(_UnknownEvent(host="a"))  # no raise
+        assert registry.summary()["counters"] == {}
 
     def test_chain_health_flags_reach_metrics(self):
-        metrics = MetricsProcessor()
+        registry = MetricsRegistry()
+        metrics = MetricsProcessor(registry)
         metrics.on_event(
             ChainHealthFlagged(host="fleet", reason="stuck-chain", slice_id=3)
         )
         metrics.on_event(
             ChainHealthFlagged(host="fleet", reason="fleet-outlier", slice_id=3)
         )
-        assert metrics.mixing_flags == {"stuck-chain": 1, "fleet-outlier": 1}
-        assert metrics.summary()["mixing_flags"] == 2
+        assert registry.summary()["counters"] == {
+            "mixing.flags.fleet-outlier": 1,
+            "mixing.flags.stuck-chain": 1,
+        }
+
+    def test_counters_are_keyed_on_the_exact_type(self):
+        registry = MetricsRegistry()
+        metrics = MetricsProcessor(registry)
+        metrics.on_event(SliceCompleted(host="a", tick=1))
+        metrics.on_event(MalformedRecordSkipped(host="a", n_lines=3))
+        # The table is keyed on the exact class: a subclass counts nothing.
+        metrics.on_event(_FancySliceCompleted(host="a", tick=2))
+        assert registry.summary()["counters"] == {
+            "records.malformed": 3,
+            "slices.solved": 1,
+        }

@@ -439,7 +439,7 @@ class TestDeterminismUnderThreads:
             hosts=hosts,
             estimator=EstimatorSpec(kernel_exec=kernel_exec),
             recorder=RecorderSpec(sink=sink),
-            observer=ObserverSpec(estimates=True, mixing=False),
+            observer=ObserverSpec(estimates=True),
             n_workers=2,
         )
 

@@ -10,6 +10,7 @@ import pytest
 from repro.api import EstimatorSpec, ObserverSpec, Pipeline, RecorderSpec, RunSpec
 from repro.fg.mcmc import ChainSiteVisit, ChainTrace
 from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.events import EventDispatcher, EventLog, SliceCompleted
 from repro.fleet.tracefile import (
     TraceWriter,
     chain_trace_file,
@@ -17,11 +18,11 @@ from repro.fleet.tracefile import (
     write_trace,
 )
 from repro.obs import (
-    InMemorySpanProcessor,
     JsonlSpanExporter,
     MetricsRegistry,
     MixingAccumulator,
     Observer,
+    Span,
     Tracer,
     analyze_chain,
     analyze_tracefile,
@@ -33,24 +34,27 @@ METRICS = ("ipc", "l1d_mpki")
 # -- spans --------------------------------------------------------------------
 
 
+def _traced():
+    """A tracer whose finished spans land in an :class:`EventLog`."""
+    log = EventLog()
+    return Tracer(EventDispatcher([log])), log
+
+
 class TestSpans:
     def test_nesting_parents_spans_automatically(self):
-        memory = InMemorySpanProcessor()
-        tracer = Tracer([memory])
+        tracer, log = _traced()
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
                 assert tracer.current is inner
             assert tracer.current is outer
         assert tracer.current is None
-        inner_span, outer_span = memory.spans  # completion order: inner first
+        inner_span, outer_span = log.snapshot()  # completion order: inner first
         assert inner_span.parent_id == outer_span.span_id
         assert outer_span.parent_id is None
         assert inner_span.trace_id == outer_span.trace_id
-        assert memory.roots() == [outer_span]
-        assert memory.children(outer_span) == [inner_span]
 
     def test_span_timing_and_otlp_shape(self):
-        tracer = Tracer()
+        tracer, _ = _traced()
         with tracer.span("work", batch=4) as span:
             sum(range(1000))
         otlp = span.to_otlp()
@@ -62,17 +66,16 @@ class TestSpans:
         assert span.ended
 
     def test_exception_marks_span_error(self):
-        memory = InMemorySpanProcessor()
-        tracer = Tracer([memory])
+        tracer, log = _traced()
         with pytest.raises(RuntimeError):
             with tracer.span("explode"):
                 raise RuntimeError("boom")
-        (span,) = memory.spans
+        (span,) = log.snapshot()
         assert span.status == "ERROR"
         assert span.attributes["error.type"] == "RuntimeError"
 
     def test_out_of_order_end_is_tolerated(self):
-        tracer = Tracer()
+        tracer, _ = _traced()
         outer = tracer.start("outer")
         inner = tracer.start("inner")
         tracer.end(outer)  # abandoned consumer unwinds outermost-first
@@ -82,21 +85,23 @@ class TestSpans:
         assert tracer.current is None
 
     def test_shutdown_ends_leftover_spans(self):
-        memory = InMemorySpanProcessor()
-        tracer = Tracer([memory])
+        tracer, log = _traced()
         tracer.start("left-open")
         tracer.shutdown()
-        assert [span.name for span in memory.spans] == ["left-open"]
-        assert memory.spans[0].ended
+        assert [span.name for span in log.snapshot()] == ["left-open"]
+        assert log.snapshot()[0].ended
 
     def test_jsonl_exporter_round_trips(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         exporter = JsonlSpanExporter(path)
-        tracer = Tracer([exporter])
+        dispatcher = EventDispatcher([exporter])
+        tracer = Tracer(dispatcher)
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
+        dispatcher.emit(SliceCompleted(host="h0", tick=0))  # not a span: skipped
         tracer.shutdown()
+        dispatcher.shutdown()
         assert exporter.exported == 2
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [line["name"] for line in lines] == ["b", "a"]
@@ -306,50 +311,47 @@ class TestObserver:
         assert observer.metrics is None and observer.tracer is None
 
     def test_from_options_builds_only_whats_asked(self, tmp_path):
-        observer = Observer.from_options(metrics="console")
+        dispatcher = EventDispatcher()
+        observer = Observer.from_options(dispatcher, metrics="console")
         assert observer.tracer is None and observer.metrics is not None
-        observer = Observer.from_options(trace=str(tmp_path / "s.jsonl"))
-        assert observer.tracer is not None and observer.metrics is None
+        observer = Observer.from_options(dispatcher, trace=str(tmp_path / "s.jsonl"))
+        # The registry always exists (it is the run's one metrics store);
+        # without a metrics sink nothing is exported.
+        assert observer.tracer is not None and observer.metrics_sink is None
+        assert observer.tracer.dispatcher is dispatcher
+        dispatcher.shutdown()
 
     def test_metrics_close_exports_json(self, tmp_path):
         sink = tmp_path / "metrics.json"
-        observer = Observer.from_options(metrics=str(sink))
+        observer = Observer.from_options(EventDispatcher(), metrics=str(sink))
         observer.observe("lat", 0.2)
         observer.close()
         observer.close()  # idempotent
         assert json.loads(sink.read_text())["histograms"]["lat"]["count"] == 1
 
     def test_console_metrics_sink_prints_summary(self, capsys):
-        observer = Observer.from_options(metrics="console")
+        observer = Observer.from_options(EventDispatcher(), metrics="console")
         observer.count("hits", 3)
         observer.gauge_max("depth", 2)
         observer.close()
         out = capsys.readouterr().out
         assert "hits 3" in out and "depth 2" in out
 
-    def test_in_memory_tree_helpers(self):
-        observer = Observer.from_options(spans_in_memory=True)
-        with observer.span("outer"):
-            with observer.span("inner") as inner:
-                inner.set_attribute("k", 1)
-        observer.close()
-        memory = observer.spans
-        assert [span.name for span in memory.by_name("inner")] == ["inner"]
-        tree = memory.tree()
-        (outer,) = memory.roots()
-        assert [span.name for span in tree[outer.span_id]] == ["inner"]
-        assert memory.by_name("inner")[0].attributes["k"] == 1
-
-    def test_estimates_without_sink_is_rejected(self):
+    def test_estimates_without_sink_is_rejected(self, tmp_path):
+        # The spec is rejected before anything is opened: an existing span
+        # export keeps its bytes (and no file handle leaks).
+        trace = tmp_path / "s.jsonl"
+        trace.write_bytes(b'{"name": "earlier-run"}\n')
         spec = RunSpec.fleet(
             1,
             "steady",
             n_ticks=1,
             metrics=METRICS,
-            observer=ObserverSpec(estimates=True),
+            observer=ObserverSpec(trace=str(trace), estimates=True),
         )
         with pytest.raises(ValueError, match="recorder"):
             Pipeline.from_spec(spec)
+        assert trace.read_bytes() == b'{"name": "earlier-run"}\n'
 
 
 # -- the instrumented pipeline (the acceptance run) ---------------------------
@@ -426,19 +428,55 @@ class TestInstrumentedPipeline:
             metrics=METRICS,
             estimator=EstimatorSpec("mcmc", samples=10, burn_in=55),
             recorder=RecorderSpec(sink=str(sink)),
-            observer=ObserverSpec(metrics=str(tmp_path / "m.json"), spans_in_memory=True),
+            observer=ObserverSpec(
+                trace=str(tmp_path / "s.jsonl"), metrics=str(tmp_path / "m.json")
+            ),
         )
         pipeline = Pipeline.from_spec(spec)
+        log = EventLog(maxlen=None)
+        pipeline.service.dispatcher.add(log)
         result = pipeline.run()
         assert result.mixing is not None
         assert result.mixing.n_visits > 0
         assert pipeline.mixing_report is result.mixing
         metrics = json.loads((tmp_path / "m.json").read_text())
         assert metrics["histograms"]["chain.acceptance"]["count"] > 0
-        # The in-memory sink saw the mixing.report span under the run root.
-        observer = pipeline.observer
-        names = [span.name for span in observer.spans.spans]
-        assert "mixing.report" in names and "pipeline.run" in names
+        # The attached log saw the mixing.report span under the run root.
+        spans = {span.span_id: span for span in log.snapshot() if isinstance(span, Span)}
+        (root,) = [span for span in spans.values() if span.parent_id is None]
+        assert root.name == "pipeline.run"
+        (report,) = [span for span in spans.values() if span.name == "mixing.report"]
+        assert report.parent_id == root.span_id
+
+    def test_event_log_receives_every_finished_span(self, tmp_path):
+        """Spans are events: an EventLog on the run's dispatcher receives
+        exactly the spans the exporter wrote, in the same order, with
+        ``pipeline.run`` the one root."""
+        span_path = tmp_path / "spans.jsonl"
+        spec = RunSpec.fleet(
+            3,
+            "steady",
+            n_ticks=2,
+            metrics=METRICS,
+            observer=ObserverSpec(trace=str(span_path)),
+        )
+        pipeline = Pipeline.from_spec(spec)
+        log = EventLog(maxlen=None)
+        pipeline.service.dispatcher.add(log)
+        result = pipeline.run()
+        spans = [event for event in log.snapshot() if isinstance(event, Span)]
+        exported = [json.loads(line) for line in span_path.read_text().splitlines()]
+        assert [span.to_otlp() for span in spans] == exported
+        assert all(span.ended for span in spans)
+        ids = {span.span_id for span in spans}
+        roots = [span for span in spans if span.parent_id not in ids]
+        assert [span.name for span in roots] == ["pipeline.run"]
+        assert roots[0].parent_id is None and spans[-1] is roots[0]
+        solves = [span for span in spans if span.name == "slice.solve"]
+        assert sum(span.attributes["n_records"] for span in solves) == result.n_slices
+        # Fleet events share the stream: one SliceCompleted per slice.
+        completed = [e for e in log.snapshot() if isinstance(e, SliceCompleted)]
+        assert len(completed) == result.n_slices == 6
 
     def test_observers_off_leaves_no_artifacts(self, tmp_path):
         spec = RunSpec.fleet(2, "steady", n_ticks=1, metrics=METRICS)
