@@ -13,11 +13,17 @@ Acceptance: the batched kernel reaches >= 3x the reference slices/sec and
 its posterior means agree with the reference within 1e-8 (relative).  The
 measured trajectory is merged into ``.bench-out/BENCH_ep.json`` (see
 ``bench_io.py``).
+
+A second, micro bench times ``ConstraintSiteBinder.bind`` on the default
+x86 engine's 43-wide invariant group at B=16: the sparse product plan must
+run at >= 2x a dense twin that adds every relation's full ``(w, w)`` outer
+product (the pre-plan binder), with bit-identical output.
 """
 
 import os
 import time
 
+import numpy as np
 import pytest
 
 from bench_io import merge_bench_entries
@@ -156,3 +162,75 @@ def test_bench_ep_kernel_vs_reference(benchmark):
     assert speedup["batched"] >= 3.0, (
         f"batched kernel only {speedup['batched']:.2f}x reference (need >= 3x)"
     )
+
+
+BIND_BATCH = 16
+BIND_CALLS = 40  # bind calls per timed round
+
+
+def _dense_bind(binder, scales):
+    """Dense twin of ``ConstraintSiteBinder.bind``: every relation's full
+    ``(w, w)`` outer product, added in relation order."""
+    scaled = np.ascontiguousarray(binder.coefficients[None, :, :] * scales[:, None, :])
+    magnitude = np.abs(scaled).sum(axis=-1)
+    sigma = np.maximum(binder.tolerances[None, :] * magnitude, 1e-9)
+    rows = scaled / sigma[..., None]
+    precision = np.zeros((scaled.shape[0], binder.width, binder.width))
+    for relation in range(rows.shape[1]):
+        row = rows[:, relation, :]
+        precision += row[:, :, None] * row[:, None, :]
+    return precision, np.zeros((scaled.shape[0], binder.width))
+
+
+def test_bench_constraint_bind_sparse_vs_dense():
+    catalog = catalog_for("x86")
+    engine = BayesPerfEngine(catalog, standard_profiling_events(catalog))
+    _, binder = engine._megabatch_structure()
+    constraint = max(binder.constraints, key=lambda site: site.width)
+    scales = np.exp2(
+        np.random.default_rng(0).uniform(0.0, 40.0, size=(BIND_BATCH, constraint.width))
+    )
+    sparse, dense = constraint.bind(scales), _dense_bind(constraint, scales)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sparse, dense))
+
+    binds = {"sparse": constraint.bind, "dense": lambda s: _dense_bind(constraint, s)}
+    timings = {mode: [] for mode in binds}
+
+    def best_ratio():
+        return min(timings["dense"]) / min(timings["sparse"])
+
+    # Interleaved best-of rounds, escalated while noise hides the margin.
+    while not timings["sparse"] or (
+        best_ratio() < 2.0 and len(timings["sparse"]) < MAX_ROUNDS
+    ):
+        for mode, bind in binds.items():
+            start = time.perf_counter()
+            for _ in range(BIND_CALLS):
+                bind(scales)
+            timings[mode].append((time.perf_counter() - start) / BIND_CALLS)
+
+    us_per_slice = {
+        mode: round(min(times) / BIND_BATCH * 1e6, 2) for mode, times in timings.items()
+    }
+    print(
+        f"\nconstraint bind — {constraint.width}-wide group, "
+        f"{constraint.coefficients.shape[0]} relations, B={BIND_BATCH}: "
+        f"sparse {us_per_slice['sparse']} us/slice, dense {us_per_slice['dense']} us/slice "
+        f"({best_ratio():.2f}x)"
+    )
+    merge_bench_entries(
+        {
+            "constraint-bind": {
+                "workload": {
+                    "arch": "x86",
+                    "width": constraint.width,
+                    "relations": int(constraint.coefficients.shape[0]),
+                    "batch": BIND_BATCH,
+                },
+                "us_per_slice": us_per_slice,
+                "speedup_sparse_vs_dense": round(best_ratio(), 2),
+                "rounds": len(timings["sparse"]),
+            }
+        }
+    )
+    assert best_ratio() >= 2.0, f"sparse bind only {best_ratio():.2f}x dense (need >= 2x)"

@@ -75,7 +75,7 @@ from repro.fg.graph import FactorGraph
 from repro.fg.mcmc import ChainTrace, StudentTTail
 from repro.fg.registry import get_estimator
 from repro.invariants.library import InvariantLibrary, standard_invariants
-from repro.core.posterior import EventEstimate, PosteriorReport
+from repro.core.posterior import PosteriorReport
 from repro.pmu.sampling import SampledTrace, SamplingRecord
 from repro.pmu.traces import EstimateTrace
 
@@ -110,11 +110,11 @@ class EngineState:
 class ObservationSummaries:
     """Array-native per-slice observation summaries (§4.2).
 
-    One row per measured event, in record order: the quantum total, its
-    Student-t scale and the degrees of freedom.  Replaces the historical
-    ``Dict[str, StudentT]`` so batch preparation never materialises
-    distribution objects; the ``events`` tuple doubles as the slice's
-    graph-structure signature.
+    One entry per measured event, in record order: the quantum total, its
+    Student-t scale and the degrees of freedom — ``(E,)`` arrays for one
+    slice, ``(G, E)`` for a group of slices with the same measured events.
+    Batch preparation never materialises distribution objects; the
+    ``events`` tuple doubles as the slice's graph-structure signature.
     """
 
     events: Tuple[str, ...]
@@ -348,6 +348,11 @@ class BayesPerfEngine:
         self._kernel_cache: Dict[Tuple[str, ...], Optional[CompiledEPKernel]] = {}
         #: Array-native binders, cached alongside the kernels.
         self._binder_cache: Dict[Tuple[str, ...], CompiledBinder] = {}
+        #: Constraint-site binders per (relation group, site index, site
+        #: variables), shared by every signature's binder.
+        self._constraint_binders: Dict[
+            Tuple[int, int, Tuple[str, ...]], ConstraintSiteBinder
+        ] = {}
         #: Canonical full-width kernel + binder for the mega-batch path
         #: (compiled lazily; ``False`` = not built yet, ``None`` = the
         #: canonical structure does not compile).
@@ -433,82 +438,123 @@ class BayesPerfEngine:
             groups.setdefault(find(index), []).append(index)
         return tuple(tuple(members) for members in groups.values())
 
-    def _observation_summaries(self, record: SamplingRecord) -> ObservationSummaries:
-        """Batched ndarray summaries of one slice's sub-samples (§4.2)."""
-        events: List[str] = []
-        arrays: List[np.ndarray] = []
-        for event, samples in record.samples.items():
-            if event in self._event_slot:
-                array = np.asarray(samples, dtype=float).reshape(-1)
-                if array.size == 0:
-                    # A measured event with zero sub-samples is malformed
-                    # input (e.g. a truncated trace); fail loudly here
-                    # rather than let NaNs poison the temporal chain.
-                    raise ValueError(
-                        f"record tick {record.tick} has no samples for "
-                        f"measured event {event!r}"
-                    )
-                events.append(event)
-                arrays.append(array)
-        if not events:
-            empty = np.empty(0)
-            return ObservationSummaries((), empty, empty.copy(), empty.copy())
-        lengths = {array.shape[0] for array in arrays}
-        if len(lengths) == 1:
-            # Uniform sub-sample counts (the schedule's normal shape): one
-            # vectorized pass over the (E, n) sample matrix.
-            n = lengths.pop()
-            matrix = np.stack(arrays)
-            totals = matrix.sum(axis=1)
-            if n >= 2:
-                # The quantum total is the sum of the sub-samples; its
-                # uncertainty follows from the sub-sample scatter (§4.2).
-                stds = matrix.std(axis=1, ddof=1) * math.sqrt(n)
-            else:
-                stds = np.abs(totals) * 0.05
-            scales = np.maximum(
-                np.maximum(stds / math.sqrt(n), np.abs(totals) * self.min_relative_sigma),
-                1e-9,
-            )
-            dfs = np.full(len(events), float(max(n - 1, 1)))
-        else:
-            # Ragged sub-sample counts: per-event fallback, same arithmetic.
-            totals = np.empty(len(events))
-            scales = np.empty(len(events))
-            dfs = np.empty(len(events))
-            for i, samples in enumerate(arrays):
-                count = samples.shape[0]
-                total = float(np.sum(samples))
-                if count >= 2:
-                    std = float(np.std(samples, ddof=1)) * math.sqrt(count)
+    def _observation_summaries(
+        self, records: Sequence[SamplingRecord]
+    ) -> List[Tuple[np.ndarray, ObservationSummaries]]:
+        """A batch's per-slice observation summaries (§4.2), per signature.
+
+        Records are grouped by the engine events they measured (their
+        signature, in record order), groups in order of first appearance.
+        Each group comes back as its batch rows and one
+        :class:`ObservationSummaries` with ``(G, E)`` arrays, row ``g``
+        belonging to record ``rows[g]``.  A group whose sub-sample counts
+        are all equal is summarised in one pass over its stacked
+        ``(G, E, n)`` samples; any other group event by event, with the
+        same arithmetic.  Samples are checked for finiteness before any
+        arithmetic touches them.
+        """
+        members: Dict[Tuple[str, ...], List[int]] = {}
+        measured: List[List[np.ndarray]] = []
+        for index, record in enumerate(records):
+            events: List[str] = []
+            arrays: List[np.ndarray] = []
+            for event, samples in record.samples.items():
+                if event in self._event_slot:
+                    array = np.asarray(samples, dtype=float).reshape(-1)
+                    if array.size == 0:
+                        # A measured event with zero sub-samples is malformed
+                        # input (e.g. a truncated trace); fail loudly here
+                        # rather than let NaNs poison the temporal chain.
+                        raise ValueError(
+                            f"record tick {record.tick} has no samples for "
+                            f"measured event {event!r}"
+                        )
+                    events.append(event)
+                    arrays.append(array)
+            members.setdefault(tuple(events), []).append(index)
+            measured.append(arrays)
+
+        groups = []
+        for signature, indices in members.items():
+            rows = np.array(indices, dtype=np.intp)
+            samples = [measured[index] for index in indices]
+            lengths = {array.shape[0] for arrays in samples for array in arrays}
+            if len(lengths) <= 1:
+                # Uniform sub-sample counts (the schedule's normal shape): one
+                # vectorized pass over the group's (G, E, n) sample tensor.
+                n = lengths.pop() if lengths else 1
+                stacked = np.array(samples).reshape(len(indices), len(signature), n)
+                self._require_finite(records, rows, signature, np.isfinite(stacked).all(axis=2))
+                totals = stacked.sum(axis=2)
+                if n >= 2:
+                    # The quantum total is the sum of the sub-samples; its
+                    # uncertainty follows from the sub-sample scatter (§4.2).
+                    stds = stacked.std(axis=2, ddof=1) * math.sqrt(n)
                 else:
-                    std = abs(total) * 0.05
-                totals[i] = total
-                scales[i] = max(
-                    std / math.sqrt(count), abs(total) * self.min_relative_sigma, 1e-9
+                    stds = np.abs(totals) * 0.05
+                scales = np.maximum(
+                    np.maximum(stds / math.sqrt(n), np.abs(totals) * self.min_relative_sigma),
+                    1e-9,
                 )
-                dfs[i] = float(max(count - 1, 1))
-        finite = np.isfinite(totals)
+                dfs = np.full(totals.shape, float(max(n - 1, 1)))
+            else:
+                # Ragged sub-sample counts: per-event fallback, same arithmetic.
+                finite = [[bool(np.isfinite(array).all()) for array in arrays] for arrays in samples]
+                self._require_finite(records, rows, signature, np.array(finite))
+                totals = np.empty((len(indices), len(signature)))
+                scales = np.empty_like(totals)
+                dfs = np.empty_like(totals)
+                for g, arrays in enumerate(samples):
+                    for i, array in enumerate(arrays):
+                        count = array.shape[0]
+                        total = float(np.sum(array))
+                        if count >= 2:
+                            std = float(np.std(array, ddof=1)) * math.sqrt(count)
+                        else:
+                            std = abs(total) * 0.05
+                        totals[g, i] = total
+                        scales[g, i] = max(
+                            std / math.sqrt(count), abs(total) * self.min_relative_sigma, 1e-9
+                        )
+                        dfs[g, i] = float(max(count - 1, 1))
+            # Finite samples can still overflow their sum.
+            self._require_finite(records, rows, signature, np.isfinite(totals))
+            for g, index in enumerate(indices):
+                fractions = records[index].mux_fraction
+                if not fractions:
+                    continue
+                # Real traces carry perf's t_running/t_enabled bookkeeping: an
+                # event that counted only a fraction f of the quantum reports a
+                # linearly-scaled total whose sampling noise grows like
+                # 1/sqrt(f), so its observation scale widens accordingly.  The
+                # simulator leaves mux_fraction empty — synthetic streams skip
+                # this and keep bit-identical scales.
+                for i, event in enumerate(signature):
+                    fraction = fractions.get(event)
+                    if fraction is not None and 0.0 < fraction < 1.0:
+                        scales[g, i] /= math.sqrt(fraction)
+            groups.append((rows, ObservationSummaries(signature, totals, scales, dfs)))
+        return groups
+
+    @staticmethod
+    def _require_finite(
+        records: Sequence[SamplingRecord],
+        rows: np.ndarray,
+        signature: Tuple[str, ...],
+        finite: np.ndarray,
+    ) -> None:
+        """Reject a group whose ``(G, E)`` *finite* flags are not all set.
+
+        A NaN or infinite sub-sample would turn the whole slice's posterior
+        into NaN; it is rejected like an empty sample array, naming the
+        first offending record and event.
+        """
         if not finite.all():
-            # A NaN or infinite sub-sample would turn the whole slice's
-            # posterior into NaN; reject it like an empty sample array.
-            event = events[int(np.argmin(finite))]
+            g, i = np.argwhere(~finite)[0]
             raise ValueError(
-                f"record tick {record.tick} has non-finite samples for "
-                f"measured event {event!r}"
+                f"record tick {records[rows[g]].tick} has non-finite samples for "
+                f"measured event {signature[i]!r}"
             )
-        if record.mux_fraction:
-            # Real traces carry perf's t_running/t_enabled bookkeeping: an
-            # event that counted only a fraction f of the quantum reports a
-            # linearly-scaled total whose sampling noise grows like
-            # 1/sqrt(f), so its observation scale widens accordingly.  The
-            # simulator leaves mux_fraction empty — synthetic streams take
-            # this branch never and keep bit-identical scales.
-            for i, event in enumerate(events):
-                fraction = record.mux_fraction.get(event)
-                if fraction is not None and 0.0 < fraction < 1.0:
-                    scales[i] /= math.sqrt(fraction)
-        return ObservationSummaries(tuple(events), totals, scales, dfs)
 
     def _build_factors(
         self, summaries: ObservationSummaries, scales: Mapping[str, float]
@@ -625,7 +671,10 @@ class BayesPerfEngine:
 
         Lowered once per measured-event signature: the observation site's
         slot table plus each constraint group's stacked (unscaled)
-        coefficient matrix, in the structure's site-local orderings.
+        coefficient matrix, in the structure's site-local orderings.  A
+        group's constraint site is the same in every signature's structure,
+        so its binder (and the binder's product plan) is built once per
+        engine and site position, and reused.
         """
         observation: Optional[ObservationSiteBinder] = None
         constraints: List[ConstraintSiteBinder] = []
@@ -637,21 +686,24 @@ class BayesPerfEngine:
                 observation = ObservationSiteBinder(site=index, slots=slots, width=site.width)
             else:
                 group = int(name.rsplit("-", 1)[1])
-                relations = [self.relations[i] for i in self._relation_groups[group]]
-                coefficients = np.zeros((len(relations), site.width))
-                tolerances = np.empty(len(relations))
-                for row, relation in enumerate(relations):
-                    for event, coefficient in relation.coefficients.items():
-                        coefficients[row, local[event]] = coefficient
-                    tolerances[row] = relation.tolerance * self.relation_tolerance_scale
-                constraints.append(
-                    ConstraintSiteBinder(
+                key = (group, index, site.variables)
+                binder = self._constraint_binders.get(key)
+                if binder is None:
+                    relations = [self.relations[i] for i in self._relation_groups[group]]
+                    coefficients = np.zeros((len(relations), site.width))
+                    tolerances = np.empty(len(relations))
+                    for row, relation in enumerate(relations):
+                        for event, coefficient in relation.coefficients.items():
+                            coefficients[row, local[event]] = coefficient
+                        tolerances[row] = relation.tolerance * self.relation_tolerance_scale
+                    binder = ConstraintSiteBinder(
                         site=index,
                         coefficients=coefficients,
                         tolerances=tolerances,
                         width=site.width,
                     )
-                )
+                    self._constraint_binders[key] = binder
+                constraints.append(binder)
         return CompiledBinder(
             structure=structure, observation=observation, constraints=tuple(constraints)
         )
@@ -992,25 +1044,25 @@ class BayesPerfEngine:
         One batch-wide pass over ``(B, n)`` rows in engine event order: the
         measured totals are scattered into a NaN-padded matrix, then the
         common-mode intensity ratio, the normalisation-scale refresh and
-        the temporal prior are array expressions over it.  Only the
-        observation summaries are computed per record.
+        the temporal prior are array expressions over it.  Observation
+        summaries are computed per signature group.
         """
         records = [record for _, record in items]
         rows = [self._state_rows(state) for state, _ in items]
         prior = np.stack([row[0] for row in rows])
         scale = np.stack([row[1] for row in rows])
-        summaries = [self._observation_summaries(record) for record in records]
-        members: Dict[Tuple[str, ...], List[int]] = {}
-        for index, summary in enumerate(summaries):
-            members.setdefault(summary.events, []).append(index)
+        summaries: List[ObservationSummaries] = [None] * len(records)  # type: ignore[list-item]
         loc = np.full(prior.shape, np.nan)
         layout = []
-        for signature, indices in members.items():
-            group_rows = np.array(indices, dtype=np.intp)
+        for group_rows, observed in self._observation_summaries(records):
+            signature = observed.events
             slots = np.array([self._event_slot[e] for e in signature], dtype=np.intp)
-            group_loc = np.stack([summaries[i].loc for i in indices])
-            loc[group_rows[:, None], slots] = group_loc
-            layout.append((signature, group_rows, slots, group_loc))
+            loc[group_rows[:, None], slots] = observed.loc
+            for g, row in enumerate(group_rows.tolist()):
+                summaries[row] = ObservationSummaries(
+                    signature, observed.loc[g], observed.scale[g], observed.df[g]
+                )
+            layout.append((group_rows, slots, observed))
 
         # Common-mode activity change since the previous slice (§3
         # chaining): events measured now that also have a previous estimate
@@ -1050,19 +1102,22 @@ class BayesPerfEngine:
         )
 
         groups = []
-        for signature, group_rows, slots, group_loc in layout:
+        for group_rows, slots, observed in layout:
             scale_obs = scale[group_rows[:, None], slots]
-            df = np.stack([summaries[i].df for i in group_rows])
-            obs_scale = np.maximum(
-                np.stack([summaries[i].scale for i in group_rows]) / scale_obs, 1e-9
-            )
+            obs_scale = np.maximum(observed.scale / scale_obs, 1e-9)
             if self.observation_model == "student_t":
-                obs_variance = student_t_moment_variance(obs_scale, df)
+                obs_variance = student_t_moment_variance(obs_scale, observed.df)
             else:
                 obs_variance = obs_scale**2
             groups.append(
                 _SliceGroup(
-                    signature, group_rows, slots, group_loc / scale_obs, obs_scale, obs_variance, df
+                    observed.events,
+                    group_rows,
+                    slots,
+                    observed.loc / scale_obs,
+                    obs_scale,
+                    obs_variance,
+                    observed.df,
                 )
             )
 
@@ -1190,17 +1245,17 @@ class BayesPerfEngine:
         # The temporal state for the next slice (latent events too).
         next_prior = np.maximum(mean, 1e-9)
         monitored = self.monitored_events
+        reported = std[:, : len(monitored)]
+        if (reported < 0).any():
+            raise ValueError("std must be non-negative")
         mean_rows = mean[:, : len(monitored)].tolist()
-        std_rows = std[:, : len(monitored)].tolist()
+        std_rows = reported.tolist()
+        iterations, converged = iterations.tolist(), converged.tolist()
         out = []
         for b, record in enumerate(batch.records):
-            estimates = {
-                event: EventEstimate(event=event, mean=m, std=s)
-                for event, m, s in zip(monitored, mean_rows[b], std_rows[b])
-            }
-            report = PosteriorReport(
-                record.tick, estimates, batch.summaries[b].events,
-                ep_iterations=int(iterations[b]), ep_converged=bool(converged[b]),
+            report = PosteriorReport.from_rows(
+                record.tick, monitored, mean_rows[b], std_rows[b], batch.summaries[b].events,
+                ep_iterations=iterations[b], ep_converged=converged[b],
             )
             state = EngineState(
                 self.events, next_prior[b], scale[b], batch.ticks[b] + 1, batch.rng_states[b]
@@ -1227,9 +1282,10 @@ class BayesPerfEngine:
         Each item pairs a monitoring run's temporal state (``None`` for a
         fresh run) with its next record.  The batch is prepared in one
         array pass over its ``(B, n)`` state rows (the cheap,
-        state-dependent part) and grouped by graph-structure signature.  Under the compiled analytic estimator, a batch with two
-        or more certified signatures merges them into one canonical
-        mega-batched kernel call (:mod:`repro.fg.megabatch`).  Every other
+        state-dependent part) and grouped by graph-structure signature.
+        Under the compiled analytic estimator, a batch with two or more
+        certified signatures merges them into one canonical mega-batched
+        kernel call (:mod:`repro.fg.megabatch`).  Every other
         group is solved in one array-native pass (the analytic kernel or
         the estimator's batched sampler), or slice by slice through the
         reference twin when the compiled kernel is off or the structure

@@ -52,7 +52,7 @@ this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +78,7 @@ __all__ = [
     "CompiledSite",
     "ConstraintSiteBinder",
     "ObservationSiteBinder",
+    "OuterProductPlan",
     "compile_factor_graph",
     "site_factor_lists",
 ]
@@ -247,13 +248,72 @@ class ObservationSiteBinder:
 
 
 @dataclass(frozen=True)
+class OuterProductPlan:
+    """Where a constraint site's nonzero ``A^T A`` products land.
+
+    Each invariant touches only a few events, so relation ``r``'s outer
+    product is nonzero only on ``support(r) x support(r)``, where
+    ``support(r)`` is the nonzero columns of coefficient row ``r``.  The
+    plan lists every such ``(r, i, j)`` product once and orders them into
+    *depth layers*: layer ``k`` holds each ``(i, j)`` entry's ``k``-th
+    product in relation order.  No entry appears twice within a layer, and
+    applying the layers in turn adds every entry's products in the order
+    the relations come.
+    """
+
+    #: Flat ``r * w + i`` positions of the nonzero coefficients, row-major.
+    support: np.ndarray
+    #: The relation of each support position.
+    relation: np.ndarray
+    #: Support positions of each product's two factors, layer by layer.
+    left: np.ndarray
+    right: np.ndarray
+    #: Per layer: the flat ``i * w + j`` entries it adds to and the slice
+    #: of the product vector it adds.
+    layers: Tuple[Tuple[np.ndarray, slice], ...]
+
+    @classmethod
+    def of(cls, coefficients: np.ndarray) -> "OuterProductPlan":
+        """The plan of one ``(R, w)`` coefficient matrix."""
+        width = coefficients.shape[1]
+        relation, variable = np.nonzero(coefficients)
+        members: Dict[int, List[int]] = {}
+        for position, row in enumerate(relation.tolist()):
+            members.setdefault(row, []).append(position)
+        depth: Dict[int, int] = {}
+        products: List[Tuple[int, int, int, int]] = []
+        for positions in members.values():
+            for a in positions:
+                for b in positions:
+                    entry = int(variable[a]) * width + int(variable[b])
+                    layer = depth.get(entry, 0)
+                    depth[entry] = layer + 1
+                    products.append((layer, entry, a, b))
+        # Stable: within a layer, products keep their relation order.
+        products.sort(key=lambda product: product[0])
+        layer_of, entries, left, right = (
+            np.array(products, dtype=np.intp).reshape(-1, 4).T.copy()
+        )
+        bounds = np.searchsorted(layer_of, np.arange(max(depth.values(), default=0) + 1))
+        return cls(
+            support=relation * width + variable,
+            relation=relation,
+            left=left,
+            right=right,
+            layers=tuple(
+                (entries[lo:hi], slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+            ),
+        )
+
+
+@dataclass(frozen=True)
 class ConstraintSiteBinder:
     """Vectorized binding of one constraint-group site.
 
     Holds the group's *unscaled* invariant coefficients stacked as one
     ``(R, w)`` matrix; binding applies each record's per-variable
     normalisation scales and accumulates every relation's soft-constraint
-    block in a single batched ``A^T A`` product.
+    block over its nonzero support only (:class:`OuterProductPlan`).
     """
 
     site: int
@@ -263,6 +323,11 @@ class ConstraintSiteBinder:
     #: tolerance scale), applied to the scaled coefficient magnitude.
     tolerances: np.ndarray
     width: int
+    #: Product plan of ``coefficients``.
+    plan: OuterProductPlan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", OuterProductPlan.of(self.coefficients))
 
     def bind(self, scales: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Site blocks for ``(B, w)`` per-record variable scales."""
@@ -275,17 +340,20 @@ class ConstraintSiteBinder:
         )  # (B, R, w)
         magnitude = np.abs(scaled).sum(axis=-1)  # (B, R)
         sigma = np.maximum(self.tolerances[None, :] * magnitude, 1e-9)
-        rows = scaled / sigma[..., None]
-        # Accumulate each relation's outer product element-wise rather than
-        # through a batched GEMM: BLAS picks batch-size-dependent blocking,
-        # which would break the B=1 == B=N bit-identity the worker pool
-        # relies on.  Relation order matches the object path's op loop.
-        precision = np.zeros((scaled.shape[0], self.width, self.width))
-        for relation in range(rows.shape[1]):
-            row = rows[:, relation, :]
-            precision += row[:, :, None] * row[:, None, :]
-        shift = np.zeros((scaled.shape[0], self.width))
-        return precision, shift
+        # Only the support's products, added layer by layer in relation
+        # order: element-wise (so B=1 == B=N) and bit-identical to adding
+        # every relation's dense outer product in turn.  The dense sum's
+        # other terms are products of a zero row entry, exact +-0.0 for
+        # finite scales, and x + +-0.0 == x for any x but -0.0, which an
+        # entry starting at +0.0 never holds.
+        batch, plan = scaled.shape[0], self.plan
+        rows = scaled.reshape(batch, -1)[:, plan.support] / sigma[:, plan.relation]
+        products = rows[:, plan.left] * rows[:, plan.right]
+        precision = np.zeros((batch, self.width * self.width))
+        for entries, picks in plan.layers:
+            precision[:, entries] += products[:, picks]
+        shift = np.zeros((batch, self.width))
+        return precision.reshape(batch, self.width, self.width), shift
 
 
 @dataclass(frozen=True)

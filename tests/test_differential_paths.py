@@ -13,6 +13,8 @@ batched MCMC — must agree within 1e-6, and the array-native binding/summary
 code paths must be bit-identical between B=1 and B=N.
 """
 
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.api import HostSpec, Pipeline, RunSpec
 from repro.core.engine import BayesPerfEngine
+from repro.core.posterior import EventEstimate, PosteriorReport
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
 from repro.fg import (
@@ -66,6 +69,30 @@ def _max_moment_gap(mean_a, var_a, mean_b, var_b):
     for name in mean_a:
         gap = max(gap, _gap(mean_a[name], mean_b[name]), _gap(var_a[name], var_b[name]))
     return gap
+
+
+def _dense_constraint_bind(binder, scales):
+    """Dense twin of :meth:`ConstraintSiteBinder.bind`.
+
+    Adds every relation's full ``(w, w)`` outer product in relation order;
+    the sparse plan must reproduce it bit for bit.
+    """
+    scaled = np.ascontiguousarray(binder.coefficients[None, :, :] * scales[:, None, :])
+    magnitude = np.abs(scaled).sum(axis=-1)
+    sigma = np.maximum(binder.tolerances[None, :] * magnitude, 1e-9)
+    rows = scaled / sigma[..., None]
+    precision = np.zeros((scaled.shape[0], binder.width, binder.width))
+    for relation in range(rows.shape[1]):
+        row = rows[:, relation, :]
+        precision += row[:, :, None] * row[:, None, :]
+    return precision, np.zeros((scaled.shape[0], binder.width))
+
+
+@pytest.fixture(scope="module")
+def x86_engine():
+    """One engine over the default x86 event set."""
+    catalog = catalog_for("x86")
+    return BayesPerfEngine(catalog, standard_profiling_events(catalog))
 
 
 def _solve_three_ways(graph, sites, prior, *, n_samples=50, burn_in=30, seed=7):
@@ -319,6 +346,120 @@ class TestBatchBitIdentity:
                 assert report.stds() == batched[h][slot].stds()
 
 
+class TestSparseConstraintBinding:
+    """Sparse ``ConstraintSiteBinder.bind`` against its dense ``A^T A`` twin."""
+
+    def test_default_engine_groups_are_covered(self, x86_engine):
+        _, binder = x86_engine._megabatch_structure()
+        widths = sorted(constraint.width for constraint in binder.constraints)
+        assert widths == [3, 3, 43]
+        wide = max(binder.constraints, key=lambda constraint: constraint.width)
+        assert wide.coefficients.shape[0] == 29
+        assert len(wide.plan.layers) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        group=st.integers(min_value=0, max_value=2),
+        batch=st.sampled_from([1, 2, 16]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        low=st.floats(min_value=math.log2(1e-9), max_value=48.0),
+        span=st.floats(min_value=0.0, max_value=78.0),
+        pins=st.lists(
+            st.tuples(st.integers(min_value=0), st.sampled_from([1e-9, 2.0**48])),
+            max_size=6,
+        ),
+    )
+    def test_sparse_bind_is_bit_identical_to_dense(
+        self, x86_engine, group, batch, seed, low, span, pins
+    ):
+        """Scales from the 1e-9 floor up to 2**48, B=1 and B=N."""
+        _, binder = x86_engine._megabatch_structure()
+        constraint = binder.constraints[group]
+        shape = (batch, constraint.width)
+        high = min(low + span, 48.0)
+        scales = np.exp2(np.random.default_rng(seed).uniform(low, high, size=shape))
+        for index, value in pins:
+            scales.flat[index % scales.size] = value
+        precision, shift = constraint.bind(scales)
+        dense_precision, dense_shift = _dense_constraint_bind(constraint, scales)
+        assert precision.tobytes() == dense_precision.tobytes()
+        assert shift.tobytes() == dense_shift.tobytes()
+        for b in range(batch):
+            alone, _ = constraint.bind(scales[b : b + 1])
+            assert alone[0].tobytes() == precision[b].tobytes()
+
+    def test_signatures_share_one_binder_per_group(self, x86_engine):
+        """Every signature's constraint site reuses the group's one plan."""
+        _, mega = x86_engine._megabatch_structure()
+        plans = {tuple(id(constraint.plan) for constraint in mega.constraints)}
+        for record in _x86_records(x86_engine, "KMeans", seed=1, ticks=4):
+            batch = x86_engine._prepare_batch([(None, record)])
+            (group,) = batch.groups
+            _, binder = x86_engine._compiled_kernel(batch, group)
+            plans.add(tuple(id(constraint.plan) for constraint in binder.constraints))
+        assert len(plans) == 1
+
+
+def _x86_records(engine, workload, *, seed, ticks):
+    """*ticks* sampled records of one host over the engine's events."""
+    catalog = engine.catalog
+    schedule = cached_schedule(catalog, standard_profiling_events(catalog), kind="overlap")
+    trace = Machine(MachineConfig(), get_workload(workload), seed=seed).run(ticks)
+    return MultiplexedSampler(catalog, schedule, seed=seed + 9).sample(trace).records
+
+
+class TestRowBackedReports:
+    """Row-backed ``PosteriorReport`` against an eagerly built one."""
+
+    def test_reads_match_an_eager_report(self, x86_engine):
+        hosts = [_x86_records(x86_engine, "WordCount", seed=h, ticks=3) for h in range(4)]
+        states = [None] * len(hosts)
+        for slot in range(3):
+            items = [(states[h], records[slot]) for h, records in enumerate(hosts)]
+            for h, (report, state) in enumerate(x86_engine.process_batch(items)):
+                states[h] = state
+                events, means, stds = report._rows
+                assert events == x86_engine.monitored_events
+                eager = PosteriorReport(
+                    report.tick,
+                    {e: EventEstimate(e, m, s) for e, m, s in zip(events, means, stds)},
+                    report.measured_events,
+                    report.ep_iterations,
+                    report.ep_converged,
+                )
+                # Row reads first, while no EventEstimate exists yet.
+                assert report.means() == eager.means()
+                assert report.stds() == eager.stds()
+                assert all(event in report for event in events)
+                assert "NOT.AN_EVENT" not in report and "NOT.AN_EVENT" not in eager
+                assert report._estimates is None
+                assert report.most_uncertain(7) == eager.most_uncertain(7)
+                assert report.estimates == eager.estimates
+                for event in events:
+                    assert report[event].interval(0.9) == eager[event].interval(0.9)
+                assert report == eager
+                assert report.means() == eager.means()
+
+    def test_negative_sigma_row_is_rejected(self, x86_engine):
+        (record,) = _x86_records(x86_engine, "KMeans", seed=1, ticks=1)
+        batch = x86_engine._prepare_batch([(None, record), (None, record)])
+        shape = batch.scale.shape
+        solved = (np.ones(shape), np.ones(shape), np.ones(2, int), np.ones(2, bool))
+        batch.scale[1, 0] = -1.0
+        with pytest.raises(ValueError, match="std must be non-negative"):
+            x86_engine._finalize(batch, solved)
+
+    def test_default_report_accepts_assignment(self):
+        report = PosteriorReport(tick=0)
+        assert "a" not in report and report.means() == {}
+        report.estimates["a"] = EventEstimate("a", 10.0, 5.0)
+        report.estimates["b"] = EventEstimate("b", 10.0, 0.1)
+        assert "a" in report
+        assert report.means() == {"a": 10.0, "b": 10.0}
+        assert report.stds() == {"a": 5.0, "b": 0.1}
+        assert report.most_uncertain(1)[0].event == "a"
+
+
 class TestSiteMCMCTwin:
     """Batched per-site tilted MCMC against its object-walking twin."""
 
@@ -570,8 +711,62 @@ class TestEngineDifferential:
             samples={**record.samples, event: samples},
         )
         match = f"tick {record.tick} has non-finite samples .*{event}"
-        with pytest.raises(ValueError, match=match):
-            engine.process_record(broken)
+        # Rejected before any arithmetic touches the samples: no numpy
+        # RuntimeWarning on the way to the ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                engine.process_record(broken)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ragged_sub_sample_fails_loudly(self, workload, bad):
+        """The ragged (per-event) summary path rejects it the same way."""
+        catalog, events, sampled = workload
+        engine = BayesPerfEngine(catalog, events)
+        record = sampled.records[0]
+        first, second = list(record.samples)[:2]
+        samples = np.append(np.array(record.samples[second], dtype=float), 1.0)
+        samples[0] = bad
+        broken = type(record)(
+            tick=record.tick,
+            configuration=record.configuration,
+            samples={**record.samples, second: samples},
+        )
+        assert len(broken.samples[first]) != len(samples)
+        match = f"tick {record.tick} has non-finite samples .*{second}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                engine.process_record(broken)
+
+    def test_group_summaries_match_per_record_summaries(self, workload):
+        """A batch's group summaries are bit-identical to batches of one.
+
+        Mixed sub-sample counts put the group on the per-event (ragged)
+        path while each record alone takes the stacked path.
+        """
+        catalog, events, sampled = workload
+        engine = BayesPerfEngine(catalog, events)
+        records = list(sampled.records)
+        short = records[0]
+        records.append(
+            type(short)(
+                tick=short.tick,
+                configuration=short.configuration,
+                samples={event: np.asarray(v)[:-1] for event, v in short.samples.items()},
+            )
+        )
+        for batch in (records, records[:-1]):
+            for rows, group in engine._observation_summaries(batch):
+                for g, row in enumerate(rows.tolist()):
+                    ((_, alone),) = engine._observation_summaries([batch[row]])
+                    assert alone.events == group.events
+                    for got, want in (
+                        (group.loc[g], alone.loc[0]),
+                        (group.scale[g], alone.scale[0]),
+                        (group.df[g], alone.df[0]),
+                    ):
+                        assert got.tobytes() == want.tobytes()
 
 
 class TestReferenceMCMCSeedHandling:

@@ -35,6 +35,7 @@ from repro.api import (
     RunSpec,
 )
 from repro.core import BayesPerfEngine
+from repro.core.engine import ObservationSummaries
 from repro.events import catalog_for
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.chaos import FaultInjector, InjectedCrash
@@ -741,17 +742,25 @@ class TestMuxFractionWidening:
             catalog_for("x86"), ("CPU_CLK_UNHALTED.THREAD", "INST_RETIRED.ANY")
         )
 
+    def summaries(self, record):
+        """The record's observation summaries, as a batch of one."""
+        ((rows, summaries),) = self.engine()._observation_summaries([record])
+        assert rows.tolist() == [0]
+        return ObservationSummaries(
+            summaries.events, summaries.loc[0], summaries.scale[0], summaries.df[0]
+        )
+
     def test_fraction_widens_the_observation_scale(self):
-        clean = self.engine()._observation_summaries(self.record({}))
-        muxed = self.engine()._observation_summaries(
+        clean = self.summaries(self.record({}))
+        muxed = self.summaries(
             self.record({"CPU_CLK_UNHALTED.THREAD": 0.25})
         )
         assert muxed.scale[0] == pytest.approx(clean.scale[0] / math.sqrt(0.25))
         assert muxed.scale[1] == clean.scale[1]  # untouched event unchanged
 
     def test_empty_fraction_dict_is_bit_identical(self):
-        base = self.engine()._observation_summaries(self.record({}))
-        default = self.engine()._observation_summaries(
+        base = self.summaries(self.record({}))
+        default = self.summaries(
             SamplingRecord(
                 tick=0,
                 configuration=self.record({}).configuration,
@@ -762,7 +771,7 @@ class TestMuxFractionWidening:
         assert np.array_equal(base.loc, default.loc)
 
     def test_degenerate_fractions_do_not_blow_up(self):
-        summaries = self.engine()._observation_summaries(
+        summaries = self.summaries(
             self.record({"CPU_CLK_UNHALTED.THREAD": 0.0, "INST_RETIRED.ANY": 1.0})
         )
         assert np.all(np.isfinite(summaries.scale))
