@@ -18,10 +18,18 @@ A second, micro bench times ``ConstraintSiteBinder.bind`` on the default
 x86 engine's 43-wide invariant group at B=16: the sparse product plan must
 run at >= 2x a dense twin that adds every relation's full ``(w, w)`` outer
 product (the pre-plan binder), with bit-identical output.
+
+A third times ``CompiledEPKernel.run_stacked`` on a warm 16-lane, 7-group
+x86 mega-batch against the pre-change sweep loop kept as a twin in
+``tests/test_differential_paths.py``: the closed-form first sweep, the
+skipped no-op second sweep and the one-call PD probe must run at >= 1.2x
+the twin, with bit-identical output.
 """
 
+import importlib.util
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +242,64 @@ def test_bench_constraint_bind_sparse_vs_dense():
         }
     )
     assert best_ratio() >= 2.0, f"sparse bind only {best_ratio():.2f}x dense (need >= 2x)"
+
+
+SWEEP_CALLS = 20  # kernel calls per timed round
+
+
+def _differential_paths():
+    """``tests/test_differential_paths.py``, home of the loop twin."""
+    path = Path(__file__).resolve().parent.parent / "tests" / "test_differential_paths.py"
+    spec = importlib.util.spec_from_file_location("differential_paths_twins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_run_stacked_vs_loop_twin():
+    paths = _differential_paths()
+    (kernel, args), _ = paths.dephased_kernel_calls()
+    lanes, groups = args[1].shape[0], len(args[5])
+    assert (lanes, groups) == (16, 7)
+    paths._assert_kernel_results_identical(
+        kernel.run_stacked(*args), paths._loop_run_stacked(kernel, *args)
+    )
+
+    runs = {
+        "one-sweep": lambda: kernel.run_stacked(*args),
+        "loop": lambda: paths._loop_run_stacked(kernel, *args),
+    }
+    timings = {mode: [] for mode in runs}
+
+    def best_ratio():
+        return min(timings["loop"]) / min(timings["one-sweep"])
+
+    # Interleaved best-of rounds, escalated while noise hides the margin.
+    while not timings["loop"] or (
+        best_ratio() < 1.2 and len(timings["loop"]) < MAX_ROUNDS
+    ):
+        for mode, run in runs.items():
+            start = time.perf_counter()
+            for _ in range(SWEEP_CALLS):
+                run()
+            timings[mode].append((time.perf_counter() - start) / SWEEP_CALLS)
+
+    us_per_slice = {
+        mode: round(min(times) / lanes * 1e6, 2) for mode, times in timings.items()
+    }
+    print(
+        f"\nrun_stacked — {lanes} lanes, {groups} repair groups: one-sweep "
+        f"{us_per_slice['one-sweep']} us/slice, loop twin {us_per_slice['loop']} us/slice "
+        f"({best_ratio():.2f}x)"
+    )
+    merge_bench_entries(
+        {
+            "ep-sweep": {
+                "workload": {"arch": "x86", "lanes": lanes, "repair_groups": groups},
+                "us_per_slice": us_per_slice,
+                "speedup_vs_loop": round(best_ratio(), 2),
+                "rounds": len(timings["loop"]),
+            }
+        }
+    )
+    assert best_ratio() >= 1.2, f"run_stacked only {best_ratio():.2f}x the loop twin (need >= 1.2x)"

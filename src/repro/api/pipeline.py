@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.spec import CheckpointSpec, HostSpec, RunSpec
+from repro.core.engine import BayesPerfEngine
 from repro.events.catalog import EventCatalog
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import canonical_arch, catalog_for
@@ -234,6 +235,9 @@ class Pipeline:
         #: The run-level event set, stamped into tracefile headers.
         self._events = _monitored_events(spec, catalog_for(self._arch), None)
         self._engine_kwargs = spec.engine_kwargs()
+        # Workers build their engines at the first solve: build one here so
+        # a bad engine setting fails before the run opens a sink or WAL file.
+        BayesPerfEngine(catalog_for(self._arch), self._events, **self._engine_kwargs)
         #: Tracefile path chain records stream to (``RecorderSpec.sink``).
         self._chain_sink = spec.recorder.sink if spec.recorder is not None else None
         if spec.recorder is not None:

@@ -52,6 +52,7 @@ from repro.fg.compiled import (
     CompiledEPKernel,
     ConstraintSiteBinder,
     ObservationSiteBinder,
+    check_ep_settings,
     compile_factor_graph,
 )
 from repro.fg.distributions import StudentT, student_t_moment_variance
@@ -294,6 +295,7 @@ class BayesPerfEngine:
             raise ValueError("min_relative_sigma must be positive")
         if relation_tolerance_scale <= 0:
             raise ValueError("relation_tolerance_scale must be positive")
+        check_ep_settings(ep_damping, ep_max_iterations)
 
         self.catalog = catalog
         monitored = list(dict.fromkeys(events))

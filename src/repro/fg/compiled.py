@@ -31,17 +31,28 @@ the EP iteration entirely on preallocated ``(B, ...)`` ndarray buffers:
   Compilation refuses (returns ``None``) any factor type outside this
   anchor-free set, which routes those graphs back to the reference
   implementation.
-* Positive-definiteness repair of site targets attempts a Cholesky
-  factorisation first and only falls back to the eigendecomposition repair
-  of the reference's ``_safe_divide`` when it fails, so the common PD case
-  costs one factorisation.
-* Damping, convergence deltas and global scatter-add updates run the exact
-  arithmetic of the reference loop, element-wise over the whole batch, with
-  per-record convergence masks so each record reports the same iteration
-  count the reference would.
-* Final posterior moments use one batched Cholesky solve
-  (:func:`~repro.fg.linalg.cholesky_mean_and_variance`) instead of a full
-  matrix inversion.
+* Positive-definiteness repair of site targets probes each site with one
+  batched Cholesky call that flags the records whose factorisation fails,
+  and runs the eigendecomposition repair of the reference's
+  ``_safe_divide`` only on the calls (or mega-batch repair groups) holding
+  a failing record.  The invariant blocks of the production graphs are
+  rank-deficient: the 43-wide and both 3-wide x86 blocks fail the probe on
+  every call, so each call pays one ``eigvalsh`` per such block.
+* The EP sweeps run the exact arithmetic of the reference loop, element-wise
+  over the whole batch, with per-record convergence masks so each record
+  reports the same iteration count the reference would.  Site state starts
+  at zero, so sweep 1 is evaluated in closed form: each site moves to
+  ``eta * target`` in one scatter-add.  With ``eta = 1`` (the engine
+  default) and finite targets, sweep 2 provably changes nothing: its
+  deltas are exactly 0, so every record still active after sweep 1 is
+  given the outcome of that sweep (and of any later ones) without running
+  it.  Any other damping, or a non-finite target, runs the loop from
+  iteration 2.
+* Final posterior moments come from one batched Cholesky factorisation
+  (:func:`~repro.fg.linalg.cholesky_mean_and_variance`): ``np.linalg.inv``
+  of the triangular factor gives the means and the marginal variances, and
+  the ``n x n`` covariance is never formed.  That inverse and the repair's
+  ``eigvalsh`` are most of what the kernel costs.
 
 Everything is expressed through numpy's batched linalg gufuncs, which apply
 the same per-slice LAPACK routine whatever the batch size — a record solved
@@ -56,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from repro.fg.ep import EPSite
 from repro.fg.factors import (
@@ -79,6 +91,7 @@ __all__ = [
     "ConstraintSiteBinder",
     "ObservationSiteBinder",
     "OuterProductPlan",
+    "check_ep_settings",
     "compile_factor_graph",
     "site_factor_lists",
 ]
@@ -450,6 +463,30 @@ def compile_factor_graph(
 # -- execution ----------------------------------------------------------------
 
 
+def check_ep_settings(damping: float, max_iterations: int) -> None:
+    """Raise ``ValueError`` unless ``0 < damping <= 1`` and ``max_iterations >= 1``."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+
+
+def _cholesky_fails(precision: np.ndarray) -> np.ndarray:
+    """Per record of a ``(B, w, w)`` stack: would ``np.linalg.cholesky`` raise?
+
+    Calls the LAPACK gufunc ``np.linalg.cholesky`` itself wraps, once for
+    the whole stack, without its raise-on-any-failure error handling.  A
+    record whose factorisation fails comes back all NaN; a successful one
+    has its strict upper triangle zeroed, so its top-right entry is
+    ``0.0`` even when its input holds a NaN.  (A ``1 x 1`` NaN input is
+    flagged too; the eigenvalue repair leaves it, and its neighbours, bit
+    for bit as they were.)
+    """
+    with np.errstate(all="ignore"):
+        factor = _cholesky_lo(precision, signature="d->d")
+    return np.isnan(factor[..., 0, -1])
+
+
 @dataclass
 class CompiledEPResult:
     """Batched outcome of a kernel run (leading axis = record)."""
@@ -501,10 +538,7 @@ class CompiledEPKernel:
         max_iterations: int = 25,
         tolerance: float = 1e-6,
     ) -> None:
-        if not 0.0 < damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        check_ep_settings(damping, max_iterations)
         self.structure = structure
         self.damping = damping
         self.max_iterations = max_iterations
@@ -521,13 +555,14 @@ class CompiledEPKernel:
         certified_sites: Sequence[int] = (),
         repair_groups: Optional[Sequence[np.ndarray]] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """PD-repair every site's factor-block precision (Cholesky first).
+        """PD-repair every site's factor-block precision (Cholesky probe first).
 
         Reproduces ``_safe_divide``: when the (symmetrised) precision has a
-        non-positive eigenvalue, add ``(|lambda_min| + 1e-9) I``.  A
-        successful Cholesky factorisation certifies PD without the
-        eigendecomposition; on failure the eigenvalue repair runs per
-        record, so mixed batches behave exactly like the reference.
+        non-positive eigenvalue, add ``(|lambda_min| + 1e-9) I``.  One
+        batched Cholesky call per site (:func:`_cholesky_fails`) flags the
+        records whose factorisation fails; the eigenvalue repair runs only
+        when some record fails, and then on every record of its call, so
+        mixed batches behave exactly like the reference.
 
         ``certified_sites`` names site indices whose blocks the caller has
         already certified PD-on-the-populated-lanes (the mega-batch path's
@@ -540,16 +575,13 @@ class CompiledEPKernel:
 
         ``repair_groups`` partitions the batch axis into the record-index
         groups that would each have been one ``run_stacked`` call on their
-        own (the mega-batch path's merged signature groups).  The probe is
+        own (the mega-batch path's merged signature groups).  The repair is
         all-or-nothing *per call*: one failing record sends every record in
         its call through the eigenvalue repair, and the repair can bump a
         Cholesky-healthy record whose smallest eigenvalue rounds to ``<= 0``.
         Repair outcomes therefore depend on how records are grouped into
-        calls — so a merged batch must re-run the probe at the original
-        group granularity to stay bit-identical to the per-signature calls
-        it replaces.  A full-batch Cholesky success short-circuits (every
-        subset of a PD stack is PD); only on failure does the per-group
-        probe run.
+        calls — so a merged batch decides each group from its own records'
+        probe flags, bit-identical to the per-signature calls it replaces.
         """
         certified = frozenset(certified_sites)
         repaired: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -557,39 +589,30 @@ class CompiledEPKernel:
             if k in certified:
                 repaired.append((precision, shift))
                 continue
-            try:
-                np.linalg.cholesky(precision)
+            failed = _cholesky_fails(precision)
+            if not failed.any():
                 repaired.append((precision, shift))
                 continue
-            except np.linalg.LinAlgError:
-                pass
             if repair_groups is None:
-                symmetric = 0.5 * (precision + np.swapaxes(precision, -1, -2))
-                smallest = np.linalg.eigvalsh(symmetric)[..., 0]
-                bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
-                repaired.append(
-                    (precision + bump[:, None, None] * self._site_eyes[k], shift)
-                )
+                repaired.append((self._eigenvalue_repair(precision, k), shift))
                 continue
             out = precision.copy()
-            failing: List[np.ndarray] = []
-            for rows in repair_groups:
-                try:
-                    np.linalg.cholesky(precision[rows])
-                except np.linalg.LinAlgError:
-                    failing.append(rows)
+            failing = [rows for rows in repair_groups if failed[rows].any()]
             if failing:
                 # One batched eigendecomposition over every failing group:
                 # the gufunc factorises each matrix independently, so this
                 # is bit-identical to repairing group by group.
                 rows = np.concatenate(failing)
-                block = precision[rows]
-                symmetric = 0.5 * (block + np.swapaxes(block, -1, -2))
-                smallest = np.linalg.eigvalsh(symmetric)[..., 0]
-                bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
-                out[rows] = block + bump[:, None, None] * self._site_eyes[k]
+                out[rows] = self._eigenvalue_repair(precision[rows], k)
             repaired.append((out, shift))
         return repaired
+
+    def _eigenvalue_repair(self, precision: np.ndarray, k: int) -> np.ndarray:
+        """``precision + (|lambda_min| + 1e-9) I`` where ``lambda_min <= 0``."""
+        symmetric = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+        smallest = np.linalg.eigvalsh(symmetric)[..., 0]
+        bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
+        return precision + bump[:, None, None] * self._site_eyes[k]
 
     # -- main entry points -------------------------------------------------
 
@@ -651,8 +674,8 @@ class CompiledEPKernel:
         must be distinct (the scatter uses buffered fancy indexing); the
         block width ``w`` may differ from the compiled site's width, since
         a certified overridden site touches no other per-site structure.
-        ``repair_groups`` makes the PD repair probe at the original
-        per-signature call granularity (see :meth:`_repaired_targets`).
+        ``repair_groups`` makes the PD repair decide per original
+        per-signature call (see :meth:`_repaired_targets`).
         """
         sites = self.structure.sites
         if len(stacked) != len(sites):
@@ -666,22 +689,13 @@ class CompiledEPKernel:
         # PD-repair the site targets once: anchor-free factors make the site
         # target iteration-invariant (see module docstring).
         targets = self._repaired_targets(stacked, certified_sites, repair_groups)
-
-        # Preallocated state buffers.
         global_precision = prior_precision.copy()
         global_shift = prior_shift.copy()
-        site_precision = [np.zeros_like(t[0]) for t in targets]
-        site_shift = [np.zeros_like(t[1]) for t in targets]
-
         eta = self.damping
-        active = np.ones(batch, dtype=bool)
-        converged = np.zeros(batch, dtype=bool)
-        iterations = np.zeros(batch, dtype=np.intp)
-        max_delta = np.full(batch, np.inf)
 
         # Hoist the per-record scatter indices for overridden sites: they
         # are iteration-invariant, and broadcasting them once keeps the
-        # inner loop allocation-free on the index side.
+        # sweeps allocation-free on the index side.
         override_index = {
             k: (
                 np.arange(batch)[:, None, None],
@@ -691,9 +705,63 @@ class CompiledEPKernel:
             for k, table in overrides.items()
         }
 
-        for iteration in range(1, self.max_iterations + 1):
+        def scatter(k: int, diff_precision: np.ndarray, diff_shift: np.ndarray) -> None:
+            override = overrides.get(k)
+            if override is None:
+                index = sites[k].index
+                global_precision[:, index[:, None], index[None, :]] += diff_precision
+                global_shift[:, index] += diff_shift
+            else:
+                # Per-record slot tables: each record's block scatters onto
+                # its own global entries.  Slots are distinct within every
+                # record, so the buffered ``+=`` loses no contribution.
+                records, table_rows, table_cols = override_index[k]
+                global_precision[records, table_rows, table_cols] += diff_precision
+                global_shift[records[:, :, 0], override] += diff_shift
+
+        # Sweep 1 in closed form.  The sites start at +0.0, so the damped
+        # block is (1 - eta) * 0.0 + eta * target = eta * target + 0.0 (the
+        # +0.0 turns -0.0 into +0.0, as the sum does), its delta against
+        # zero is |d|max / max(|d|max, 1), and it is the update to scatter.
+        site_precision: List[np.ndarray] = []
+        site_shift: List[np.ndarray] = []
+        iteration_delta = np.zeros(batch)
+        for k, (target_precision, target_shift) in enumerate(targets):
+            damped_precision = eta * target_precision
+            damped_precision += 0.0
+            damped_shift = eta * target_shift
+            damped_shift += 0.0
+            pmax = np.abs(damped_precision).max(axis=(-2, -1))
+            smax = np.abs(damped_shift).max(axis=-1)
+            delta_p = pmax / np.maximum(pmax, 1.0)
+            delta_s = smax / np.maximum(smax, 1.0)
+            iteration_delta = np.maximum(iteration_delta, np.maximum(delta_p, delta_s))
+            site_precision.append(damped_precision)
+            site_shift.append(damped_shift)
+            scatter(k, damped_precision, damped_shift)
+        iterations = np.ones(batch, dtype=np.intp)
+        max_delta = iteration_delta
+        converged = iteration_delta < self.tolerance
+        active = ~converged
+
+        if eta == 1.0 and self.max_iterations > 1 and np.isfinite(iteration_delta).all():
+            # Sweep 2 is a proven no-op: for finite d, 0.0 * d + target == d
+            # bit for bit, so every delta is exactly 0 and every update
+            # +0.0, which changes no entry (a scattered entry never holds
+            # -0.0 after sweep 1).  Any later sweep repeats it.
+            max_delta[active] = 0.0
+            if 0.0 < self.tolerance:
+                iterations[active] = 2
+                converged[active] = True
+            else:
+                iterations[active] = self.max_iterations
+            active[:] = False
+
+        for iteration in range(2, self.max_iterations + 1):
+            if not active.any():
+                break
             iteration_delta = np.zeros(batch)
-            for k, site in enumerate(sites):
+            for k in range(len(sites)):
                 old_precision, old_shift = site_precision[k], site_shift[k]
                 target_precision, target_shift = targets[k]
                 damped_precision = (1 - eta) * old_precision + eta * target_precision
@@ -719,28 +787,13 @@ class CompiledEPKernel:
                 diff_shift = np.where(active[:, None], damped_shift - old_shift, 0.0)
                 site_precision[k] = old_precision + diff_precision
                 site_shift[k] = old_shift + diff_shift
-                override = overrides.get(k)
-                if override is None:
-                    rows = site.index[:, None]
-                    cols = site.index[None, :]
-                    global_precision[:, rows, cols] += diff_precision
-                    global_shift[:, site.index] += diff_shift
-                else:
-                    # Per-record slot tables: each record's block scatters
-                    # onto its own global entries.  Slots are distinct
-                    # within every record, so the buffered ``+=`` loses no
-                    # contribution.
-                    records, table_rows, table_cols = override_index[k]
-                    global_precision[records, table_rows, table_cols] += diff_precision
-                    global_shift[records[:, :, 0], override] += diff_shift
+                scatter(k, diff_precision, diff_shift)
 
             iterations = np.where(active, iteration, iterations)
             max_delta = np.where(active, iteration_delta, max_delta)
             newly_converged = active & (iteration_delta < self.tolerance)
             converged |= newly_converged
             active &= ~newly_converged
-            if not active.any():
-                break
 
         means, variances = self.read_out(global_precision, global_shift)
         return CompiledEPResult(

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import EstimatorSpec, HostSpec, Pipeline, RecorderSpec, RunSpec
+from repro.api import (
+    CheckpointSpec,
+    EstimatorSpec,
+    HostSpec,
+    Pipeline,
+    RecorderSpec,
+    RunSpec,
+)
 from repro.core.engine import BayesPerfEngine
 from repro.core.session import PerfSession
 from repro.events.registry import catalog_for
@@ -130,6 +137,24 @@ class TestSessionSpecPrecedence:
 
 
 class TestPipelineRun:
+    @pytest.mark.parametrize(
+        "override",
+        [("ep_damping", 0.0), ("ep_damping", 1.5), ("ep_max_iterations", 0)],
+    )
+    def test_bad_ep_setting_fails_before_any_file_opens(self, tmp_path, override):
+        """``from_spec`` rejects it, not the first kernel compile mid-run."""
+        sink, wal = tmp_path / "sink.jsonl", tmp_path / "wal.jsonl"
+        spec = _small_spec(
+            engine_overrides=(override,),
+            recorder=RecorderSpec(sink=str(sink)),
+            checkpoint=CheckpointSpec(path=str(wal)),
+        )
+        with pytest.raises(ValueError, match="must"):
+            Pipeline.from_spec(spec).run()
+        assert not sink.exists() and not wal.exists()
+        with pytest.raises(ValueError, match="must"):
+            Pipeline.from_spec(spec)
+
     def test_run_matches_hand_assembled_pool_exactly(self):
         """``from_spec`` assembles exactly the ingest and worker pool a
         caller would wire by hand from the same sources."""

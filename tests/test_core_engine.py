@@ -65,6 +65,21 @@ class TestBayesPerfEngine:
         with pytest.raises(ValueError):
             BayesPerfEngine(catalog, events, drift=0.0)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"ep_damping": 0.0}, r"damping must lie in \(0, 1\]"),
+            ({"ep_damping": 1.5}, r"damping must lie in \(0, 1\]"),
+            ({"ep_damping": float("nan")}, r"damping must lie in \(0, 1\]"),
+            ({"ep_max_iterations": 0}, "max_iterations must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_ep_settings_up_front(self, setting, message):
+        catalog = catalog_for("x86")
+        events = standard_profiling_events(catalog, n_events=8)
+        with pytest.raises(ValueError, match=message):
+            BayesPerfEngine(catalog, events, **setting)
+
     def test_reports_monitored_events_only(self, small_pipeline):
         catalog, events, _, sampled, _ = small_pipeline
         engine = BayesPerfEngine(catalog, events)

@@ -16,6 +16,7 @@ code paths must be bit-identical between B=1 and B=N.
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -406,6 +407,267 @@ def _x86_records(engine, workload, *, seed, ticks):
     schedule = cached_schedule(catalog, standard_profiling_events(catalog), kind="overlap")
     trace = Machine(MachineConfig(), get_workload(workload), seed=seed).run(ticks)
     return MultiplexedSampler(catalog, schedule, seed=seed + 9).sample(trace).records
+
+
+def _loop_repaired_targets(kernel, stacked, certified_sites=(), repair_groups=None):
+    """Pre-change PD repair: a full-batch Cholesky probe, then one per group."""
+    certified = frozenset(certified_sites)
+    repaired = []
+    for k, (precision, shift) in enumerate(stacked):
+        if k in certified:
+            repaired.append((precision, shift))
+            continue
+        try:
+            np.linalg.cholesky(precision)
+            repaired.append((precision, shift))
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        eye = np.eye(precision.shape[-1])
+        if repair_groups is None:
+            symmetric = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+            smallest = np.linalg.eigvalsh(symmetric)[..., 0]
+            bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
+            repaired.append((precision + bump[:, None, None] * eye, shift))
+            continue
+        out = precision.copy()
+        failing = []
+        for rows in repair_groups:
+            try:
+                np.linalg.cholesky(precision[rows])
+            except np.linalg.LinAlgError:
+                failing.append(rows)
+        if failing:
+            rows = np.concatenate(failing)
+            block = precision[rows]
+            symmetric = 0.5 * (block + np.swapaxes(block, -1, -2))
+            smallest = np.linalg.eigvalsh(symmetric)[..., 0]
+            bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
+            out[rows] = block + bump[:, None, None] * eye
+        repaired.append((out, shift))
+    return repaired
+
+
+def _loop_run_stacked(
+    kernel,
+    stacked,
+    prior_precision,
+    prior_shift,
+    certified_sites=(),
+    site_index_overrides=None,
+    repair_groups=None,
+):
+    """Pre-change :meth:`CompiledEPKernel.run_stacked`: every sweep, sweep 1
+    and the no-op sweep 2 included, damps, diffs and scatters in full."""
+    sites = kernel.structure.sites
+    batch = prior_shift.shape[0]
+    overrides = site_index_overrides or {}
+    targets = _loop_repaired_targets(kernel, stacked, certified_sites, repair_groups)
+    global_precision = prior_precision.copy()
+    global_shift = prior_shift.copy()
+    site_precision = [np.zeros_like(t[0]) for t in targets]
+    site_shift = [np.zeros_like(t[1]) for t in targets]
+    eta = kernel.damping
+    active = np.ones(batch, dtype=bool)
+    converged = np.zeros(batch, dtype=bool)
+    iterations = np.zeros(batch, dtype=np.intp)
+    max_delta = np.full(batch, np.inf)
+    records = np.arange(batch)[:, None, None]
+    for iteration in range(1, kernel.max_iterations + 1):
+        iteration_delta = np.zeros(batch)
+        for k, site in enumerate(sites):
+            old_precision, old_shift = site_precision[k], site_shift[k]
+            target_precision, target_shift = targets[k]
+            damped_precision = (1 - eta) * old_precision + eta * target_precision
+            damped_shift = (1 - eta) * old_shift + eta * target_shift
+            old_pmax = np.abs(old_precision).max(axis=(-2, -1))
+            new_pmax = np.abs(damped_precision).max(axis=(-2, -1))
+            scale_p = np.maximum(np.maximum(old_pmax, new_pmax), 1.0)
+            delta_p = np.abs(old_precision - damped_precision).max(axis=(-2, -1)) / scale_p
+            old_smax = np.abs(old_shift).max(axis=-1)
+            new_smax = np.abs(damped_shift).max(axis=-1)
+            scale_s = np.maximum(np.maximum(old_smax, new_smax), 1.0)
+            delta_s = np.abs(old_shift - damped_shift).max(axis=-1) / scale_s
+            iteration_delta = np.maximum(iteration_delta, np.maximum(delta_p, delta_s))
+            diff_precision = np.where(
+                active[:, None, None], damped_precision - old_precision, 0.0
+            )
+            diff_shift = np.where(active[:, None], damped_shift - old_shift, 0.0)
+            site_precision[k] = old_precision + diff_precision
+            site_shift[k] = old_shift + diff_shift
+            table = overrides.get(k)
+            if table is None:
+                global_precision[:, site.index[:, None], site.index[None, :]] += diff_precision
+                global_shift[:, site.index] += diff_shift
+            else:
+                global_precision[records, table[:, :, None], table[:, None, :]] += diff_precision
+                global_shift[records[:, :, 0], table] += diff_shift
+        iterations = np.where(active, iteration, iterations)
+        max_delta = np.where(active, iteration_delta, max_delta)
+        newly_converged = active & (iteration_delta < kernel.tolerance)
+        converged |= newly_converged
+        active &= ~newly_converged
+        if not active.any():
+            break
+    means, variances = kernel.read_out(global_precision, global_shift)
+    return SimpleNamespace(
+        posterior_precision=global_precision,
+        posterior_shift=global_shift,
+        means=means,
+        variances=variances,
+        iterations=iterations,
+        converged=converged,
+        max_delta=max_delta,
+    )
+
+
+def _assert_kernel_results_identical(got, want):
+    for name in ("means", "variances", "posterior_precision", "posterior_shift", "max_delta"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.iterations.dtype == want.iterations.dtype
+    assert np.array_equal(got.iterations, want.iterations)
+    assert np.array_equal(got.converged, want.converged)
+
+
+def _run_stacked_calls(engine, items):
+    """The ``(kernel, args)`` of every ``run_stacked`` call ``process_batch`` makes."""
+    calls = []
+    original = CompiledEPKernel.run_stacked
+
+    def spy(kernel, *args):
+        calls.append((kernel, args))
+        return original(kernel, *args)
+
+    CompiledEPKernel.run_stacked = spy
+    try:
+        engine.process_batch(items)
+    finally:
+        CompiledEPKernel.run_stacked = original
+    return calls
+
+
+def dephased_kernel_calls(hosts=16, rotations=7, rounds=2):
+    """A warm dephased x86 round's kernel calls.
+
+    Host ``h`` starts at rotation offset ``h % rotations``, so one round
+    holds ``rotations`` measured-event signatures.  Returns the round's
+    one mega-batch call (certified observation site, per-record slot table
+    and one repair group per signature) and a per-signature call for the
+    hosts at offset 0, each as ``(kernel, run_stacked args)``.
+    """
+    catalog = catalog_for("x86")
+    engine = BayesPerfEngine(
+        catalog, standard_profiling_events(catalog), kernel_exec=KernelExecSpec(threads=1)
+    )
+    records = [
+        _x86_records(engine, "WordCount", seed=h, ticks=h % rotations + rounds)
+        for h in range(hosts)
+    ]
+    states = [None] * hosts
+    for step in range(rounds - 1):
+        items = [(states[h], records[h][h % rotations + step]) for h in range(hosts)]
+        states = [state for _, state in engine.process_batch(items)]
+    last = [(states[h], records[h][h % rotations + rounds - 1]) for h in range(hosts)]
+    (megabatch,) = _run_stacked_calls(engine, last)
+    (signature,) = _run_stacked_calls(engine, last[::rotations])
+    return megabatch, signature
+
+
+@pytest.fixture(scope="module")
+def kernel_calls():
+    return dict(zip(("megabatch", "signature"), dephased_kernel_calls()))
+
+
+class TestOneSweepKernel:
+    """``run_stacked`` (closed-form sweep 1, proven no-op sweep 2, one-call
+    PD probe) against the pre-change loop, bit for bit."""
+
+    def test_calls_have_the_production_shapes(self, kernel_calls):
+        _, (stacked, prior_precision, _, certified, overrides, groups) = kernel_calls[
+            "megabatch"
+        ]
+        assert prior_precision.shape[0] == 16 and len(groups) == 7
+        assert certified and set(overrides) == set(certified)
+        _, args = kernel_calls["signature"]
+        assert args[3:] == ((), None, None)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        call=st.sampled_from(["megabatch", "signature"]),
+        eta=st.sampled_from([1.0, 0.7, 0.3]),
+        max_iterations=st.sampled_from([1, 2, 8]),
+        tolerance=st.sampled_from([1e-6, 0.0]),
+        lane=st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
+        small=st.booleans(),
+        poison=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+        poison_at=st.tuples(st.integers(0, 3), st.integers(0, 15), st.booleans()),
+        negative_zero=st.booleans(),
+    )
+    def test_run_stacked_matches_loop_twin(
+        self, kernel_calls, call, eta, max_iterations, tolerance, lane, small, poison,
+        poison_at, negative_zero,
+    ):
+        compiled, args = kernel_calls[call]
+        stacked, prior_precision, prior_shift, certified, overrides, groups = args
+        stacked = [(p.copy(), s.copy()) for p, s in stacked]
+        prior_precision, prior_shift = prior_precision.copy(), prior_shift.copy()
+        if lane is not None:  # B=1
+            pick = slice(lane % prior_shift.shape[0], lane % prior_shift.shape[0] + 1)
+            stacked = [(p[pick], s[pick]) for p, s in stacked]
+            prior_precision, prior_shift = prior_precision[pick], prior_shift[pick]
+            if overrides is not None:
+                overrides = {k: table[pick] for k, table in overrides.items()}
+            if groups is not None:
+                groups = [np.array([0])]
+        if small:  # every lane converges in sweep 1
+            stacked = [(p * 2.0**-60, s * 2.0**-60) for p, s in stacked]
+        if poison is not None:
+            site, record, in_shift = poison_at
+            precision, shift = stacked[site % len(stacked)]
+            record %= prior_shift.shape[0]
+            if in_shift:
+                shift[record, 0] = poison
+            else:
+                precision[record, 0, 0] = poison
+        if negative_zero:  # in the priors and the targets
+            for array in (prior_precision, prior_shift, *(a for block in stacked for a in block)):
+                array[array == 0.0] = -0.0
+        kernel = CompiledEPKernel(
+            compiled.structure, damping=eta, max_iterations=max_iterations, tolerance=tolerance
+        )
+        args = (stacked, prior_precision, prior_shift, certified, overrides, groups)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                want = _loop_run_stacked(kernel, *args)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    kernel.run_stacked(*args)
+                return
+            got = kernel.run_stacked(*args)
+        _assert_kernel_results_identical(got, want)
+        if small and poison is None and tolerance > 0:
+            assert (got.iterations == 1).all() and got.converged.all()
+
+    def test_default_engine_settings_stop_after_the_no_op_sweep(self, kernel_calls):
+        """Damping 1 at the engine defaults: two sweeps, converged, delta 0."""
+        kernel, args = kernel_calls["megabatch"]
+        got = kernel.run_stacked(*args)
+        _assert_kernel_results_identical(got, _loop_run_stacked(kernel, *args))
+        assert (got.iterations == 2).all() and got.converged.all()
+        assert (got.max_delta == 0.0).all()
+
+    def test_uncovered_negative_zero_survives(self, kernel_calls):
+        """The no-op sweep must not normalise prior -0.0 entries no site touches."""
+        kernel, (stacked, prior_precision, prior_shift, *rest) = kernel_calls["signature"]
+        zero = prior_precision == 0.0
+        prior_precision = np.where(zero, -0.0, prior_precision)
+        untouched = zero.copy()
+        for site in kernel.structure.sites:
+            untouched[:, site.index[:, None], site.index[None, :]] = False
+        assert untouched.any()
+        got = kernel.run_stacked(stacked, prior_precision, prior_shift, *rest)
+        assert np.signbit(got.posterior_precision[untouched]).all()
 
 
 class TestRowBackedReports:

@@ -47,6 +47,7 @@ from repro.api import (
     RecorderSpec,
     RunSpec,
 )
+from repro.fg.compiled import _cholesky_fails
 from repro.fg.ep import EPSite
 from repro.fg.megabatch import THREADS_ENV_VAR
 from repro.pmu.sampling import MultiplexedSampler
@@ -280,6 +281,86 @@ class TestRepairGroupComposition:
             )
             assert np.array_equal(merged.means[row], solo.means[0])
             assert np.array_equal(merged.variances[row], solo.variances[0])
+
+
+def _probe_matrix(kind, width, rng):
+    """One ``(width, width)`` site block of the given PD kind."""
+    basis = rng.normal(size=(width, width))
+    if kind == "pd":
+        return basis @ basis.T + width * np.eye(width)
+    if kind == "indefinite":
+        matrix = basis @ basis.T + width * np.eye(width)
+        matrix[width - 1, width - 1] = -1.0
+        return matrix
+    if kind == "rank-deficient":  # passes or fails by rounding
+        return basis[:, 1:] @ basis[:, 1:].T
+    matrix = basis @ basis.T + width * np.eye(width)  # "nan": Cholesky succeeds
+    matrix[width - 1, 0] = matrix[0, width - 1] = np.nan
+    return matrix
+
+
+def _cholesky_raises(stack):
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestPerLaneProbe:
+    """The one-call PD probe decides every record, and so every repair
+    group, exactly as a ``np.linalg.cholesky`` call on it would."""
+
+    def test_numpy_still_ships_the_cholesky_gufunc(self):
+        from numpy.linalg import _umath_linalg
+
+        assert isinstance(_umath_linalg.cholesky_lo, np.ufunc)
+        assert "d->d" in _umath_linalg.cholesky_lo.types
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(min_value=2, max_value=8),
+        lanes=st.lists(
+            st.tuples(
+                st.sampled_from(["pd", "indefinite", "rank-deficient", "nan"]),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_decisions_match_per_group_cholesky(self, width, lanes, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_probe_matrix(kind, width, rng) for kind, _ in lanes])
+        labels = np.array([group for _, group in lanes])
+        failed = _cholesky_fails(stack)
+        for lane in range(len(lanes)):
+            assert failed[lane] == _cholesky_raises(stack[lane : lane + 1])
+        for group in np.unique(labels):
+            rows = np.flatnonzero(labels == group)
+            assert failed[rows].any() == _cholesky_raises(stack[rows])
+        assert failed.any() == _cholesky_raises(stack)
+
+    def test_mixed_groups_repair_exactly_the_failing_ones(self):
+        rng = np.random.default_rng(3)
+        kinds = ["pd", "pd", "pd", "indefinite", "pd", "indefinite", "indefinite", "nan"]
+        stack = np.stack([_probe_matrix(kind, 4, rng) for kind in kinds])
+        groups = [np.array([0, 1]), np.array([2, 3, 4]), np.array([5, 6]), np.array([7])]
+        assert [_cholesky_raises(stack[rows]) for rows in groups] == [
+            False, True, True, False,
+        ]
+        variables = [f"v{i}" for i in range(4)]
+        graph = FactorGraph(variables=variables)
+        graph.add_factor(LinearConstraintFactor("rel", {v: 1.0 for v in variables}, sigma=1.0))
+        kernel = CompiledEPKernel(
+            compile_factor_graph(graph, [EPSite("rel", ("rel",))], variables)
+        )
+        ((repaired, _),) = kernel._repaired_targets([(stack, np.zeros((8, 4)))], (), groups)
+        for rows, repairs in zip(groups, (False, True, True, False)):
+            alone = kernel._repaired_targets([(stack[rows], np.zeros((len(rows), 4)))])
+            assert repaired[rows].tobytes() == alone[0][0].tobytes()
+            assert (repaired[rows].tobytes() != stack[rows].tobytes()) == repairs
 
 
 class TestLanePartition:

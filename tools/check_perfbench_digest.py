@@ -10,6 +10,11 @@ digest from the ``# digest`` line, then compares the digest with
 ``tests/fixtures/perfbench_digests.json``.  Exits non-zero when a line is
 missing, no digest is pinned for that workload and seed, or the digests
 differ: a refactor must keep every posterior estimate bit-identical.
+
+On a mismatch it also prints the run's ``# fingerprint`` next to the one
+the pins were taken under, and names every pinned field (numpy, BLAS,
+Python) the run differs in.  No differing field points at the code; a
+differing one means the digest may have moved with the library's rounding.
 """
 
 from __future__ import annotations
@@ -18,12 +23,45 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 PINNED = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "perfbench_digests.json"
 
 _WORKLOAD = re.compile(r"^# workload (\S+) seed (\d+):", re.MULTILINE)
 _DIGEST = re.compile(r"^# digest ([0-9a-f]+)$", re.MULTILINE)
+_FINGERPRINT = re.compile(r"^# fingerprint (\{.*\})$", re.MULTILINE)
+
+
+def fingerprint_differences(run: dict, pinned: dict) -> List[str]:
+    """The pinned fingerprint fields *run* differs in.
+
+    A pinned value matches the run's value or a dotted extension of it
+    (``3.11`` matches ``3.11.7``).
+    """
+    differing = []
+    for name, want in pinned.items():
+        got = str(run.get(name, ""))
+        if got != want and not got.startswith(f"{want}."):
+            differing.append(f"{name} ({got or 'missing'} vs pinned {want})")
+    return differing
+
+
+def _mismatch_report(output: str, pinned: dict) -> str:
+    """The run's and the pins' fingerprints, and the fields that differ."""
+    match = _FINGERPRINT.search(output)
+    run = json.loads(match.group(1)) if match is not None else {}
+    expected = pinned.get("_fingerprint", {})
+    differing = fingerprint_differences(run, expected)
+    verdict = (
+        f"differs in: {', '.join(differing)}"
+        if differing
+        else "no pinned field differs: a code change moved the digest"
+    )
+    return (
+        f"\n  run fingerprint:    {json.dumps(run, sort_keys=True) if run else 'missing'}"
+        f"\n  pinned fingerprint: {json.dumps(expected, sort_keys=True)}"
+        f"\n  {verdict}"
+    )
 
 
 def check(output: str, pinned: dict) -> Optional[str]:
@@ -37,7 +75,10 @@ def check(output: str, pinned: dict) -> Optional[str]:
     if expected is None:
         return f"no digest pinned for {name} seed {seed}"
     if digest.group(1) != expected:
-        return f"{name} seed {seed}: digest {digest.group(1)} != pinned {expected}"
+        return (
+            f"{name} seed {seed}: digest {digest.group(1)} != pinned {expected}"
+            + _mismatch_report(output, pinned)
+        )
     return None
 
 
