@@ -1,9 +1,9 @@
 """Shared I/O for the benchmark suite's perf-trajectory file.
 
 ``BENCH_ep.json`` is co-owned by several benchmarks (the EP-kernel bench
-writes the top-level trajectory, the MCMC bench its ``mcmc`` entry); every
-writer must merge its own keys into the existing payload rather than
-overwrite the file, so the single merge protocol lives here.
+writes the top-level trajectory, the tilted-MCMC bench its ``tilted-mcmc``
+entry); every writer must merge its own keys into the existing payload
+rather than overwrite the file, so the single merge protocol lives here.
 
 Benchmarks never write the committed ``BENCH_ep.json`` in the repo root:
 running them (tier-1 included) leaves the tree clean.  Fresh measurements

@@ -145,8 +145,8 @@ def test_bench_ep_kernel_vs_reference(benchmark):
     print(f"  max relative posterior-mean gap vs reference: {max_gap:.3e}")
 
     # Merge into the existing trajectory file rather than overwrite it, so
-    # entries owned by other benchmarks (e.g. the batched-MCMC bench's
-    # ``mcmc`` section) survive a re-run of this one.
+    # entries owned by other benchmarks (e.g. the tilted-MCMC bench's
+    # ``tilted-mcmc`` section) survive a re-run of this one.
     merge_bench_entries(
         {
             "benchmark": "ep-kernel",

@@ -330,8 +330,10 @@ class Pipeline:
         checkpoint = spec.checkpoint or CheckpointSpec(path=str(trace_path))
         # Resume against the file actually given (it may have been moved).
         spec = replace(spec, checkpoint=replace(checkpoint, path=str(trace_path)))
-        truncate_to_commit(state)
+        # Validate before touching the log: a spec the registry rejects
+        # must leave the crashed file exactly as it was.
         pipeline = cls.from_spec(spec, chaos=chaos)
+        truncate_to_commit(state)
         pipeline._resume_state = state
         return pipeline
 

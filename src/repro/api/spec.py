@@ -74,7 +74,7 @@ class EstimatorSpec:
     """One registered moment estimator plus its sampling effort.
 
     ``name`` must be registered in :mod:`repro.fg.registry` ("analytic",
-    "mcmc", "batched-mcmc", plus anything downstream code registers); the
+    "mcmc", plus anything downstream code registers); the
     remaining fields default to ``None`` meaning "the engine's default".
     ``use_compiled_kernel=False`` selects the estimator's object-walking
     reference twin — the differential-testing A/B switch.

@@ -21,7 +21,6 @@ from repro.pmu.traces import EstimateTrace
 
 @register_estimator(
     "counterminer",
-    compiled_path=False,
     baseline=True,
     description="CounterMiner MAD outlier dropping (baseline correction)",
 )

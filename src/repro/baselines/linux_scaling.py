@@ -25,7 +25,6 @@ MODES = ("scaling", "hold", "cumulative")
 
 @register_estimator(
     "linux",
-    compiled_path=False,
     baseline=True,
     description="Linux t_enabled/t_running scaling (baseline correction)",
 )

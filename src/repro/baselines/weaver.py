@@ -27,7 +27,6 @@ from repro.pmu.traces import EstimateTrace
 
 @register_estimator(
     "wm+pin",
-    compiled_path=False,
     baseline=True,
     description="Weaver&McKee+Pin instruction-count correction (baseline)",
 )

@@ -12,7 +12,8 @@ monitored events:
 
 Inference runs Expectation Propagation (Alg. 1) with the slice's observation
 factors and each connected group of constraints as EP sites; tilted moments
-are computed analytically by default or by MCMC (the accelerator's workload).
+are computed analytically by default or by per-site MCMC (the accelerator's
+workload).
 All inference happens in a per-event normalised space so that counts spanning
 many orders of magnitude stay well conditioned.
 
@@ -20,8 +21,8 @@ The hot path is **array-native end to end**: per-slice observation summaries
 are plain ndarrays (no Student-t objects), site blocks come out of the
 signature-cached :class:`~repro.fg.compiled.CompiledBinder` (no factor
 objects), and batches solve through
-:meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the batched MCMC
-estimator.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
+:meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the per-site
+MCMC sampler.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
 a single slice is a batch of one, and a batch spanning several
 measured-event signatures is mega-batched into one analytic kernel call
 automatically (:mod:`repro.fg.megabatch`).
@@ -32,7 +33,7 @@ prepares and finalizes a whole batch as ``(B, n)`` array expressions.
 
 Every fast path keeps a reference twin — the object-walking
 :class:`~repro.fg.ep.ExpectationPropagation` loop for the analytic kernel,
-:class:`~repro.fg.mcmc.ReferenceMCMC` for the batched sampler — selectable
+:class:`~repro.fg.ep.ReferenceSiteMCMC` for the per-site sampler — selectable
 with ``use_compiled_kernel=False`` so differential tests can pin the pairs
 together.
 """
@@ -202,21 +203,16 @@ class BayesPerfEngine:
     observation_model:
         ``"student_t"`` (paper, §4.2) or ``"gaussian"`` (ablation).
     moment_estimator:
-        Any name registered in :mod:`repro.fg.registry`: ``"analytic"``
-        (exact Gaussian projections), ``"mcmc"`` (per-site tilted-moment
-        sampling inside the EP loop — the accelerator's workload, batched
-        over records on the compiled kernel's buffers) or
-        ``"batched-mcmc"`` (full-posterior coupled-chain sampling through
-        the compiled kernel's buffers, vectorized across a batch).  Names
-        are validated against the registry (unknown names raise, listing
-        the registered estimators) and each entry supplies the engine's
-        implementation classes and adaptation default; the engine's solve
-        wiring currently drives these three built-in estimator shapes.
+        A non-baseline name registered in :mod:`repro.fg.registry`:
+        ``"analytic"`` (exact Gaussian projections) or ``"mcmc"`` (per-site
+        tilted-moment sampling inside the EP loop — the accelerator's
+        workload, batched over records on the compiled kernel's buffers).
+        Names are validated against the registry (unknown names raise,
+        listing the registered estimators) and each entry supplies the
+        engine's implementation classes.
     mcmc_adapt:
-        Per-record proposal-scale adaptation during burn-in for the sampled
-        estimators.  ``None`` keeps each estimator's default: *on* for the
-        per-site ``"mcmc"`` sampler, *off* for ``"batched-mcmc"`` (whose
-        golden-trace numerics predate adaptation).
+        Per-record proposal-scale adaptation during burn-in for the
+        ``"mcmc"`` estimator.
     chain_recorder:
         Optional :class:`~repro.fg.mcmc.ChainTrace` capturing one record
         per (slice, EP iteration, site) chain the ``"mcmc"`` estimator
@@ -244,14 +240,13 @@ class BayesPerfEngine:
         the ``REPRO_KERNEL_THREADS`` environment variable supplies a
         default.
     use_compiled_kernel:
-        Route compiled-estimator slices through the vectorized array path
+        Route slices through the vectorized array path
         (:class:`~repro.fg.compiled.CompiledEPKernel` /
-        :class:`~repro.fg.mcmc.BatchedMCMC`; compiled structures and
+        :class:`~repro.fg.mcmc.BatchedSiteMCMC`; compiled structures and
         binders are cached per measured-event signature).  Disable to run
         each estimator's reference twin instead — the object-walking
         :class:`~repro.fg.ep.ExpectationPropagation` loop for
-        ``"analytic"``, :class:`~repro.fg.mcmc.ReferenceMCMC` for
-        ``"batched-mcmc"``, :class:`~repro.fg.ep.ReferenceSiteMCMC` for
+        ``"analytic"``, :class:`~repro.fg.ep.ReferenceSiteMCMC` for
         ``"mcmc"`` — for differential A/B comparison.
     """
 
@@ -270,7 +265,7 @@ class BayesPerfEngine:
         ep_damping: float = 1.0,
         mcmc_samples: int = 300,
         mcmc_burn_in: int = 200,
-        mcmc_adapt: Optional[bool] = None,
+        mcmc_adapt: bool = True,
         chain_recorder: Optional[ChainTrace] = None,
         observer=None,
         use_intensity_chain: bool = True,
@@ -324,15 +319,14 @@ class BayesPerfEngine:
         self.ep_damping = ep_damping
         self.mcmc_samples = mcmc_samples
         self.mcmc_burn_in = mcmc_burn_in
-        # Estimator-specific adaptation default (from the registry entry).
-        self.mcmc_adapt = mcmc_adapt if mcmc_adapt is not None else self._estimator.default_adapt
+        self.mcmc_adapt = mcmc_adapt
         self.chain_recorder = chain_recorder
         self._observer = observer
         self.use_intensity_chain = use_intensity_chain
         self.use_compiled_kernel = use_compiled_kernel
         self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
         self._kernel_pool = None
-        #: Scratch generator of the sampled estimators' per-record seed
+        #: Scratch generator of the sampled estimator's per-record seed
         #: draws; a run's RNG position lives in its state's ``rng_state``.
         self._rng = np.random.default_rng(seed)
         self._seed_rng_state = self._rng.bit_generator.state
@@ -632,9 +626,6 @@ class BayesPerfEngine:
         """Whether the engine's graphs ever contain constraint sites."""
         return bool(self._relation_groups)
 
-    def _compiled_path(self) -> bool:
-        return self.use_compiled_kernel and self._estimator.compiled_path
-
     def _site_factor_lists(
         self,
         observation_factors: List[Factor],
@@ -721,7 +712,7 @@ class BayesPerfEngine:
         measured-event signature — one compilation per schedule rotation
         position.
         """
-        if not self._compiled_path():
+        if not self.use_compiled_kernel:
             return None
         signature = group.signature
         observer = self._observer
@@ -865,7 +856,7 @@ class BayesPerfEngine:
         """
         if (
             self.moment_estimator != "analytic"
-            or not self._compiled_path()
+            or not self.use_compiled_kernel
             or len(batch.groups) < 2
             or self._megabatch_structure() is None
         ):
@@ -964,10 +955,10 @@ class BayesPerfEngine:
 
         The per-slice solve behind ``use_compiled_kernel=False`` and behind
         any signature whose structure does not compile: the object-walking
-        EP loop for ``"analytic"``, the registered twins for the sampled
-        estimators (walking Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins each pair within floating-point noise).  It reads only
+        EP loop for ``"analytic"``, the registered twin for ``"mcmc"``
+        (walking Python factor objects per step, seeded with the same
+        per-record seed the batched path would use — the differential
+        harness pins the pair within floating-point noise).  It reads only
         *batch*, never the engine's temporal state, so it composes with
         batch preparation like every other solve.
         """
@@ -975,24 +966,11 @@ class BayesPerfEngine:
             batch.summaries[row], self._scale_view(batch, row)
         )
         prior = self._prior_density(batch, row)
-        if self.moment_estimator == "batched-mcmc":
-            factors: List[Factor] = list(observation_factors)
-            for group in constraint_groups:
-                factors.extend(group)
-            # The registry names the twin class, so swapping a registered
-            # implementation swaps every entry point at once.
-            twin = self._estimator.reference(
-                factors,
-                prior,
-                n_samples=self.mcmc_samples,
-                burn_in=self.mcmc_burn_in,
-                adapt=self.mcmc_adapt,
-            )
-            moments = twin.run(rng=np.random.default_rng(batch.mcmc_seeds[row]))
-            return moments.mean(), moments.variance(), 0, True
         site_lists = self._site_factor_lists(observation_factors, constraint_groups)
         if self.moment_estimator == "mcmc":
             # Per-site coupled-chain moment estimation inside the same EP loop.
+            # The registry names the twin class, so swapping a registered
+            # implementation swaps every entry point at once.
             twin = self._estimator.reference(
                 site_lists,
                 prior,
@@ -1125,7 +1103,7 @@ class BayesPerfEngine:
 
         rng_states = [row[3] for row in rows]
         mcmc_seeds = [0] * len(records)
-        if self.moment_estimator in ("batched-mcmc", "mcmc"):
+        if self.moment_estimator == "mcmc":
             # Drawn per record under that record's RNG state, so a batch
             # member samples the same chain its looped twin would.
             rng = self._rng
@@ -1154,8 +1132,8 @@ class BayesPerfEngine:
     ) -> _Solved:
         """Solve one same-signature group through the array-native path.
 
-        Every step — binding, priors, the EP kernel or the batched MCMC
-        estimator — is element-wise or gufunc-batched, so a group of one is
+        Every step — binding, priors, the EP kernel or the per-site MCMC
+        sampler — is element-wise or gufunc-batched, so a group of one is
         bit-identical to the same slice inside a larger group.
         """
         observer = self._observer
@@ -1178,63 +1156,35 @@ class BayesPerfEngine:
             if self.moment_estimator == "analytic":
                 result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
                 return result.means, result.variances, result.iterations, result.converged
-            seeds = [batch.mcmc_seeds[row] for row in group.rows]
-            student_t = self.observation_model == "student_t" and bool(group.signature)
-            if self.moment_estimator == "mcmc":
-                # Per-site tilted MCMC inside the EP loop: the accelerator's
-                # inner loop, batched over the group.  The observation site's
-                # non-Gaussian correction lives in *site-local* coordinates
-                # (the binder's slot table).
-                site_tails = {}
-                if student_t:
-                    site_tails[binder.observation.site] = self._student_t_tail(
-                        group, binder.observation.slots
-                    )
-                sampler = self._estimator.batched(
-                    kernel,
-                    n_samples=self.mcmc_samples,
-                    burn_in=self.mcmc_burn_in,
-                    adapt=self.mcmc_adapt,
-                    recorder=self.chain_recorder,
+            # Per-site tilted MCMC inside the EP loop: the accelerator's
+            # inner loop, batched over the group.  The observation site's
+            # non-Gaussian correction lives in *site-local* coordinates (the
+            # binder's slot table).
+            site_tails = {}
+            if self.observation_model == "student_t" and group.signature:
+                site_tails[binder.observation.site] = StudentTTail(
+                    slots=binder.observation.slots,
+                    loc=group.obs_mean,
+                    scale=group.obs_scale,
+                    df=group.df,
+                    variance=group.obs_variance,
                 )
-                solved = sampler.run(
-                    stacked,
-                    prior_precision,
-                    prior_shift,
-                    seeds=seeds,
-                    site_tails=site_tails,
-                    ticks=[batch.records[row].tick for row in group.rows],
-                )
-                return solved.means, solved.variances, solved.iterations, solved.converged
-
-            # Batched MCMC: the coupled-chain estimator over the same buffers.
             sampler = self._estimator.batched(
                 kernel,
                 n_samples=self.mcmc_samples,
                 burn_in=self.mcmc_burn_in,
                 adapt=self.mcmc_adapt,
+                recorder=self.chain_recorder,
             )
-            sampled = sampler.run(
+            solved = sampler.run(
                 stacked,
                 prior_precision,
                 prior_shift,
-                seeds=seeds,
-                extra_log_density=(
-                    self._student_t_tail(group, group.slots) if student_t else None
-                ),
+                seeds=[batch.mcmc_seeds[row] for row in group.rows],
+                site_tails=site_tails,
+                ticks=[batch.records[row].tick for row in group.rows],
             )
-            return sampled.means, sampled.variances, np.zeros(size, int), np.ones(size, bool)
-
-    @staticmethod
-    def _student_t_tail(group: _SliceGroup, slots: np.ndarray) -> StudentTTail:
-        """The group's Student-t observation correction on *slots*."""
-        return StudentTTail(
-            slots=slots,
-            loc=group.obs_mean,
-            scale=group.obs_scale,
-            df=group.df,
-            variance=group.obs_variance,
-        )
+            return solved.means, solved.variances, solved.iterations, solved.converged
 
     def _finalize(
         self, batch: _PreparedBatch, solved: _Solved

@@ -94,7 +94,6 @@ class PerfSession:
         Route the BayesPerf engine's solves through the vectorized array
         path (default).  Set to ``False`` to run each estimator's reference
         twin instead — the object-walking EP loop for ``"analytic"``,
-        :class:`~repro.fg.mcmc.ReferenceMCMC` for ``"batched-mcmc"``,
         :class:`~repro.fg.ep.ReferenceSiteMCMC` for ``"mcmc"`` — the
         A/B ablation the differential tests and benchmarks use.  An
         explicit value here overrides the ``estimator`` spec's flag (and an

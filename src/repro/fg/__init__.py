@@ -5,9 +5,8 @@ This package implements the machinery behind the BayesPerf ML model (§4):
 * scalar and multivariate Gaussian densities in information form,
 * a Student-t observation model for noisy counter samples (§4.2),
 * a bipartite factor graph over event variables with Markov-blanket queries,
-* random-walk Metropolis MCMC for sampling factor subsets,
-* Expectation Propagation (Alg. 1) with either analytic or MCMC moment
-  estimation per site,
+* Expectation Propagation (Alg. 1) with either analytic or per-site tilted
+  MCMC moment estimation,
 * a compiled, vectorized EP kernel (index-compiled graph structures,
   Cholesky-based updates, batched multi-record solves),
 * cross-signature mega-batching and multicore kernel execution
@@ -37,16 +36,10 @@ from repro.fg.factors import (
 from repro.fg.graph import FactorGraph
 from repro.fg.markov import markov_blanket, markov_blanket_of_set
 from repro.fg.mcmc import (
-    BatchedMCMC,
-    BatchedMCMCResult,
     BatchedSiteMCMC,
     BatchedSiteMCMCResult,
     ChainSiteVisit,
     ChainTrace,
-    MCMCMoments,
-    MCMCResult,
-    RandomWalkMetropolis,
-    ReferenceMCMC,
     SiteMCMCMoments,
     StudentTTail,
 )
@@ -81,8 +74,6 @@ from repro.fg.megabatch import (
 from repro.fg.mle import credible_interval, map_estimate
 
 __all__ = [
-    "BatchedMCMC",
-    "BatchedMCMCResult",
     "BatchedSiteMCMC",
     "BatchedSiteMCMCResult",
     "ChainSiteVisit",
@@ -102,9 +93,7 @@ __all__ = [
     "observation_certified",
     "padding_slots",
     "run_lane_partitioned",
-    "MCMCMoments",
     "ObservationSiteBinder",
-    "ReferenceMCMC",
     "StudentTTail",
     "compile_factor_graph",
     "site_factor_lists",
@@ -121,8 +110,6 @@ __all__ = [
     "FactorGraph",
     "markov_blanket",
     "markov_blanket_of_set",
-    "RandomWalkMetropolis",
-    "MCMCResult",
     "ExpectationPropagation",
     "EPResult",
     "EstimatorEntry",

@@ -519,8 +519,6 @@ class CompiledEPResult:
 
 @register_estimator(
     "analytic",
-    compiled_path=True,
-    default_adapt=False,
     description="exact Gaussian tilted-moment projections on the compiled kernel",
 )
 class CompiledEPKernel:
@@ -806,29 +804,6 @@ class CompiledEPKernel:
             converged=converged,
             max_delta=max_delta,
         )
-
-    def assemble_global(
-        self,
-        stacked: Sequence[Tuple[np.ndarray, np.ndarray]],
-        prior_precision: np.ndarray,
-        prior_shift: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scatter-add raw site blocks into global natural parameters.
-
-        Returns the information form of ``prior x product(site factors)``
-        for the whole batch — the *exact* Gaussian part of each record's
-        density (no PD repair, no damping).  The batched MCMC estimator
-        targets this density and uses :meth:`read_out` of the same buffers
-        as its control-variate baseline.
-        """
-        precision = prior_precision.copy()
-        shift = prior_shift.copy()
-        for site, (block_precision, block_shift) in zip(self.structure.sites, stacked):
-            rows = site.index[:, None]
-            cols = site.index[None, :]
-            precision[:, rows, cols] += block_precision
-            shift[:, site.index] += block_shift
-        return precision, shift
 
     def read_out(
         self, precision: np.ndarray, shift: np.ndarray

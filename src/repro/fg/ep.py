@@ -4,8 +4,12 @@ EP approximates the target density ``f(θ) = Π f_k(θ)`` — the factor graph
 with its observation and constraint factors partitioned into *sites* — by a
 product of Gaussian site approximations ``g(θ) = Π g_k(θ)``.  Each iteration
 forms the cavity ``g_-k = g / g_k``, estimates the moments of the tilted
-distribution ``f_k · g_-k`` (analytically for Gaussian sites, or by MCMC),
-and updates the site approximation and the global approximation.
+distribution ``f_k · g_-k`` and updates the site approximation and the
+global approximation.  :class:`ExpectationPropagation` is the analytic
+estimator's object-walking twin: every tilted moment is the Gaussian
+projection of the site's factors.  :class:`ReferenceSiteMCMC` is the twin of
+:class:`~repro.fg.mcmc.BatchedSiteMCMC`, estimating each site's tilted
+moments by MCMC (line 4 of Alg. 1, the accelerator workload).
 
 Sites correspond to scheduler time slices in the BayesPerf system: EP's
 partition-friendliness is precisely why the paper chose it (§4.3).
@@ -14,7 +18,7 @@ partition-friendliness is precisely why the paper chose it (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,12 +26,7 @@ from repro.fg.factors import Factor
 from repro.fg.gaussian import GaussianDensity
 from repro.fg.graph import FactorGraph
 from repro.fg.linalg import cholesky_inverse
-from repro.fg.mcmc import (
-    _adapted_scales,
-    ChainTrace,
-    RandomWalkMetropolis,
-    SiteMCMCMoments,
-)
+from repro.fg.mcmc import _adapted_scales, ChainTrace, SiteMCMCMoments
 from repro.fg.registry import register_reference
 
 
@@ -75,18 +74,10 @@ class ExpectationPropagation:
     prior:
         Proper Gaussian base density over every graph variable.  In the
         BayesPerf engine this carries the previous time slice's posterior.
-    moment_estimator:
-        ``"analytic"`` (Gaussian projection of the site factors — exact for
-        linear-Gaussian sites) or ``"mcmc"`` (random-walk Metropolis moment
-        estimation, the paper's accelerator workload).
     damping:
         Damping coefficient applied to site updates (1.0 = undamped).
     max_iterations, tolerance:
         Convergence controls on the change in site natural parameters.
-    mcmc_samples, mcmc_burn_in:
-        Sampling effort per site when using the MCMC estimator.
-    rng:
-        Random generator used by the MCMC estimator.
     """
 
     def __init__(
@@ -95,16 +86,10 @@ class ExpectationPropagation:
         sites: Sequence[EPSite],
         prior: GaussianDensity,
         *,
-        moment_estimator: str = "analytic",
         damping: float = 0.5,
         max_iterations: int = 25,
         tolerance: float = 1e-6,
-        mcmc_samples: int = 400,
-        mcmc_burn_in: int = 200,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if moment_estimator not in ("analytic", "mcmc"):
-            raise ValueError(f"unknown moment estimator {moment_estimator!r}")
         if not sites:
             raise ValueError("EP requires at least one site")
         if not 0.0 < damping <= 1.0:
@@ -112,13 +97,9 @@ class ExpectationPropagation:
         self.graph = graph
         self.sites = list(sites)
         self.prior = prior
-        self.moment_estimator = moment_estimator
         self.damping = damping
         self.max_iterations = max_iterations
         self.tolerance = tolerance
-        self.mcmc_samples = mcmc_samples
-        self.mcmc_burn_in = mcmc_burn_in
-        self._rng = rng if rng is not None else np.random.default_rng(0)
 
         covered = set()
         for site in self.sites:
@@ -163,51 +144,12 @@ class ExpectationPropagation:
         which matters numerically, not just for speed: with tight
         constraint factors the cavity precision dwarfs the site block, and
         ``(cavity + site) - cavity`` in floating point would smear
-        ``eps * |cavity|``-sized noise over the update.  (The MCMC
-        estimator keeps the explicit division: its tilted moments really do
-        depend on the cavity.)
+        ``eps * |cavity|``-sized noise over the update.
         """
         product = GaussianDensity.uninformative(self._site_variables[site.name])
         for factor_name in site.factor_names:
             product = product.multiply(self.graph.factor(factor_name).to_gaussian(None))
         return product
-
-    def _mcmc_tilted(self, site: EPSite, cavity_marginal: GaussianDensity) -> GaussianDensity:
-        """MCMC moment estimate of the tilted distribution.
-
-        The chain is seeded from the Gaussian projection of the tilted
-        distribution (the accelerator similarly reuses previous samples as
-        Markov-chain starting points, §5) and its proposal scales follow the
-        projected marginal standard deviations, which keeps mixing healthy
-        even when a site contains very tight observation factors.
-        """
-        variables = cavity_marginal.variables
-        factor_names = site.factor_names
-
-        def log_density(values: Mapping[str, float]) -> float:
-            return cavity_marginal.log_density(values) + self.graph.log_density_of(
-                factor_names, values
-            )
-
-        seed_density = self._analytic_tilted(site, cavity_marginal)
-        seed_mean_map = seed_density.mean()
-        seed_variance = seed_density.variance()
-        steps = {name: max(np.sqrt(seed_variance[name]) * 0.7, 1e-9) for name in variables}
-        sampler = RandomWalkMetropolis(
-            log_density,
-            variables,
-            initial=seed_mean_map,
-            step_scales=steps,
-            rng=self._rng,
-        )
-        result = sampler.run(self.mcmc_samples, burn_in=self.mcmc_burn_in)
-        sample_mean = np.array([result.mean()[name] for name in variables])
-        cov = result.covariance()
-        # Blend in a fraction of the projected covariance so the Gaussian
-        # projection stays proper even with short chains.
-        _, seed_cov = seed_density.moments()
-        cov = cov + 0.05 * seed_cov + np.eye(len(variables)) * 1e-9
-        return GaussianDensity.from_moments(variables, sample_mean, cov)
 
     # -- main loop -----------------------------------------------------------
 
@@ -230,7 +172,7 @@ class ExpectationPropagation:
                 current_site = site_approx[site.name]
                 site_vars = self._site_variables[site.name]
 
-                if self.moment_estimator == "analytic" and self._site_anchor_free[site.name]:
+                if self._site_anchor_free[site.name]:
                     # Anchor-free analytic site: the tilted/cavity division
                     # cancels exactly (see _analytic_site_update); only PD
                     # repair remains of lines 3-6.
@@ -243,13 +185,10 @@ class ExpectationPropagation:
                     except (ValueError, np.linalg.LinAlgError):
                         # Improper cavity: fall back to the prior's marginal.
                         cavity_marginal = self.prior.marginal(site_vars)
-                    # Tilted moments (line 4: MCMC sampling, or the Gaussian
-                    # projection anchored at the cavity mean), then the local
-                    # update (lines 5-6): new site approx = tilted / cavity.
-                    if self.moment_estimator == "mcmc":
-                        tilted = self._mcmc_tilted(site, cavity_marginal)
-                    else:
-                        tilted = self._analytic_tilted(site, cavity_marginal)
+                    # Tilted moments (line 4: the Gaussian projection anchored
+                    # at the cavity mean), then the local update (lines 5-6):
+                    # new site approx = tilted / cavity.
+                    tilted = self._analytic_tilted(site, cavity_marginal)
                     new_site_marginal = _safe_divide(tilted, cavity_marginal)
 
                 # Embed the site marginal back into the full variable space.

@@ -1,25 +1,17 @@
-"""Random-walk Metropolis MCMC over factor-graph densities.
+"""Per-site tilted MCMC: the accelerator's inner loop (lines 3-6 of Alg. 1).
 
 Inside each EP site, the paper estimates the tilted distribution's moments by
 Markov chain Monte Carlo (line 4 of Alg. 1); the accelerator implements many
 such samplers in hardware.  This module provides the software equivalents:
 
-* :class:`RandomWalkMetropolis` — the adaptive sampler the historical
-  :class:`~repro.fg.ep.ExpectationPropagation` ``moment_estimator="mcmc"``
-  path drives over a callable log density.
-* :class:`BatchedMCMC` — an array-native posterior-moment estimator that
-  drives the compiled EP kernel's site/global buffers: vectorized proposals
-  and log-density evaluation over ``B`` records sharing one graph structure.
-* :class:`BatchedSiteMCMC` — the per-site tilted-moment EP loop (the
-  accelerator's actual inner loop, lines 3-6 of Alg. 1) batched over ``B``
-  records on the compiled kernel's buffers: every site update estimates its
-  tilted moments with a coupled pair of chains, with per-record
-  proposal-scale adaptation during burn-in.
-* :class:`ReferenceMCMC` — the object-based reference twin of
-  :class:`BatchedMCMC`, walking Python factor objects per step.  Slow by
-  design; the differential test harness pins the two together.
-  (:class:`~repro.fg.ep.ReferenceSiteMCMC` is the corresponding twin of
-  :class:`BatchedSiteMCMC`.)
+* :class:`BatchedSiteMCMC` — the per-site tilted-moment EP loop batched over
+  ``B`` records on the compiled kernel's buffers: every site update
+  estimates its tilted moments with a coupled pair of chains, with
+  per-record proposal-scale adaptation during burn-in.
+  :class:`~repro.fg.ep.ReferenceSiteMCMC` is its object-walking twin; the
+  differential test harness pins the two together.
+* :class:`StudentTTail` — the non-Gaussian log-density correction the true
+  chain adds for Student-t observations.
 * :class:`ChainTrace` — the chain-trace capture layer: both site samplers
   append one :class:`ChainSiteVisit` per (record, EP iteration, site) chain
   they run.  Serialised through :mod:`repro.fleet.tracefile`, these traces
@@ -27,15 +19,15 @@ such samplers in hardware.  This module provides the software equivalents:
   cycle/energy estimates in measured site-visit schedules and acceptance
   rates instead of analytical assumptions.
 
-The batched/reference pair shares one estimator: a random-walk chain on the
-record's *true* density coupled (common random numbers) to a shadow chain on
-its Gaussian projection, whose exactly-known moments act as a control
-variate.  When the record's density *is* Gaussian — every factor's
-projection exact — the two chains coincide step for step, the sampled
-correction is identically zero, and the estimator returns the analytic
-moments exactly; the sampling machinery still runs, it just cannot drift.
-With Student-t observations the coupled correction captures the heavy-tail
-deviation from the projection at a fraction of naive-MCMC variance.
+Each site chain is a random-walk chain on the site's *true* tilted density
+coupled (common random numbers) to a shadow chain on its Gaussian
+projection, whose exactly-known moments act as a control variate.  When the
+site is Gaussian — every factor's projection exact — the two chains coincide
+step for step, the sampled correction is identically zero, and the update
+returns the analytic target exactly; the sampling machinery still runs, it
+just cannot drift.  With Student-t observations the coupled correction
+captures the heavy-tail deviation from the projection at a fraction of
+naive-MCMC variance.
 """
 
 from __future__ import annotations
@@ -47,16 +39,15 @@ import numpy as np
 
 from repro.fg.distributions import student_t_log_pdf
 from repro.fg.linalg import cholesky_inverse, cholesky_moments
-from repro.fg.registry import register_estimator, register_reference
+from repro.fg.registry import register_estimator
 
-# Shared burn-in proposal-scale adaptation constants.  The batched samplers
-# and their object-based reference twins must apply the *identical* rule, so
+# Shared burn-in proposal-scale adaptation constants.  The batched sampler
+# and its object-based reference twin must apply the *identical* rule, so
 # the constants live here rather than in each implementation: every
 # ``adapt_window`` burn-in steps, a record whose windowed acceptance rate
 # falls below ``_ADAPT_LOW x target`` shrinks its proposal scales by
 # ``_ADAPT_SHRINK``; above ``_ADAPT_HIGH x target`` they grow by
-# ``_ADAPT_GROW`` (the asymmetric pair RandomWalkMetropolis historically
-# used); scales never drop below ``_SCALE_FLOOR``.
+# ``_ADAPT_GROW``; scales never drop below ``_SCALE_FLOOR``.
 _ADAPT_SHRINK = 0.6
 _ADAPT_GROW = 1.7
 _ADAPT_LOW = 0.8
@@ -67,9 +58,9 @@ _SCALE_FLOOR = 1e-12
 def _adapted_scales(scales: np.ndarray, rate, target: float) -> np.ndarray:
     """Apply one window's adaptation to the proposal scales.
 
-    The single implementation every sampler and twin calls: ``rate`` is a
-    scalar for the object-walking twins or a ``(B,)`` per-record array for
-    the batched samplers (broadcast over the trailing state axis).  The
+    The single implementation the sampler and its twin call: ``rate`` is a
+    scalar for the object-walking twin or a ``(B,)`` per-record array for
+    the batched sampler (broadcast over the trailing state axis).  The
     selected branch computes the identical product either way, keeping the
     twins step-for-step coupled.
     """
@@ -218,185 +209,6 @@ class ChainTrace:
         return tuple(ordered)
 
 
-@dataclass
-class MCMCResult:
-    """Samples and summary statistics from one MCMC run."""
-
-    variables: Tuple[str, ...]
-    samples: np.ndarray
-    acceptance_rate: float
-    n_steps: int
-
-    def mean(self) -> Dict[str, float]:
-        means = self.samples.mean(axis=0)
-        return {name: float(means[i]) for i, name in enumerate(self.variables)}
-
-    def covariance(self) -> np.ndarray:
-        if self.samples.shape[0] < 2:
-            return np.zeros((len(self.variables), len(self.variables)))
-        return np.cov(self.samples, rowvar=False).reshape(len(self.variables), len(self.variables))
-
-    def variance(self) -> Dict[str, float]:
-        cov = self.covariance()
-        return {name: float(cov[i, i]) for i, name in enumerate(self.variables)}
-
-    def quantile(self, q: float) -> Dict[str, float]:
-        values = np.quantile(self.samples, q, axis=0)
-        return {name: float(values[i]) for i, name in enumerate(self.variables)}
-
-
-class RandomWalkMetropolis:
-    """Adaptive random-walk Metropolis sampler over named scalar variables.
-
-    Parameters
-    ----------
-    log_density:
-        Callable mapping ``{variable: value}`` to an unnormalised log density.
-    variables:
-        Ordered variable names defining the state vector.
-    initial:
-        Starting state.  Variables missing from the mapping start at zero.
-    step_scales:
-        Per-variable proposal standard deviations.  Defaults to 5% of the
-        starting magnitude (floored at ``min_step``).
-    rng:
-        NumPy random generator (seeded by the caller for determinism).
-    target_acceptance:
-        Desired acceptance rate for the adaptive step-size tuning.
-    """
-
-    def __init__(
-        self,
-        log_density: Callable[[Mapping[str, float]], float],
-        variables: Sequence[str],
-        initial: Mapping[str, float],
-        *,
-        step_scales: Optional[Mapping[str, float]] = None,
-        rng: Optional[np.random.Generator] = None,
-        target_acceptance: float = 0.35,
-        min_step: float = 1e-6,
-    ) -> None:
-        self._log_density = log_density
-        self.variables: Tuple[str, ...] = tuple(variables)
-        if not self.variables:
-            raise ValueError("MCMC needs at least one variable")
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._state = np.array([float(initial.get(name, 0.0)) for name in self.variables])
-        if step_scales is None:
-            # 5% of the starting magnitude, falling back to unit steps for
-            # variables starting at zero (adaptation refines this further).
-            magnitudes = np.where(np.abs(self._state) > 0, np.abs(self._state) * 0.05, 1.0)
-            self._steps = np.maximum(magnitudes, min_step)
-        else:
-            self._steps = np.array(
-                [max(float(step_scales.get(name, min_step)), min_step) for name in self.variables]
-            )
-        self._target_acceptance = target_acceptance
-        self._min_step = min_step
-
-    def _as_dict(self, state: np.ndarray) -> Dict[str, float]:
-        return {name: float(state[i]) for i, name in enumerate(self.variables)}
-
-    def run(
-        self,
-        n_samples: int,
-        *,
-        burn_in: int = 200,
-        thin: int = 1,
-        adapt: bool = True,
-    ) -> MCMCResult:
-        """Run the chain and return post-burn-in, thinned samples."""
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if thin <= 0:
-            raise ValueError("thin must be positive")
-        total_steps = burn_in + n_samples * thin
-        dim = len(self.variables)
-        samples = np.empty((n_samples, dim))
-        current = self._state.copy()
-        current_logp = self._log_density(self._as_dict(current))
-        accepted = 0
-        collected = 0
-        adapt_window = max(50, dim * 10)
-        window_accepts = 0
-
-        for step in range(total_steps):
-            proposal = current + self._rng.normal(0.0, self._steps, size=dim)
-            proposal_logp = self._log_density(self._as_dict(proposal))
-            log_ratio = proposal_logp - current_logp
-            if log_ratio >= 0 or np.log(self._rng.random()) < log_ratio:
-                current = proposal
-                current_logp = proposal_logp
-                accepted += 1
-                window_accepts += 1
-
-            if adapt and step < burn_in and (step + 1) % adapt_window == 0:
-                rate = window_accepts / adapt_window
-                if rate < self._target_acceptance * 0.8:
-                    self._steps *= 0.6
-                elif rate > self._target_acceptance * 1.2:
-                    self._steps *= 1.7
-                self._steps = np.maximum(self._steps, self._min_step)
-                window_accepts = 0
-
-            if step >= burn_in and (step - burn_in) % thin == 0 and collected < n_samples:
-                samples[collected] = current
-                collected += 1
-
-        self._state = current
-        return MCMCResult(
-            variables=self.variables,
-            samples=samples[:collected],
-            acceptance_rate=accepted / total_steps,
-            n_steps=total_steps,
-        )
-
-
-# -- posterior-moment estimation (batched kernel + reference twin) ------------
-
-
-@dataclass
-class MCMCMoments:
-    """Posterior moments estimated by one coupled-chain MCMC run."""
-
-    variables: Tuple[str, ...]
-    means: np.ndarray  # (n,)
-    variances: np.ndarray  # (n,)
-    #: Analytic moments of the Gaussian projection (the control variate).
-    baseline_means: np.ndarray
-    baseline_variances: np.ndarray
-    acceptance_rate: float
-    n_samples: int
-
-    def mean(self) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.variables, self.means)}
-
-    def variance(self) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.variables, self.variances)}
-
-
-@dataclass
-class BatchedMCMCResult:
-    """Batched outcome of a :class:`BatchedMCMC` run (leading axis = record)."""
-
-    variables: Tuple[str, ...]
-    means: np.ndarray  # (B, n)
-    variances: np.ndarray  # (B, n)
-    baseline_means: np.ndarray  # (B, n)
-    baseline_variances: np.ndarray  # (B, n)
-    acceptance_rates: np.ndarray  # (B,)
-    n_samples: int
-
-    def __len__(self) -> int:
-        return self.means.shape[0]
-
-    def mean_dict(self, record: int = 0) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.variables, self.means[record])}
-
-    def variance_dict(self, record: int = 0) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.variables, self.variances[record])}
-
-
 @dataclass(frozen=True)
 class StudentTTail:
     """Non-Gaussian log-density correction for Student-t observations.
@@ -404,11 +216,11 @@ class StudentTTail:
     Evaluates ``sum_e [t_logpdf(x_e) - gaussian_projection_logpdf(x_e)]``
     over a batch of states — the exact difference between each record's true
     observation terms and the moment-matched Gaussian blocks already inside
-    the kernel's buffers (up to per-record constants, which cancel in every
+    the site's buffers (up to per-record constants, which cancel in every
     Metropolis ratio).
     """
 
-    #: Global variable slot of each Student-t-observed event.
+    #: Site-local variable slot of each Student-t-observed event.
     slots: np.ndarray
     loc: np.ndarray  # (B, E)
     scale: np.ndarray  # (B, E)
@@ -421,182 +233,6 @@ class StudentTTail:
         tail = student_t_log_pdf(values, self.loc, self.scale, self.df)
         gaussian = -0.5 * (values - self.loc) ** 2 / self.variance
         return (tail - gaussian).sum(axis=-1)
-
-
-@register_estimator(
-    "batched-mcmc",
-    compiled_path=True,
-    default_adapt=False,
-    description="full-posterior coupled-chain sampling over the kernel's buffers",
-)
-class BatchedMCMC:
-    """Coupled-chain MCMC moment estimator over a compiled graph structure.
-
-    Drives the compiled kernel's buffers: site blocks from the array-native
-    binder are scattered into per-record global natural parameters
-    (:meth:`~repro.fg.compiled.CompiledEPKernel.assemble_global`), whose
-    Cholesky read-out seeds the chains, scales the proposals and serves as
-    the control-variate baseline.  One ``run`` advances ``B`` chains (plus
-    their ``B`` Gaussian shadow chains) in lock-step with vectorized
-    log-density evaluation; randomness is drawn per record from that
-    record's own seed, so a record solved alone is bit-identical to the
-    same record inside a batch.
-
-    Parameters
-    ----------
-    kernel:
-        A :class:`~repro.fg.compiled.CompiledEPKernel` (only its structure
-        and read-out are used).
-    n_samples, burn_in:
-        Post-burn-in sample count and burn-in steps per chain.
-    step_scale:
-        Proposal standard deviations are
-        ``step_scale / sqrt(n) * posterior_std`` — the classic random-walk
-        scaling with ``step_scale = 2.38``.
-    adapt:
-        Adapt each record's proposal scales to its own acceptance rate
-        during burn-in (windowed, per record — see the module constants).
-        Defaults to *off* so existing golden-trace numerics are unchanged
-        unless callers opt in; :class:`ReferenceMCMC` mirrors the flag.
-    target_acceptance, adapt_window:
-        Adaptation target rate and window length (ignored unless ``adapt``).
-    """
-
-    def __init__(
-        self,
-        kernel,
-        *,
-        n_samples: int = 300,
-        burn_in: int = 200,
-        step_scale: float = 2.38,
-        adapt: bool = False,
-        target_acceptance: float = 0.35,
-        adapt_window: int = 50,
-    ) -> None:
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if step_scale <= 0:
-            raise ValueError("step_scale must be positive")
-        if not 0.0 < target_acceptance < 1.0:
-            raise ValueError("target_acceptance must lie in (0, 1)")
-        if adapt_window <= 0:
-            raise ValueError("adapt_window must be positive")
-        self.kernel = kernel
-        self.n_samples = n_samples
-        self.burn_in = burn_in
-        self.step_scale = step_scale
-        self.adapt = adapt
-        self.target_acceptance = target_acceptance
-        self.adapt_window = adapt_window
-
-    def run(
-        self,
-        stacked: Sequence[Tuple[np.ndarray, np.ndarray]],
-        prior_precision: np.ndarray,
-        prior_shift: np.ndarray,
-        *,
-        seeds: Sequence[int],
-        extra_log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ) -> BatchedMCMCResult:
-        """Estimate posterior moments for a batch of records.
-
-        ``stacked`` / ``prior_precision`` / ``prior_shift`` take the exact
-        shapes of :meth:`CompiledEPKernel.run_stacked`; ``seeds`` gives one
-        RNG seed per record; ``extra_log_density`` adds each record's
-        non-Gaussian correction (e.g. :class:`StudentTTail`) to the true
-        chain's target.
-        """
-        precision, shift = self.kernel.assemble_global(
-            stacked, prior_precision, prior_shift
-        )
-        batch, dim = shift.shape
-        if len(seeds) != batch:
-            raise ValueError("run() needs one seed per record")
-        baseline_mean, baseline_var = self.kernel.read_out(precision, shift)
-        scales = (self.step_scale / np.sqrt(dim)) * np.sqrt(
-            np.maximum(baseline_var, 1e-30)
-        )
-        rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-
-        def gaussian_part(state: np.ndarray) -> np.ndarray:
-            product = (precision @ state[..., None])[..., 0]
-            return -0.5 * np.sum(state * product, axis=-1) + np.sum(shift * state, axis=-1)
-
-        def true_log_density(state: np.ndarray) -> np.ndarray:
-            value = gaussian_part(state)
-            if extra_log_density is not None:
-                value = value + extra_log_density(state)
-            return value
-
-        chain = baseline_mean.copy()
-        shadow = baseline_mean.copy()
-        chain_logp = true_log_density(chain)
-        shadow_logp = gaussian_part(shadow)
-
-        sum_chain = np.zeros((batch, dim))
-        sum_chain_sq = np.zeros((batch, dim))
-        sum_shadow = np.zeros((batch, dim))
-        sum_shadow_sq = np.zeros((batch, dim))
-        accepted = np.zeros(batch)
-        window_accepts = np.zeros(batch)
-
-        total_steps = self.burn_in + self.n_samples
-        for step in range(total_steps):
-            # Per-record draws keep each record's stream independent of the
-            # batch composition (and aligned with the reference twin's).
-            noise = np.stack([rng.standard_normal(dim) for rng in rngs])
-            log_uniform = np.log(np.array([rng.random() for rng in rngs]))
-            offset = scales * noise
-            chain_proposal = chain + offset
-            shadow_proposal = shadow + offset
-
-            chain_proposal_logp = true_log_density(chain_proposal)
-            shadow_proposal_logp = gaussian_part(shadow_proposal)
-            accept_chain = log_uniform < (chain_proposal_logp - chain_logp)
-            accept_shadow = log_uniform < (shadow_proposal_logp - shadow_logp)
-
-            chain = np.where(accept_chain[:, None], chain_proposal, chain)
-            chain_logp = np.where(accept_chain, chain_proposal_logp, chain_logp)
-            shadow = np.where(accept_shadow[:, None], shadow_proposal, shadow)
-            shadow_logp = np.where(accept_shadow, shadow_proposal_logp, shadow_logp)
-            accepted += accept_chain
-
-            if self.adapt and step < self.burn_in:
-                # Per-record windowed adaptation: each record tunes its own
-                # scales to its own acceptance rate, so a badly-conditioned
-                # slice cannot drag the whole batch's step size down.
-                window_accepts += accept_chain
-                if (step + 1) % self.adapt_window == 0:
-                    scales = _adapted_scales(
-                        scales, window_accepts / self.adapt_window, self.target_acceptance
-                    )
-                    window_accepts = np.zeros(batch)
-
-            if step >= self.burn_in:
-                sum_chain += chain
-                sum_chain_sq += chain * chain
-                sum_shadow += shadow
-                sum_shadow_sq += shadow * shadow
-
-        count = float(self.n_samples)
-        means = baseline_mean + (sum_chain - sum_shadow) / count
-        variances = np.maximum(
-            baseline_var
-            + (sum_chain_sq - sum_shadow_sq) / count
-            - (means * means - baseline_mean * baseline_mean),
-            1e-12,
-        )
-        return BatchedMCMCResult(
-            variables=self.kernel.structure.variables,
-            means=means,
-            variances=variances,
-            baseline_means=baseline_mean,
-            baseline_variances=baseline_var,
-            acceptance_rates=accepted / total_steps,
-            n_samples=self.n_samples,
-        )
 
 
 # -- per-site tilted MCMC (the accelerator's inner loop, batched) -------------
@@ -735,8 +371,6 @@ class BatchedSiteMCMCResult:
 
 @register_estimator(
     "mcmc",
-    compiled_path=True,
-    default_adapt=True,
     description="per-site tilted MCMC inside the EP loop (the accelerator workload)",
 )
 class BatchedSiteMCMC:
@@ -758,8 +392,7 @@ class BatchedSiteMCMC:
 
     Proposal scales start at ``step_scale / sqrt(w) x projected std`` and,
     with ``adapt`` (default on), each *record* retunes its own scales to
-    its own acceptance rate during burn-in — the per-record adaptation the
-    fixed-scale :class:`BatchedMCMC` lacks.  All randomness is drawn per
+    its own acceptance rate during burn-in.  All randomness is drawn per
     record from that record's seed, so a record solved alone is
     bit-identical to the same record inside a batch.
 
@@ -1101,154 +734,3 @@ class BatchedSiteMCMC:
             n_samples=self.n_samples,
         )
 
-
-@register_reference("batched-mcmc")
-class ReferenceMCMC:
-    """Object-based reference twin of :class:`BatchedMCMC` (one record).
-
-    Runs the identical coupled-chain estimator, but the slow, readable way:
-    the Gaussian projection is assembled by multiplying
-    :class:`~repro.fg.gaussian.GaussianDensity` objects, and every
-    log-density evaluation walks the record's Python factor objects with a
-    ``{variable: value}`` mapping.  The differential test harness (and the
-    MCMC benchmark) pin :class:`BatchedMCMC` against this twin.
-
-    Seed handling: ``run`` derives *everything* from its RNG argument and
-    mutates no sampler state, so repeated calls with equally-seeded
-    generators reproduce each other exactly — unlike
-    :class:`RandomWalkMetropolis`, whose ``run`` continues the previous
-    chain.
-    """
-
-    def __init__(
-        self,
-        factors: Sequence,
-        prior,
-        *,
-        n_samples: int = 300,
-        burn_in: int = 200,
-        step_scale: float = 2.38,
-        adapt: bool = False,
-        target_acceptance: float = 0.35,
-        adapt_window: int = 50,
-        seed: int = 0,
-    ) -> None:
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        self.adapt = adapt
-        self.target_acceptance = target_acceptance
-        self.adapt_window = adapt_window
-        self._factors = list(factors)
-        not_projectable = [
-            factor.name for factor in self._factors if not factor.anchor_free
-        ]
-        if not_projectable:
-            raise ValueError(
-                f"ReferenceMCMC requires anchor-free factors, got {not_projectable}"
-            )
-        self.n_samples = n_samples
-        self.burn_in = burn_in
-        self.step_scale = step_scale
-        self._seed = seed
-        # Gaussian projection of the whole record: prior x every factor's
-        # (anchor-free) projection.  Exact when all factors are Gaussian.
-        gaussian = prior.copy()
-        for factor in self._factors:
-            gaussian = gaussian.multiply(factor.to_gaussian(None))
-        self._gaussian = gaussian
-        #: (factor, projection) pairs whose true density is non-Gaussian.
-        self._corrections = [
-            (factor, factor.to_gaussian(None))
-            for factor in self._factors
-            if not factor.is_gaussian
-        ]
-        self.variables: Tuple[str, ...] = gaussian.variables
-
-    def _as_dict(self, state: np.ndarray) -> Dict[str, float]:
-        return {name: float(state[i]) for i, name in enumerate(self.variables)}
-
-    def _log_density(self, values: Mapping[str, float]) -> float:
-        total = self._gaussian.log_density(values)
-        for factor, projection in self._corrections:
-            total += factor.log_density(values) - projection.log_density(values)
-        return total
-
-    def run(self, *, rng: Optional[np.random.Generator] = None) -> MCMCMoments:
-        """Estimate the record's posterior moments.
-
-        A fresh chain is built from scratch on every call: with an
-        explicitly seeded ``rng`` (or none — the constructor seed is used),
-        repeated runs are bit-for-bit reproducible.
-        """
-        rng = np.random.default_rng(self._seed) if rng is None else rng
-        dim = len(self.variables)
-        baseline_mean, baseline_cov = self._gaussian.moments()
-        baseline_var = np.diag(baseline_cov).copy()
-        scales = (self.step_scale / np.sqrt(dim)) * np.sqrt(
-            np.maximum(baseline_var, 1e-30)
-        )
-
-        chain = baseline_mean.copy()
-        shadow = baseline_mean.copy()
-        chain_logp = self._log_density(self._as_dict(chain))
-        shadow_logp = self._gaussian.log_density(self._as_dict(shadow))
-
-        sum_chain = np.zeros(dim)
-        sum_chain_sq = np.zeros(dim)
-        sum_shadow = np.zeros(dim)
-        sum_shadow_sq = np.zeros(dim)
-        accepted = 0
-        window_accepts = 0
-
-        total_steps = self.burn_in + self.n_samples
-        for step in range(total_steps):
-            noise = rng.standard_normal(dim)
-            log_uniform = np.log(rng.random())
-            offset = scales * noise
-            chain_proposal = chain + offset
-            shadow_proposal = shadow + offset
-
-            chain_proposal_logp = self._log_density(self._as_dict(chain_proposal))
-            shadow_proposal_logp = self._gaussian.log_density(self._as_dict(shadow_proposal))
-            if log_uniform < (chain_proposal_logp - chain_logp):
-                chain = chain_proposal
-                chain_logp = chain_proposal_logp
-                accepted += 1
-                window_accepts += 1
-            if log_uniform < (shadow_proposal_logp - shadow_logp):
-                shadow = shadow_proposal
-                shadow_logp = shadow_proposal_logp
-
-            if self.adapt and step < self.burn_in:
-                # Scalar-rate mirror of BatchedMCMC's per-record adaptation.
-                if (step + 1) % self.adapt_window == 0:
-                    scales = _adapted_scales(
-                        scales, window_accepts / self.adapt_window, self.target_acceptance
-                    )
-                    window_accepts = 0
-
-            if step >= self.burn_in:
-                sum_chain += chain
-                sum_chain_sq += chain * chain
-                sum_shadow += shadow
-                sum_shadow_sq += shadow * shadow
-
-        count = float(self.n_samples)
-        means = baseline_mean + (sum_chain - sum_shadow) / count
-        variances = np.maximum(
-            baseline_var
-            + (sum_chain_sq - sum_shadow_sq) / count
-            - (means * means - baseline_mean * baseline_mean),
-            1e-12,
-        )
-        return MCMCMoments(
-            variables=self.variables,
-            means=means,
-            variances=variances,
-            baseline_means=baseline_mean,
-            baseline_variances=baseline_var,
-            acceptance_rate=accepted / total_steps,
-            n_samples=self.n_samples,
-        )

@@ -17,10 +17,8 @@ An entry records everything the engine needs to wire an estimator in:
   kernel);
 * ``reference`` — the object-walking differential twin selected by
   ``use_compiled_kernel=False``;
-* ``compiled_path`` — whether the estimator solves through the compiled
-  kernel's array path at all;
-* ``default_adapt`` — the estimator's default for burn-in proposal-scale
-  adaptation (see ``BayesPerfEngine.mcmc_adapt``).
+* ``baseline`` — whether the entry is a baseline correction method rather
+  than an engine estimator.
 """
 
 from __future__ import annotations
@@ -44,11 +42,6 @@ class EstimatorEntry:
     """One registered moment estimator and its differential pairing."""
 
     name: str
-    #: Solves through the compiled kernel's array path (vs. reference-only).
-    compiled_path: bool = True
-    #: Default for burn-in proposal-scale adaptation when the engine's
-    #: ``mcmc_adapt`` is left unset.
-    default_adapt: bool = False
     #: A baseline *correction method* (:mod:`repro.baselines`), not a tilted
     #: moment engine: it consumes a whole ``SampledTrace`` through
     #: ``.correct()`` instead of solving sites on the kernel.  Baseline
@@ -70,8 +63,6 @@ _ESTIMATORS: Dict[str, EstimatorEntry] = {}
 def register_estimator(
     name: str,
     *,
-    compiled_path: bool = True,
-    default_adapt: bool = False,
     baseline: bool = False,
     description: str = "",
 ):
@@ -90,8 +81,6 @@ def register_estimator(
         if entry is None:
             entry = EstimatorEntry(name=name)
             _ESTIMATORS[name] = entry
-        entry.compiled_path = compiled_path
-        entry.default_adapt = default_adapt
         entry.baseline = baseline
         entry.description = description
         entry.batched = cls

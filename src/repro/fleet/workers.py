@@ -18,10 +18,10 @@ batches and hands each one to the engine's vectorized
 :meth:`~repro.core.engine.BayesPerfEngine.process_batch`, which executes a
 single array-native pass over all of them instead of one solve per host —
 a compiled EP-kernel call for the analytic estimator, one
-:class:`~repro.fg.mcmc.BatchedMCMC` chain sweep for
-``engine_kwargs={"moment_estimator": "batched-mcmc"}`` (each record's chain
-is seeded from that host's snapshotted RNG stream, so pooled and serial
-stay bit-identical for sampled estimators too).
+:class:`~repro.fg.mcmc.BatchedSiteMCMC` run for
+``engine_kwargs={"moment_estimator": "mcmc"}`` (each record's chains are
+seeded from that host's snapshotted RNG stream, so pooled and serial stay
+bit-identical for the sampled estimator too).
 """
 
 from __future__ import annotations

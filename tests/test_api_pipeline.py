@@ -18,7 +18,9 @@ from repro.core.engine import BayesPerfEngine
 from repro.core.session import PerfSession
 from repro.events.registry import catalog_for
 from repro.fg import estimator_names, get_estimator
-from repro.fg.mcmc import BatchedMCMC, BatchedSiteMCMC, ReferenceMCMC
+from repro.fg.compiled import CompiledEPKernel
+from repro.fg.mcmc import BatchedSiteMCMC
+from repro.fg.registry import engine_estimator_names
 from repro.fg.ep import ExpectationPropagation, ReferenceSiteMCMC
 from repro.fleet import FleetIngest, SyntheticHostSource, WorkerPool
 from repro.fleet.tracefile import read_trace
@@ -40,19 +42,17 @@ def _small_spec(n_hosts=4, n_ticks=3, **kwargs):
 
 class TestEstimatorRegistry:
     def test_builtin_pairings(self):
-        assert get_estimator("batched-mcmc").batched is BatchedMCMC
-        assert get_estimator("batched-mcmc").reference is ReferenceMCMC
+        assert engine_estimator_names() == ("analytic", "mcmc")
         assert get_estimator("mcmc").batched is BatchedSiteMCMC
         assert get_estimator("mcmc").reference is ReferenceSiteMCMC
+        assert get_estimator("analytic").batched is CompiledEPKernel
         assert get_estimator("analytic").reference is ExpectationPropagation
-        assert get_estimator("mcmc").default_adapt is True
-        assert get_estimator("batched-mcmc").default_adapt is False
 
     def test_unknown_name_lists_registered_estimators(self):
         # The listing covers the whole registry: engines and the baseline
         # correction methods that joined it for the scenario grid.
         with pytest.raises(
-            ValueError, match="analytic, batched-mcmc, counterminer, linux, mcmc"
+            ValueError, match="analytic, counterminer, linux, mcmc, wm\\+pin"
         ):
             get_estimator("turbo")
 
@@ -62,12 +62,16 @@ class TestEstimatorRegistry:
         with pytest.raises(ValueError, match="registered estimators"):
             BayesPerfEngine(catalog, events, moment_estimator="turbo")
 
-    def test_engine_adapt_default_comes_from_registry(self):
+    def test_engine_adapts_by_default(self):
         catalog = catalog_for("x86")
         events = catalog.events_for_derived(METRICS)
         assert BayesPerfEngine(catalog, events, moment_estimator="mcmc").mcmc_adapt
+        # EstimatorSpec.adapt=None leaves the engine default in place.
+        kwargs = EstimatorSpec("mcmc").engine_kwargs()
+        assert "mcmc_adapt" not in kwargs
+        assert BayesPerfEngine(catalog, events, **kwargs).mcmc_adapt
         assert not BayesPerfEngine(
-            catalog, events, moment_estimator="batched-mcmc"
+            catalog, events, moment_estimator="mcmc", mcmc_adapt=False
         ).mcmc_adapt
 
     def test_spec_resolution_validates_eagerly(self):
@@ -102,7 +106,7 @@ class TestSessionSpecPrecedence:
         session = PerfSession(
             "x86",
             metrics=METRICS,
-            estimator=EstimatorSpec("batched-mcmc"),
+            estimator=EstimatorSpec("mcmc"),
             use_compiled_kernel=False,
         )
         assert session.engine_kwargs["use_compiled_kernel"] is False
@@ -111,7 +115,7 @@ class TestSessionSpecPrecedence:
         session = PerfSession(
             "x86",
             metrics=METRICS,
-            estimator=EstimatorSpec("batched-mcmc", use_compiled_kernel=False),
+            estimator=EstimatorSpec("mcmc", use_compiled_kernel=False),
         )
         assert session.engine_kwargs["use_compiled_kernel"] is False
 
@@ -311,11 +315,11 @@ class TestFleetCLI:
         code = fleet_main(
             [
                 "demo", "--hosts", "1", "--ticks", "1",
-                "--estimator", "batched-mcmc", "--stream",
+                "--estimator", "mcmc", "--stream",
             ]
         )
         assert code == 0
-        assert "batched-mcmc estimator" in capsys.readouterr().out
+        assert "mcmc estimator" in capsys.readouterr().out
 
     def test_serial_flag_runs_both_modes(self, capsys):
         code = fleet_main(["demo", "--hosts", "2", "--ticks", "2", "--serial"])

@@ -189,7 +189,7 @@ def test_specs_are_frozen_and_hashable():
 
 def test_builtin_estimators_are_registered():
     names = engine_estimator_names()
-    assert {"analytic", "mcmc", "batched-mcmc"} <= set(names)
+    assert names == ("analytic", "mcmc")
     # The spec layer resolves through the same registry.
     for name in names:
         assert api.EstimatorSpec(name).engine_kwargs()["moment_estimator"] == name

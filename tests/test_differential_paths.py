@@ -4,13 +4,13 @@ The repository's contract (README, "Differential testing") is that each
 compiled/vectorized path has an object-walking reference twin and a test
 pinning the pair together:
 
-* analytic EP:   ``CompiledEPKernel``  <->  ``ExpectationPropagation``
-* moment MCMC:   ``BatchedMCMC``       <->  ``ReferenceMCMC``
-* binding:       ``CompiledBinder``    <->  ``CompiledGraph.bind`` (objects)
+* analytic EP:    ``CompiledEPKernel``  <->  ``ExpectationPropagation``
+* per-site MCMC:  ``BatchedSiteMCMC``   <->  ``ReferenceSiteMCMC``
+* binding:        ``CompiledBinder``    <->  ``CompiledGraph.bind`` (objects)
 
-On randomized graphs the three posterior paths — reference EP, compiled EP,
-batched MCMC — must agree within 1e-6, and the array-native binding/summary
-code paths must be bit-identical between B=1 and B=N.
+On randomized graphs reference EP and compiled EP must agree within 1e-6,
+and the array-native binding/summary code paths must be bit-identical
+between B=1 and B=N.
 """
 
 import math
@@ -29,7 +29,6 @@ from repro.core.posterior import EventEstimate, PosteriorReport
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
 from repro.fg import (
-    BatchedMCMC,
     BatchedSiteMCMC,
     ChainTrace,
     CompiledEPKernel,
@@ -40,7 +39,6 @@ from repro.fg import (
     GaussianObservation,
     GaussianPriorFactor,
     LinearConstraintFactor,
-    ReferenceMCMC,
     ReferenceSiteMCMC,
     StudentT,
     StudentTObservation,
@@ -50,7 +48,6 @@ from repro.fg import (
     student_t_moment_variance,
 )
 from repro.fg.ep import EPSite
-from repro.fg.mcmc import RandomWalkMetropolis
 from repro.fg.megabatch import KernelExecSpec
 from repro.fleet.tracefile import read_trace
 from repro.pmu.sampling import MultiplexedSampler
@@ -96,26 +93,19 @@ def x86_engine():
     return BayesPerfEngine(catalog, standard_profiling_events(catalog))
 
 
-def _solve_three_ways(graph, sites, prior, *, n_samples=50, burn_in=30, seed=7):
-    """(reference EP, compiled EP, batched MCMC) posteriors for one graph.
+def _solve_two_ways(graph, sites, prior):
+    """(reference EP, compiled EP) posteriors for one graph.
 
-    Undamped EP converges to the exact factor-product fixed point, which is
-    also the batched MCMC estimator's analytic baseline; on purely Gaussian
-    graphs its coupled chains cannot drift from the shadow, so all three
-    paths must coincide to floating-point accuracy.
+    Undamped EP converges to the exact factor-product fixed point on both
+    paths, so on purely Gaussian graphs they must coincide to
+    floating-point accuracy.
     """
     reference = ExpectationPropagation(graph, sites, prior, damping=1.0).run()
     structure = compile_factor_graph(graph, sites, prior.variables)
     assert structure is not None
     kernel = CompiledEPKernel(structure, damping=1.0)
     binding = structure.bind(site_factor_lists(graph, sites))
-    compiled = kernel.run([binding], [prior])
-    stacked = [(p[None, ...], s[None, ...]) for p, s in binding]
-    sampler = BatchedMCMC(kernel, n_samples=n_samples, burn_in=burn_in)
-    sampled = sampler.run(
-        stacked, prior.precision[None, ...], prior.shift[None, ...], seeds=[seed]
-    )
-    return reference, compiled, sampled
+    return reference, kernel.run([binding], [prior])
 
 
 @st.composite
@@ -184,100 +174,21 @@ def _random_student_t_problem(draw):
     return graph, sites, prior, observed
 
 
-class TestThreeWayPosteriorAgreement:
-    """Reference EP vs compiled EP vs batched MCMC, randomized graphs."""
+class TestEPPosteriorAgreement:
+    """Reference EP vs compiled EP, randomized graphs."""
 
     @given(problem=_random_gaussian_problem())
     @settings(max_examples=25, deadline=None)
-    def test_all_three_paths_agree_within_tolerance(self, problem):
+    def test_reference_and_compiled_ep_agree_within_tolerance(self, problem):
         graph, sites, prior = problem
-        reference, compiled, sampled = _solve_three_ways(graph, sites, prior)
+        reference, compiled = _solve_two_ways(graph, sites, prior)
         ref_mean, ref_var = reference.posterior.mean(), reference.posterior.variance()
         com_mean, com_var = compiled.mean_dict(0), compiled.variance_dict(0)
-        mc_mean, mc_var = sampled.mean_dict(0), sampled.variance_dict(0)
         assert _max_moment_gap(ref_mean, ref_var, com_mean, com_var) < TOLERANCE
-        assert _max_moment_gap(com_mean, com_var, mc_mean, mc_var) < TOLERANCE
-        assert _max_moment_gap(ref_mean, ref_var, mc_mean, mc_var) < TOLERANCE
-
-    def test_mcmc_chains_actually_run(self):
-        """The Gaussian-case exactness is a coupling property, not a skip."""
-        graph = FactorGraph(variables=["a", "b"])
-        graph.add_factor(GaussianObservation("obs_a", "a", observed=2.0, sigma=0.5))
-        graph.add_factor(LinearConstraintFactor("sum", {"a": 1.0, "b": -1.0}, sigma=0.1))
-        sites = [EPSite("obs", ("obs_a",)), EPSite("rel", ("sum",))]
-        prior = GaussianDensity.diagonal({"a": 0.0, "b": 0.0}, {"a": 9.0, "b": 9.0})
-        _, _, sampled = _solve_three_ways(graph, sites, prior, n_samples=200, burn_in=100)
-        assert 0.05 < float(sampled.acceptance_rates[0]) < 0.95
-        assert np.array_equal(sampled.means, sampled.baseline_means)
-
-
-class TestBatchedMCMCAgainstReferenceTwin:
-    """The array-native sampler must reproduce the object-based twin."""
-
-    @given(problem=_random_student_t_problem(), seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=10, deadline=None)
-    def test_student_t_twin_agreement(self, problem, seed):
-        graph, sites, prior, observed = problem
-        structure = compile_factor_graph(graph, sites, prior.variables)
-        kernel = CompiledEPKernel(structure, damping=1.0)
-        binding = structure.bind(site_factor_lists(graph, sites))
-        stacked = [(p[None, ...], s[None, ...]) for p, s in binding]
-        slot_of = {v: i for i, v in enumerate(prior.variables)}
-        distributions = [graph.factor(f"obs_{v}").distribution for v in observed]
-        tail = StudentTTail(
-            slots=np.array([slot_of[v] for v in observed], dtype=np.intp),
-            loc=np.array([[d.loc for d in distributions]]),
-            scale=np.array([[d.scale for d in distributions]]),
-            df=np.array([[d.df for d in distributions]]),
-            variance=np.array([[d.variance for d in distributions]]),
-        )
-        sampler = BatchedMCMC(kernel, n_samples=60, burn_in=40)
-        fast = sampler.run(
-            stacked,
-            prior.precision[None, ...],
-            prior.shift[None, ...],
-            seeds=[seed],
-            extra_log_density=tail,
-        )
-        factors = [factor for group in site_factor_lists(graph, sites) for factor in group]
-        twin = ReferenceMCMC(factors, prior, n_samples=60, burn_in=40)
-        moments = twin.run(rng=np.random.default_rng(seed))
-        for i, name in enumerate(prior.variables):
-            assert _gap(fast.means[0, i], moments.means[i]) < TOLERANCE
-            assert _gap(fast.variances[0, i], moments.variances[i]) < TOLERANCE
-
-    def test_student_t_correction_is_engaged(self):
-        """Non-Gaussian graphs must produce a non-zero sampled correction."""
-        graph = FactorGraph(variables=["a"])
-        graph.add_factor(
-            StudentTObservation("obs_a", "a", StudentT(loc=1.0, scale=0.5, df=2.5))
-        )
-        sites = [EPSite("obs", ("obs_a",))]
-        prior = GaussianDensity.diagonal({"a": 0.0}, {"a": 4.0})
-        structure = compile_factor_graph(graph, sites, prior.variables)
-        kernel = CompiledEPKernel(structure)
-        binding = structure.bind(site_factor_lists(graph, sites))
-        tail = StudentTTail(
-            slots=np.array([0], dtype=np.intp),
-            loc=np.array([[1.0]]),
-            scale=np.array([[0.5]]),
-            df=np.array([[2.5]]),
-            variance=np.array([[float(student_t_moment_variance(0.5, 2.5))]]),
-        )
-        sampler = BatchedMCMC(kernel, n_samples=300, burn_in=150)
-        result = sampler.run(
-            [(p[None, ...], s[None, ...]) for p, s in binding],
-            prior.precision[None, ...],
-            prior.shift[None, ...],
-            seeds=[11],
-            extra_log_density=tail,
-        )
-        assert not np.array_equal(result.variances, result.baseline_variances)
-        assert np.all(np.isfinite(result.means)) and np.all(result.variances > 0)
 
 
 class TestBatchBitIdentity:
-    """B=1 vs B=N bit-identity of the new binding/summary/sampling paths."""
+    """B=1 vs B=N bit-identity of the binding paths."""
 
     @pytest.fixture(scope="class")
     def engine_and_records(self):
@@ -322,29 +233,6 @@ class TestBatchBitIdentity:
             for (ap, ash), (op, osh) in zip(arrays, objects):
                 np.testing.assert_allclose(ap[0], op, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(ash[0], osh, rtol=1e-12, atol=1e-12)
-
-    def test_batched_mcmc_engine_batch_equals_looped(self, engine_and_records):
-        catalog, events, sampled = engine_and_records
-        engine = BayesPerfEngine(
-            catalog, events, moment_estimator="batched-mcmc",
-            mcmc_samples=30, mcmc_burn_in=20,
-        )
-        hosts, depth = 4, 2
-        states = [None] * hosts
-        batched = [[] for _ in range(hosts)]
-        for slot in range(depth):
-            items = [(states[h], sampled.records[slot]) for h in range(hosts)]
-            for h, (report, state) in enumerate(engine.process_batch(items)):
-                states[h] = state
-                batched[h].append(report)
-        for h in range(hosts):
-            state = None
-            for slot in range(depth):
-                engine.restore(state) if state is not None else engine.reset()
-                report = engine.process_record(sampled.records[slot])
-                state = engine.snapshot()
-                assert report.means() == batched[h][slot].means()
-                assert report.stds() == batched[h][slot].stds()
 
 
 class TestSparseConstraintBinding:
@@ -786,6 +674,28 @@ class TestSiteMCMCTwin:
         assert int(fast.iterations[0]) == moments.iterations
         assert bool(fast.converged[0]) == moments.converged
 
+    @given(
+        problem=_random_student_t_problem(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_random_graph_twin_agreement(self, problem, seed):
+        graph, sites, prior, observed = problem
+        distributions = [graph.factor(f"obs_{v}").distribution for v in observed]
+        # Site-local slots: the observation site's variables, in order.
+        tail = StudentTTail(
+            slots=np.arange(len(observed), dtype=np.intp),
+            loc=np.array([[d.loc for d in distributions]]),
+            scale=np.array([[d.scale for d in distributions]]),
+            df=np.array([[d.df for d in distributions]]),
+            variance=np.array([[d.variance for d in distributions]]),
+        )
+        fast = self._batched(graph, sites, prior, tail, seed)
+        moments = self._twin(graph, sites, prior).run(rng=np.random.default_rng(seed))
+        for i in range(len(prior.variables)):
+            assert _gap(fast.means[0, i], moments.means[i]) < TOLERANCE
+            assert _gap(fast.variances[0, i], moments.variances[i]) < TOLERANCE
+
     def test_gaussian_sites_solved_exactly(self):
         """Zero sampled correction => the analytic kernel's posterior, exactly."""
         graph = FactorGraph(variables=["a", "b", "c"])
@@ -809,6 +719,37 @@ class TestSiteMCMCTwin:
         analytic = kernel.run([binding], [prior])
         assert np.array_equal(sampled.means, analytic.means)
         assert np.array_equal(sampled.variances, analytic.variances)
+        # The exactness is a coupling property, not a skip: the chains ran.
+        assert 0.05 < float(sampled.acceptance_rates[0]) < 0.95
+
+    def test_student_t_correction_is_engaged(self):
+        """Non-Gaussian sites must move the posterior off the projection."""
+        graph = FactorGraph(variables=["a"])
+        graph.add_factor(
+            StudentTObservation("obs_a", "a", StudentT(loc=1.0, scale=0.5, df=2.5))
+        )
+        sites = [EPSite("obs", ("obs_a",))]
+        prior = GaussianDensity.diagonal({"a": 0.0}, {"a": 4.0})
+        structure = compile_factor_graph(graph, sites, prior.variables)
+        kernel = CompiledEPKernel(structure, damping=1.0, max_iterations=4)
+        binding = structure.bind(site_factor_lists(graph, sites))
+        tail = StudentTTail(
+            slots=np.array([0], dtype=np.intp),
+            loc=np.array([[1.0]]),
+            scale=np.array([[0.5]]),
+            df=np.array([[2.5]]),
+            variance=np.array([[float(student_t_moment_variance(0.5, 2.5))]]),
+        )
+        result = BatchedSiteMCMC(kernel, n_samples=300, burn_in=150).run(
+            [(p[None, ...], s[None, ...]) for p, s in binding],
+            prior.precision[None, ...],
+            prior.shift[None, ...],
+            seeds=[11],
+            site_tails={0: tail},
+        )
+        analytic = kernel.run([binding], [prior])
+        assert not np.array_equal(result.variances, analytic.variances)
+        assert np.all(np.isfinite(result.means)) and np.all(result.variances > 0)
 
     def test_adaptation_changes_numerics_and_twin_follows(self):
         graph, sites, prior, tail = self._student_t_problem()
@@ -843,6 +784,40 @@ class TestSiteMCMCTwin:
             # (burn_in=60 spans one 50-step adaptation window).
             assert fast.windows == slow.windows
             assert len(fast.windows) == 1
+
+    def _seeded_twin(self):
+        graph, sites, prior, _ = self._student_t_problem()
+        return self._twin(graph, sites, prior)
+
+    # -- seed handling: ``run`` derives everything from its rng argument --
+
+    def test_explicit_rng_is_reproducible_across_runs(self):
+        twin = self._seeded_twin()
+        first = twin.run(rng=np.random.default_rng(42))
+        second = twin.run(rng=np.random.default_rng(42))
+        assert np.array_equal(first.means, second.means)
+        assert np.array_equal(first.variances, second.variances)
+        assert first.acceptance_rate == second.acceptance_rate
+
+    def test_constructor_seed_is_reproducible_without_rng(self):
+        twin = self._seeded_twin()
+        assert np.array_equal(twin.run().means, twin.run().means)
+
+    def test_different_seeds_differ(self):
+        twin = self._seeded_twin()
+        first = twin.run(rng=np.random.default_rng(1))
+        second = twin.run(rng=np.random.default_rng(2))
+        assert not np.array_equal(first.means, second.means)
+
+    def test_rejects_non_anchor_free_factors(self):
+        class Anchored(GaussianObservation):
+            @property
+            def anchor_free(self):
+                return False
+
+        prior = GaussianDensity.diagonal({"a": 0.0}, {"a": 1.0})
+        with pytest.raises(ValueError, match="anchor-free"):
+            ReferenceSiteMCMC([("obs", [Anchored("obs", "a", 0.0, 1.0)])], prior)
 
     def test_engine_batch_equals_looped_site_mcmc(self):
         """B=1 == B=N bit-identity for the per-site sampler inside the engine."""
@@ -892,17 +867,6 @@ class TestEngineDifferential:
                 gap = max(gap, _gap(got[event], want[event]))
         return gap
 
-    def test_batched_mcmc_fast_path_matches_object_twin(self, workload):
-        catalog, events, sampled = workload
-        kwargs = dict(
-            moment_estimator="batched-mcmc", mcmc_samples=40, mcmc_burn_in=30
-        )
-        fast = BayesPerfEngine(catalog, events, **kwargs).correct(sampled)
-        twin = BayesPerfEngine(
-            catalog, events, use_compiled_kernel=False, **kwargs
-        ).correct(sampled)
-        assert self._max_trace_gap(fast, twin) < TOLERANCE
-
     def test_site_mcmc_fast_path_matches_object_twin(self, workload):
         catalog, events, sampled = workload
         kwargs = dict(
@@ -925,18 +889,6 @@ class TestEngineDifferential:
             catalog, events, observation_model="gaussian",
             moment_estimator="mcmc", mcmc_samples=30, mcmc_burn_in=20,
             ep_max_iterations=2,
-        ).correct(sampled)
-        assert self._max_trace_gap(analytic, sampled_estimates) < TOLERANCE
-
-    def test_batched_mcmc_tracks_analytic_on_gaussian_model(self, workload):
-        """With exact Gaussian observations the sampler cannot drift."""
-        catalog, events, sampled = workload
-        analytic = BayesPerfEngine(
-            catalog, events, observation_model="gaussian"
-        ).correct(sampled)
-        sampled_estimates = BayesPerfEngine(
-            catalog, events, observation_model="gaussian",
-            moment_estimator="batched-mcmc", mcmc_samples=40, mcmc_burn_in=30,
         ).correct(sampled)
         assert self._max_trace_gap(analytic, sampled_estimates) < TOLERANCE
 
@@ -1029,59 +981,6 @@ class TestEngineDifferential:
                         (group.df[g], alone.df[0]),
                     ):
                         assert got.tobytes() == want.tobytes()
-
-
-class TestReferenceMCMCSeedHandling:
-    """Repeated runs with an explicit rng must be reproducible."""
-
-    def _twin(self):
-        prior = GaussianDensity.diagonal({"a": 0.5, "b": -1.0}, {"a": 4.0, "b": 2.0})
-        factors = [
-            StudentTObservation("obs_a", "a", StudentT(loc=1.0, scale=0.4, df=3.0)),
-            LinearConstraintFactor("rel", {"a": 1.0, "b": 1.0}, sigma=0.3),
-        ]
-        return ReferenceMCMC(factors, prior, n_samples=50, burn_in=25)
-
-    def test_explicit_rng_is_reproducible_across_runs(self):
-        twin = self._twin()
-        first = twin.run(rng=np.random.default_rng(42))
-        second = twin.run(rng=np.random.default_rng(42))
-        assert np.array_equal(first.means, second.means)
-        assert np.array_equal(first.variances, second.variances)
-        assert first.acceptance_rate == second.acceptance_rate
-
-    def test_constructor_seed_is_reproducible_without_rng(self):
-        twin = self._twin()
-        assert np.array_equal(twin.run().means, twin.run().means)
-
-    def test_different_seeds_differ(self):
-        twin = self._twin()
-        first = twin.run(rng=np.random.default_rng(1))
-        second = twin.run(rng=np.random.default_rng(2))
-        assert not np.array_equal(first.means, second.means)
-
-    def test_legacy_sampler_continues_its_chain(self):
-        """The historical sampler mutates state across runs — the behaviour
-        ReferenceMCMC.run deliberately does not share."""
-        sampler = RandomWalkMetropolis(
-            lambda values: -0.5 * values["x"] ** 2,
-            ["x"],
-            {"x": 0.0},
-            rng=np.random.default_rng(0),
-        )
-        first = sampler.run(20, burn_in=10)
-        second = sampler.run(20, burn_in=10)
-        assert not np.array_equal(first.samples, second.samples)
-
-    def test_rejects_non_anchor_free_factors(self):
-        class Anchored(GaussianObservation):
-            @property
-            def anchor_free(self):
-                return False
-
-        prior = GaussianDensity.diagonal({"a": 0.0}, {"a": 1.0})
-        with pytest.raises(ValueError, match="anchor-free"):
-            ReferenceMCMC([Anchored("obs", "a", 0.0, 1.0)], prior)
 
 
 #: Committed golden traces.  The homogeneous one (a single-host session

@@ -340,6 +340,30 @@ def test_resume_accepts_a_log_with_removed_megabatch_knobs(tmp_path):
     assert read_trace(crash_path).resumes == 1
 
 
+def test_rejected_resume_leaves_the_log_untouched(tmp_path):
+    """A header naming an unregistered estimator fails before any truncation.
+
+    ``batched-mcmc`` was an estimator once; logs that name it must fail
+    loudly through the registry and keep every byte, uncommitted suffix
+    included, so nothing is lost if the estimator is registered again.
+    """
+    crash_path = tmp_path / "crash.jsonl"
+    chaos = FaultInjector((), crash_after_writes=23)
+    with pytest.raises(InjectedCrash):
+        run_fleet(wal_spec(crash_path), chaos)
+    lines = crash_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["metadata"]["run_spec"]["estimator"]["name"] = "batched-mcmc"
+    lines[0] = json.dumps(header) + "\n"
+    crash_path.write_text("".join(lines), encoding="utf-8")
+    before = crash_path.read_bytes()
+    assert load_wal(crash_path).commit_offset < len(before)
+
+    with pytest.raises(ValueError, match="batched-mcmc"):
+        Pipeline.resume(crash_path)
+    assert crash_path.read_bytes() == before
+
+
 def test_checkpoint_cadence_thins_the_commits(tmp_path):
     dense = wal_spec(tmp_path / "dense.jsonl", every=1)
     sparse = wal_spec(tmp_path / "sparse.jsonl", every=3)

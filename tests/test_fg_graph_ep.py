@@ -1,4 +1,4 @@
-"""Tests for factors, the factor graph, Markov blankets, MCMC and EP."""
+"""Tests for factors, the factor graph, Markov blankets and EP."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.fg import (
     GaussianObservation,
     GaussianPriorFactor,
     LinearConstraintFactor,
-    RandomWalkMetropolis,
     StudentTObservation,
     credible_interval,
     map_estimate,
@@ -121,27 +120,8 @@ class TestMarkovBlanket:
         assert not blankets_overlap(graph, ["a"], ["x"])
 
 
-class TestMCMC:
-    def test_recovers_gaussian_mean(self):
-        target = GaussianDensity.diagonal({"x": 3.0}, {"x": 0.5})
-        sampler = RandomWalkMetropolis(
-            target.log_density, ["x"], initial={"x": 0.0}, rng=np.random.default_rng(1)
-        )
-        result = sampler.run(800, burn_in=400)
-        assert result.mean()["x"] == pytest.approx(3.0, abs=0.3)
-        assert 0.05 < result.acceptance_rate < 0.95
-
-    def test_invalid_arguments(self):
-        target = GaussianDensity.diagonal({"x": 0.0}, {"x": 1.0})
-        sampler = RandomWalkMetropolis(target.log_density, ["x"], initial={"x": 0.0})
-        with pytest.raises(ValueError):
-            sampler.run(0)
-        with pytest.raises(ValueError):
-            sampler.run(10, thin=0)
-
-
 class TestExpectationPropagation:
-    def _run_ep(self, estimator):
+    def _run_ep(self):
         graph = _simple_graph()
         prior = GaussianDensity.diagonal(
             {"a": 1.0, "b": 1.0, "c": 2.0}, {"a": 25.0, "b": 25.0, "c": 25.0}
@@ -150,18 +130,10 @@ class TestExpectationPropagation:
             EPSite("observations", ("obs_a", "prior_b")),
             EPSite("constraints", ("sum",)),
         ]
-        ep = ExpectationPropagation(
-            graph,
-            sites,
-            prior,
-            moment_estimator=estimator,
-            rng=np.random.default_rng(0),
-            mcmc_samples=400,
-        )
-        return ep.run()
+        return ExpectationPropagation(graph, sites, prior).run()
 
     def test_analytic_ep_matches_exact_posterior(self):
-        result = self._run_ep("analytic")
+        result = self._run_ep()
         means = result.mean()
         # a is pinned by its observation, b by its prior, and c = a + b.
         assert means["a"] == pytest.approx(2.0, abs=0.1)
@@ -169,21 +141,9 @@ class TestExpectationPropagation:
         assert means["c"] == pytest.approx(3.0, abs=0.3)
         assert result.converged
 
-    def test_mcmc_ep_close_to_analytic(self):
-        analytic = self._run_ep("analytic").mean()
-        sampled = self._run_ep("mcmc").mean()
-        for name in ("a", "b", "c"):
-            assert sampled[name] == pytest.approx(analytic[name], abs=0.5)
-
     def test_posterior_uncertainty_reported(self):
-        result = self._run_ep("analytic")
+        result = self._run_ep()
         assert all(v > 0 for v in result.variance().values())
-
-    def test_invalid_estimator_rejected(self):
-        graph = _simple_graph()
-        prior = GaussianDensity.diagonal({"a": 0.0, "b": 0.0, "c": 0.0}, {"a": 1.0, "b": 1.0, "c": 1.0})
-        with pytest.raises(ValueError):
-            ExpectationPropagation(graph, [EPSite("s", ("obs_a",))], prior, moment_estimator="exact")
 
 
 class TestMLE:

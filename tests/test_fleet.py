@@ -495,17 +495,6 @@ def test_mcmc_pool_matches_serial():
         assert pool.estimates[host].values_equal(serial.estimates[host])
 
 
-def test_batched_mcmc_pool_matches_serial():
-    """Batched MCMC chains are seeded per record from each host's snapshotted
-    RNG stream, so cross-host batching stays bit-identical to serial."""
-    estimator = EstimatorSpec("batched-mcmc", samples=25, burn_in=15)
-    kwargs = dict(n_hosts=3, n_ticks=3, batch_size=2, estimator=estimator)
-    pool = run_fleet(small_fleet(**kwargs))
-    serial = run_fleet(small_fleet(mode="serial", **kwargs))
-    for host in pool.estimates:
-        assert pool.estimates[host].values_equal(serial.estimates[host])
-
-
 def test_unassigned_channel_does_not_hang_pool():
     ingest = FleetIngest()
     ingest.add(_source("orphan", n_ticks=3))

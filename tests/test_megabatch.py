@@ -177,7 +177,7 @@ class TestMegabatchDifferential:
         assert default_engine._megabatch_eligible(prepared) == []
         for engine in (
             BayesPerfEngine(
-                CATALOG, UNION, moment_estimator="batched-mcmc",
+                CATALOG, UNION, moment_estimator="mcmc",
                 mcmc_samples=10, mcmc_burn_in=5,
             ),
             BayesPerfEngine(CATALOG, UNION, use_compiled_kernel=False),
