@@ -187,6 +187,33 @@ class TestEPPosteriorAgreement:
         assert _max_moment_gap(ref_mean, ref_var, com_mean, com_var) < TOLERANCE
 
 
+class TestThreeWayPosteriorAgreement:
+    """Reference EP vs compiled EP vs per-site MCMC on one Gaussian graph."""
+
+    def test_mcmc_chains_actually_run(self):
+        """The Gaussian-case exactness is a coupling property, not a skip."""
+        graph = FactorGraph(variables=["a", "b"])
+        graph.add_factor(GaussianObservation("obs_a", "a", observed=2.0, sigma=0.5))
+        graph.add_factor(LinearConstraintFactor("sum", {"a": 1.0, "b": -1.0}, sigma=0.1))
+        sites = [EPSite("obs", ("obs_a",)), EPSite("rel", ("sum",))]
+        prior = GaussianDensity.diagonal({"a": 0.0, "b": 0.0}, {"a": 9.0, "b": 9.0})
+        reference, compiled = _solve_two_ways(graph, sites, prior)
+        structure = compile_factor_graph(graph, sites, prior.variables)
+        kernel = CompiledEPKernel(structure, damping=1.0)
+        binding = structure.bind(site_factor_lists(graph, sites))
+        stacked = [(p[None, ...], s[None, ...]) for p, s in binding]
+        sampler = BatchedSiteMCMC(kernel, n_samples=200, burn_in=100)
+        sampled = sampler.run(
+            stacked, prior.precision[None, ...], prior.shift[None, ...], seeds=[0]
+        )
+        assert 0.05 < float(sampled.acceptance_rates[0]) < 0.95
+        assert np.array_equal(sampled.means, compiled.means)
+        assert np.array_equal(sampled.variances, compiled.variances)
+        ref_mean, ref_var = reference.posterior.mean(), reference.posterior.variance()
+        mc_mean, mc_var = sampled.mean_dict(0), sampled.variance_dict(0)
+        assert _max_moment_gap(ref_mean, ref_var, mc_mean, mc_var) < TOLERANCE
+
+
 class TestBatchBitIdentity:
     """B=1 vs B=N bit-identity of the binding paths."""
 
