@@ -104,10 +104,6 @@ class FactorGraph:
         """Sum of all factor log potentials at the given assignment."""
         return float(sum(factor.log_density(values) for factor in self._factors.values()))
 
-    def log_density_of(self, factor_names: Sequence[str], values: Mapping[str, float]) -> float:
-        """Sum of the listed factors' log potentials."""
-        return float(sum(self._factors[name].log_density(values) for name in factor_names))
-
     def gaussian_projection(
         self, anchor: Optional[Mapping[str, float]] = None
     ) -> GaussianDensity:

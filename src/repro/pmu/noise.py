@@ -10,7 +10,9 @@ the sampler's extrapolation, not from this model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import Iterable, List
 
 import numpy as np
 
@@ -44,6 +46,9 @@ class NoiseModel:
     polling_noise: float = 0.01
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            if not math.isfinite(getattr(self, spec.name)):
+                raise ValueError(f"{spec.name} must be finite")
         for name in ("read_noise", "os_spike_magnitude", "polling_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -52,12 +57,38 @@ class NoiseModel:
 
     def perturb_sample(self, value: float, rng: np.random.Generator) -> float:
         """Apply sampling-mode noise to a single true value."""
-        noisy = value * (1.0 + self.overcount_bias)
-        if self.read_noise > 0:
-            noisy *= float(np.exp(rng.normal(0.0, self.read_noise)))
-        if self.os_spike_probability > 0 and rng.random() < self.os_spike_probability:
-            noisy *= float(np.exp(rng.normal(0.0, self.os_spike_magnitude)))
-        return max(noisy, 0.0)
+        return self.perturb_samples((value,), rng)[0]
+
+    def perturb_samples(
+        self, values: Iterable[float], rng: np.random.Generator
+    ) -> List[float]:
+        """Apply sampling-mode noise to each true value, in order.
+
+        Per value the draws are: one normal (read noise, if enabled), one
+        uniform (whether an OS spike fires, if spikes are enabled) and one
+        more normal only when a spike fires.  ``0.0 + s * z`` is exactly what
+        ``rng.normal(0.0, s)`` computes, so the values and the stream match
+        a per-value ``rng.normal`` loop bit for bit.  ``exp`` stays a scalar
+        ``np.exp`` per draw: numpy's array and scalar paths need not agree in
+        the last bit.
+        """
+        scale = 1.0 + self.overcount_bias
+        read_noise = self.read_noise
+        spike_probability = self.os_spike_probability
+        spike_magnitude = self.os_spike_magnitude
+        normal = rng.standard_normal
+        uniform = rng.random
+        exp = np.exp
+        out: List[float] = []
+        append = out.append
+        for value in values:
+            noisy = value * scale
+            if read_noise > 0:
+                noisy *= float(exp(0.0 + read_noise * normal()))
+            if spike_probability > 0 and uniform() < spike_probability:
+                noisy *= float(exp(0.0 + spike_magnitude * normal()))
+            append(max(noisy, 0.0))
+        return out
 
     def perturb_polled(self, value: float, rng: np.random.Generator) -> float:
         """Apply polling-mode noise to a single true value."""

@@ -175,12 +175,20 @@ class MultiplexedSampler:
 
     def _sample_event(self, true_value: float) -> np.ndarray:
         """Split a quantum's true count into noisy PMI sub-samples."""
-        n = self.samples_per_tick
-        # PMI thresholds divide the quantum roughly evenly; jitter the split.
-        weights = self._rng.dirichlet(np.full(n, 50.0))
-        sub_true = true_value * weights
+        # PMI thresholds divide the quantum roughly evenly; jitter the split
+        # with Dirichlet(50, ..., 50) weights.  For alpha >= 0.1 numpy's
+        # ``dirichlet`` is these gamma draws summed left to right and scaled
+        # by ``1 / sum``: the same draws and bits, without its per-call cost.
+        gammas = self._rng.standard_gamma(50.0, self.samples_per_tick).tolist()
+        total = 0.0
+        for gamma in gammas:
+            total = total + gamma
+        inverse = 1.0 / total
         return np.array(
-            [self.noise.perturb_sample(value, self._rng) for value in sub_true], dtype=float
+            self.noise.perturb_samples(
+                [true_value * (gamma * inverse) for gamma in gammas], self._rng
+            ),
+            dtype=float,
         )
 
     def sample(self, trace: MachineTrace) -> SampledTrace:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,6 +41,9 @@ class MachineConfig:
             raise ValueError("core/socket/thread counts must be positive")
         if self.frequency_ghz <= 0 or self.tick_seconds <= 0:
             raise ValueError("frequency and tick duration must be positive")
+        for name in ("frequency_ghz", "tdp_watts", "tick_seconds", "run_variation", "rate_jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.run_variation < 0 or self.rate_jitter < 0:
             raise ValueError("variation parameters must be non-negative")
 
@@ -138,24 +142,30 @@ class Machine:
         if n_ticks <= 0:
             raise ValueError("n_ticks must be positive")
         trace = MachineTrace(workload=self.workload.name, config=self.config)
+        rng = self._rng
+        exp = np.exp
+        rate_jitter = self.config.rate_jitter
+        n_jittered = len(_JITTERED_RATES)
         log_intensity = 0.0
         for tick in range(n_ticks):
             profile = self.workload.profile_at(tick)
             sigma = profile.burstiness
             phi = profile.burst_correlation
             if sigma > 0:
-                innovation_scale = sigma * np.sqrt(max(1.0 - phi * phi, 1e-12))
-                log_intensity = phi * log_intensity + self._rng.normal(0.0, innovation_scale)
+                innovation_scale = sigma * math.sqrt(max(1.0 - phi * phi, 1e-12))
+                log_intensity = phi * log_intensity + rng.normal(0.0, innovation_scale)
             else:
                 log_intensity = 0.0
-            intensity = float(np.exp(log_intensity)) * self._run_offset
+            intensity = float(exp(log_intensity)) * self._run_offset
 
             jitter = {}
-            if self.config.rate_jitter > 0:
-                for name in _JITTERED_RATES:
-                    jitter[name] = float(
-                        np.exp(self._rng.normal(0.0, self.config.rate_jitter))
-                    )
+            if rate_jitter > 0:
+                # One call draws the same normals, in the same order, as one
+                # scalar call per rate; ``exp`` stays scalar per value.
+                draws = rng.normal(0.0, rate_jitter, n_jittered).tolist()
+                jitter = {
+                    name: float(exp(draw)) for name, draw in zip(_JITTERED_RATES, draws)
+                }
             values = synthesize_semantics(profile, intensity=intensity, rate_jitter=jitter)
             trace.ticks.append(values)
             trace.intensities.append(intensity)

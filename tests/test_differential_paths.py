@@ -7,10 +7,13 @@ pinning the pair together:
 * analytic EP:    ``CompiledEPKernel``  <->  ``ExpectationPropagation``
 * per-site MCMC:  ``BatchedSiteMCMC``   <->  ``ReferenceSiteMCMC``
 * binding:        ``CompiledBinder``    <->  ``CompiledGraph.bind`` (objects)
+* synthetic sampling: ``MultiplexedSampler``/``Machine``  <->  their scalar
+  per-draw loops (numpy's ``dirichlet``, one ``rng.normal`` per value)
 
 On randomized graphs reference EP and compiled EP must agree within 1e-6,
 and the array-native binding/summary code paths must be bit-identical
-between B=1 and B=N.
+between B=1 and B=N.  The synthetic sampling stream is bit-identical to its
+twin, draw for draw.
 """
 
 import math
@@ -50,9 +53,11 @@ from repro.fg import (
 from repro.fg.ep import EPSite
 from repro.fg.megabatch import KernelExecSpec
 from repro.fleet.tracefile import read_trace
+from repro.pmu.noise import NoiseModel
 from repro.pmu.sampling import MultiplexedSampler
 from repro.scheduling.cache import cached_schedule
-from repro.uarch.machine import Machine, MachineConfig
+from repro.uarch.machine import _JITTERED_RATES, Machine, MachineConfig, MachineTrace
+from repro.uarch.synthesis import synthesize_semantics
 from repro.workloads.registry import get_workload
 
 TOLERANCE = 1e-6
@@ -1154,3 +1159,151 @@ class TestGoldenHeteroFleet:
             assert got_values.keys() == want_values.keys()
             for event, value in want_values.items():
                 assert got_values[event] == pytest.approx(value, rel=1e-9)
+
+
+# -- synthetic sampling stream -------------------------------------------------
+
+
+def _reference_perturb_sample(noise, value, rng):
+    """``NoiseModel.perturb_sample`` as one scalar ``rng.normal`` per draw."""
+    noisy = value * (1.0 + noise.overcount_bias)
+    if noise.read_noise > 0:
+        noisy *= float(np.exp(rng.normal(0.0, noise.read_noise)))
+    if noise.os_spike_probability > 0 and rng.random() < noise.os_spike_probability:
+        noisy *= float(np.exp(rng.normal(0.0, noise.os_spike_magnitude)))
+    return max(noisy, 0.0)
+
+
+class _ReferenceSampler(MultiplexedSampler):
+    """The sampler with numpy's ``dirichlet`` and a per-value noise call."""
+
+    def _sample_event(self, true_value):
+        weights = self._rng.dirichlet(np.full(self.samples_per_tick, 50.0))
+        return np.array(
+            [_reference_perturb_sample(self.noise, v, self._rng) for v in true_value * weights],
+            dtype=float,
+        )
+
+
+class _ReferenceMachine(Machine):
+    """The machine with one scalar ``rng.normal`` call per jittered rate."""
+
+    def run(self, n_ticks):
+        trace = MachineTrace(workload=self.workload.name, config=self.config)
+        log_intensity = 0.0
+        for tick in range(n_ticks):
+            profile = self.workload.profile_at(tick)
+            sigma = profile.burstiness
+            phi = profile.burst_correlation
+            if sigma > 0:
+                innovation_scale = sigma * np.sqrt(max(1.0 - phi * phi, 1e-12))
+                log_intensity = phi * log_intensity + self._rng.normal(0.0, innovation_scale)
+            else:
+                log_intensity = 0.0
+            intensity = float(np.exp(log_intensity)) * self._run_offset
+            jitter = {}
+            if self.config.rate_jitter > 0:
+                for name in _JITTERED_RATES:
+                    jitter[name] = float(np.exp(self._rng.normal(0.0, self.config.rate_jitter)))
+            values = synthesize_semantics(profile, intensity=intensity, rate_jitter=jitter)
+            trace.ticks.append(values)
+            trace.intensities.append(intensity)
+        return trace
+
+
+_NOISE_MODELS = {
+    "default": NoiseModel(),
+    "noiseless": NoiseModel.noiseless(),
+    "no-read-noise": NoiseModel(read_noise=0.0),
+    "never-spikes": NoiseModel(os_spike_probability=0.0),
+    "always-spikes": NoiseModel(os_spike_probability=1.0),
+    "overcount": NoiseModel(overcount_bias=0.05),
+}
+_TRUE_VALUES = (0.0, 1e-300, 1.0, float(2**47))
+
+
+def _assert_same_samples(got, want):
+    assert got.events == want.events
+    assert got.enabled_ticks == want.enabled_ticks
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert a.configuration == b.configuration
+        assert list(a.samples) == list(b.samples)
+        for event in a.samples:
+            assert a.samples[event].tobytes() == b.samples[event].tobytes()
+
+
+class TestSyntheticSamplingStream:
+    """The unrolled sampler and machine draw the same stream as their twins.
+
+    Equal output bits and an equal final ``bit_generator.state`` show both
+    sides consumed the same draws in the same order, so every seeded input
+    (and with it every perfbench digest) is unchanged.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 16])
+    def test_dirichlet_is_normalised_standard_gamma(self, n):
+        """numpy's ``dirichlet`` (alpha >= 0.1) is its gamma draws summed
+        left to right and scaled by ``1 / sum``; the sampler relies on it."""
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.dirichlet(np.full(n, 50.0))
+            gammas = b.standard_gamma(50.0, n).tolist()
+            total = 0.0
+            for gamma in gammas:
+                total = total + gamma
+            got = np.array([gamma * (1.0 / total) for gamma in gammas])
+            assert got.tobytes() == want.tobytes(), (seed, n)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples_per_tick=st.sampled_from([1, 2, 4, 7]),
+        noise=st.sampled_from(sorted(_NOISE_MODELS)),
+        values=st.lists(st.sampled_from(_TRUE_VALUES), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_event_matches_twin(self, seed, samples_per_tick, noise, values):
+        catalog = catalog_for("x86")
+        schedule = cached_schedule(catalog, standard_profiling_events(catalog, n_events=8))
+        kwargs = dict(noise=_NOISE_MODELS[noise], samples_per_tick=samples_per_tick, seed=seed)
+        fast = MultiplexedSampler(catalog, schedule, **kwargs)
+        twin = _ReferenceSampler(catalog, schedule, **kwargs)
+        for value in values:
+            got, want = fast._sample_event(value), twin._sample_event(value)
+            assert got.dtype == want.dtype and got.shape == (samples_per_tick,)
+            assert got.tobytes() == want.tobytes()
+        assert fast._rng.bit_generator.state == twin._rng.bit_generator.state
+
+    @given(
+        seed=st.integers(0, 2**16),
+        workload=st.sampled_from(["KMeans", "PageRank", "steady"]),
+        samples_per_tick=st.sampled_from([1, 2, 4, 7]),
+        noise=st.sampled_from(sorted(_NOISE_MODELS)),
+        rate_jitter=st.sampled_from([0.0, 0.03, 0.5]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_machine_and_sampler_match_twins(
+        self, seed, workload, samples_per_tick, noise, rate_jitter
+    ):
+        config = MachineConfig(rate_jitter=rate_jitter)
+        spec = get_workload(workload)
+        machine = Machine(config, spec, seed=seed)
+        machine_twin = _ReferenceMachine(config, spec, seed=seed)
+        trace, trace_twin = machine.run(9), machine_twin.run(9)
+        assert trace.intensities == trace_twin.intensities
+        for values, values_twin in zip(trace.ticks, trace_twin.ticks):
+            assert list(values) == list(values_twin)
+            assert (
+                np.array(list(values.values())).tobytes()
+                == np.array(list(values_twin.values())).tobytes()
+            )
+        assert machine._rng.bit_generator.state == machine_twin._rng.bit_generator.state
+
+        catalog = catalog_for("x86")
+        schedule = cached_schedule(catalog, standard_profiling_events(catalog))
+        kwargs = dict(noise=_NOISE_MODELS[noise], samples_per_tick=samples_per_tick, seed=seed + 1)
+        fast = MultiplexedSampler(catalog, schedule, **kwargs)
+        twin = _ReferenceSampler(catalog, schedule, **kwargs)
+        _assert_same_samples(fast.sample(trace), twin.sample(trace))
+        assert fast._rng.bit_generator.state == twin._rng.bit_generator.state

@@ -126,6 +126,25 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(os_spike_probability=1.5)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["read_noise", "os_spike_probability", "os_spike_magnitude", "overcount_bias", "polling_noise"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_rejected(self, field, value):
+        # NaN used to switch read noise off (``nan > 0`` is false) and NaN
+        # or inf in the others turned sub-samples non-finite.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseModel(**{field: value})
+
+    def test_perturb_sample_is_one_value_of_perturb_samples(self):
+        noise = NoiseModel(overcount_bias=0.05)
+        one, many = np.random.default_rng(4), np.random.default_rng(4)
+        values = [10.0, 0.0, 2.5e9]
+        singles = [noise.perturb_sample(value, one) for value in values]
+        assert singles == noise.perturb_samples(values, many)
+        assert one.bit_generator.state == many.bit_generator.state
+
 
 class TestSampling:
     def test_polling_reader_close_to_truth(self, catalog, machine_trace):

@@ -133,6 +133,16 @@ class TestMachine:
         with pytest.raises(ValueError):
             Machine(MachineConfig(), steady_workload(), seed=0).run(0)
 
+    @pytest.mark.parametrize(
+        "field", ["frequency_ghz", "tdp_watts", "tick_seconds", "run_variation", "rate_jitter"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        # NaN variation used to switch variation off (``nan > 0`` is false);
+        # an infinite jitter made the ground truth non-finite.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MachineConfig(**{field: value})
+
 
 class TestHiBenchSuite:
     def test_suite_size(self):
