@@ -20,10 +20,11 @@ run at >= 2x a dense twin that adds every relation's full ``(w, w)`` outer
 product (the pre-plan binder), with bit-identical output.
 
 A third times ``CompiledEPKernel.run_stacked`` on a warm 16-lane, 7-group
-x86 mega-batch against the pre-change sweep loop kept as a twin in
+x86 canonical call against the pre-change sweep loop kept as a twin in
 ``tests/test_differential_paths.py``: the closed-form first sweep, the
 skipped no-op second sweep and the one-call PD probe must run at >= 1.2x
-the twin, with bit-identical output.
+the twin, with bit-identical output.  The two sides alternate call by
+call and the best single call of each is compared.
 """
 
 import importlib.util
@@ -193,7 +194,7 @@ def _dense_bind(binder, scales):
 def test_bench_constraint_bind_sparse_vs_dense():
     catalog = catalog_for("x86")
     engine = BayesPerfEngine(catalog, standard_profiling_events(catalog))
-    _, binder = engine._megabatch_structure()
+    _, binder = engine._canonical_structure()
     constraint = max(binder.constraints, key=lambda site: site.width)
     scales = np.exp2(
         np.random.default_rng(0).uniform(0.0, 40.0, size=(BIND_BATCH, constraint.width))
@@ -244,7 +245,7 @@ def test_bench_constraint_bind_sparse_vs_dense():
     assert best_ratio() >= 2.0, f"sparse bind only {best_ratio():.2f}x dense (need >= 2x)"
 
 
-SWEEP_CALLS = 20  # kernel calls per timed round
+SWEEP_CALLS = 60  # interleaved single kernel calls per side and round
 
 
 def _differential_paths():
@@ -258,7 +259,7 @@ def _differential_paths():
 
 def test_bench_run_stacked_vs_loop_twin():
     paths = _differential_paths()
-    (kernel, args), _ = paths.dephased_kernel_calls()
+    kernel, args = paths.dephased_kernel_calls()["canonical"]
     lanes, groups = args[1].shape[0], len(args[5])
     assert (lanes, groups) == (16, 7)
     paths._assert_kernel_results_identical(
@@ -270,19 +271,21 @@ def test_bench_run_stacked_vs_loop_twin():
         "loop": lambda: paths._loop_run_stacked(kernel, *args),
     }
     timings = {mode: [] for mode in runs}
+    rounds = 0
 
     def best_ratio():
         return min(timings["loop"]) / min(timings["one-sweep"])
 
-    # Interleaved best-of rounds, escalated while noise hides the margin.
-    while not timings["loop"] or (
-        best_ratio() < 1.2 and len(timings["loop"]) < MAX_ROUNDS
-    ):
-        for mode, run in runs.items():
-            start = time.perf_counter()
-            for _ in range(SWEEP_CALLS):
+    # Each call is one sample and the two sides alternate call by call, so
+    # a burst of machine load spoils single samples on both sides, never
+    # the best of either; rounds escalate while noise hides the margin.
+    while not rounds or (best_ratio() < 1.2 and rounds < MAX_ROUNDS):
+        rounds += 1
+        for _ in range(SWEEP_CALLS):
+            for mode, run in runs.items():
+                start = time.perf_counter()
                 run()
-            timings[mode].append((time.perf_counter() - start) / SWEEP_CALLS)
+                timings[mode].append(time.perf_counter() - start)
 
     us_per_slice = {
         mode: round(min(times) / lanes * 1e6, 2) for mode, times in timings.items()
@@ -298,7 +301,7 @@ def test_bench_run_stacked_vs_loop_twin():
                 "workload": {"arch": "x86", "lanes": lanes, "repair_groups": groups},
                 "us_per_slice": us_per_slice,
                 "speedup_vs_loop": round(best_ratio(), 2),
-                "rounds": len(timings["loop"]),
+                "rounds": rounds,
             }
         }
     )

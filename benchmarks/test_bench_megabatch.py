@@ -1,23 +1,28 @@
-"""Benchmark: cross-signature mega-batching on a heterogeneous 64-host fleet.
+"""Benchmark: the canonical analytic solve on a heterogeneous 64-host fleet.
 
 Every host monitors its own random subset of the 44-event profiling union,
 and the schedule rotation is phase-shifted per host, so a fleet round
 fragments into ~50 distinct measured-event signatures per tick (~150 over
 three ticks, churning every tick).  Two measurements:
 
-* ``solve`` — the solve stage cold, the path mega-batching rewrites: a
-  fresh engine per timed round (signature churn means per-signature kernels
-  are *not* amortisable across a realistic fleet round), with slice
-  preparation hoisted out of the timed region since both modes share it
-  byte-for-byte.  ``fragmented`` compiles + solves one per-signature batch
-  per group; ``megabatch`` compiles one canonical full-width structure and
-  solves the whole round in one kernel call per tick.  Acceptance: >= 3x.
-* ``fleet`` — the same fleet end-to-end through ``process_batch`` with warm
-  default engines: ``fragmented`` feeds each round one signature group per
-  call (so no call holds two signatures and nothing merges), ``megabatch``
-  feeds the whole round in one call.  The shared prepare/finalize and
-  the per-call grouping bound this ratio far below the solve-stage win
-  (Amdahl), so the acceptance bar is an honest >= 1.2x.
+* ``solve`` — the solve stage cold: a fresh engine per timed round
+  (signature churn means per-signature kernels are *not* amortisable
+  across a realistic fleet round), with slice preparation hoisted out of
+  the timed region since both modes share it byte-for-byte.
+  ``fragmented`` is the per-signature twin (``tests/signature_twin.py``):
+  it compiles one structure per new signature and solves each group in its
+  own kernel call; ``megabatch`` is the engine's canonical solve: one
+  full-width structure, one kernel call per tick.  After one untimed
+  warm-up round the modes alternate tick by tick, and each mode's time is
+  the sum over ticks of that tick's best round, so a burst of machine load
+  spoils single samples rather than the ratio.  Acceptance: >= 3x.
+* ``fleet`` — the same fleet end-to-end with warm default engines:
+  ``fragmented`` runs each round through the per-signature twin
+  (``process_batch``'s prepare and finalize around one kernel call per
+  signature group), ``megabatch`` through ``process_batch`` itself.  The
+  shared prepare/finalize and report building bound this ratio far below
+  the solve-stage win (Amdahl), so the acceptance bar is an honest
+  >= 1.2x.
 
 Both modes must agree **exactly** (padded lanes are bit-exact no-ops) —
 the differential suite in ``tests/test_megabatch.py`` pins that property
@@ -42,6 +47,7 @@ from repro.pmu.sampling import MultiplexedSampler
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
 from repro.workloads.registry import get_workload
+from signature_twin import process_batch_by_signature, solve_group
 
 N_HOSTS = 64
 TICKS = 3
@@ -50,8 +56,8 @@ TICKS = 3
 #: every record converging rather than stopping after one sweep.
 EP_DAMPING = 0.6
 EP_ITERATIONS = 16
-ROUNDS = 2  # initial timed rounds per mode; best-of is compared
-MAX_ROUNDS = 6  # escalation ceiling when a loaded machine makes timing noisy
+ROUNDS = 3  # initial timed rounds per mode; best-of is compared
+MAX_ROUNDS = 8  # escalation ceiling when a loaded machine makes timing noisy
 
 
 def _hetero_fleet():
@@ -92,56 +98,44 @@ def _prepare_rounds(catalog, union, hosts):
     ]
 
 
-def _solve_fragmented(catalog, union, rounds):
-    """Cold per-signature solve: one kernel compile + batch per group."""
-    engine = BayesPerfEngine(
-        catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
-    )
-    start = time.perf_counter()
-    results = []
-    for tick, batch in enumerate(rounds):
-        for group in batch.groups:
-            kernel, binder = engine._compiled_kernel(batch, group)
-            means = engine._solve_group_arrays(batch, group, kernel, binder)[0]
-            results.extend(
-                (group.signature, (tick, int(row)), mean)
-                for row, mean in zip(group.rows, means.tolist())
-            )
-    return time.perf_counter() - start, results
+def _solve_fragmented(engine, batch):
+    """Per-signature twin: a compile per new signature, a kernel call per group."""
+    return np.concatenate([solve_group(engine, batch, group)[0] for group in batch.groups])
 
 
-def _solve_megabatch(catalog, union, rounds):
-    """Cold mega-batched solve: one canonical structure, one call per tick."""
-    engine = BayesPerfEngine(
-        catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
-    )
-    start = time.perf_counter()
-    results = []
-    for tick, batch in enumerate(rounds):
-        means = engine._solve_megabatch(batch, batch.groups)[0].tolist()
-        lanes = [(group.signature, int(row)) for group in batch.groups for row in group.rows]
-        results.extend(
-            (signature, (tick, row), mean) for (signature, row), mean in zip(lanes, means)
+def _solve_megabatch(engine, batch):
+    """Canonical solve: the whole round in one kernel call (group-major rows)."""
+    return engine._solve_canonical(batch, batch.groups)[0]
+
+
+SOLVERS = {"fragmented": _solve_fragmented, "megabatch": _solve_megabatch}
+
+
+def _cold_round(catalog, union, rounds, means):
+    """One cold round per mode on fresh engines, timed tick by tick.
+
+    The modes alternate at every tick, so a burst of machine load spoils
+    one tick's sample on one side, not a whole round.  Returns the seconds
+    each mode spent per tick; *means* receives each mode's posterior means.
+    """
+    engines = {
+        mode: BayesPerfEngine(
+            catalog, union, ep_damping=EP_DAMPING, ep_max_iterations=EP_ITERATIONS
         )
-    return time.perf_counter() - start, results
-
-
-def _process_by_signature(engine, items):
-    """``process_batch`` fed one signature group per call (input order kept)."""
-    groups = {}
-    for index, (_, record) in enumerate(items):
-        groups.setdefault(tuple(record.samples), []).append(index)
-    results = [None] * len(items)
-    for indices in groups.values():
-        solved = engine.process_batch([items[index] for index in indices])
-        for index, result in zip(indices, solved):
-            results[index] = result
-    return results
+        for mode in SOLVERS
+    }
+    seconds = {mode: [] for mode in SOLVERS}
+    for tick, batch in enumerate(rounds):
+        for mode, solve in SOLVERS.items():
+            start = time.perf_counter()
+            means[mode][tick] = solve(engines[mode], batch)
+            seconds[mode].append(time.perf_counter() - start)
+    return seconds
 
 
 def _run_fleet(engine, hosts, fragmented):
     """End-to-end heterogeneous fleet round via ``process_batch``."""
-    process = _process_by_signature if fragmented else BayesPerfEngine.process_batch
+    process = process_batch_by_signature if fragmented else BayesPerfEngine.process_batch
     states = [None] * len(hosts)
     estimates = [[] for _ in hosts]
     start = time.perf_counter()
@@ -159,42 +153,31 @@ def test_bench_megabatch_solve_stage(benchmark):
     rounds = _prepare_rounds(catalog, union, hosts)
     signatures = {group.signature for batch in rounds for group in batch.groups}
     total_slices = sum(len(batch.records) for batch in rounds)
-    timings = {"fragmented": [], "megabatch": []}
-    results = {}
+    timings = {mode: [] for mode in SOLVERS}
+    means = {mode: [None] * TICKS for mode in SOLVERS}
 
     def _best(mode):
-        return min(timings[mode])
+        """Sum over ticks of each tick's best time across the rounds."""
+        return float(np.min(timings[mode], axis=0).sum())
 
     def compare():
-        for _ in range(ROUNDS):
-            for mode, solver in (
-                ("fragmented", _solve_fragmented),
-                ("megabatch", _solve_megabatch),
-            ):
-                elapsed, results[mode] = solver(catalog, union, rounds)
-                timings[mode].append(elapsed)
-        while (
-            _best("fragmented") / _best("megabatch") <= 3.0
+        _cold_round(catalog, union, rounds, means)  # warm-up, not timed
+        while len(timings["megabatch"]) < ROUNDS or (
+            _best("fragmented") / _best("megabatch") < 3.0
             and len(timings["megabatch"]) < MAX_ROUNDS
         ):
-            for mode, solver in (
-                ("fragmented", _solve_fragmented),
-                ("megabatch", _solve_megabatch),
-            ):
-                elapsed, results[mode] = solver(catalog, union, rounds)
-                timings[mode].append(elapsed)
+            for mode, seconds in _cold_round(catalog, union, rounds, means).items():
+                timings[mode].append(seconds)
         return timings
 
     benchmark.pedantic(compare, iterations=1, rounds=1)
 
-    # Bit-identity: the mega-batched posterior means equal the fragmented
-    # per-signature ones exactly, record for record.
-    assert sorted(r[:2] for r in results["fragmented"]) == sorted(
-        r[:2] for r in results["megabatch"]
-    )
-    frag = {r[:2]: r[2] for r in results["fragmented"]}
-    mega = {r[:2]: r[2] for r in results["megabatch"]}
-    assert frag == mega, "mega-batched solve drifted from per-signature solve"
+    # Bit-identity: the canonical posterior means equal the per-signature
+    # twin's exactly, record for record, on every tick.
+    for tick in range(TICKS):
+        assert means["fragmented"][tick].tobytes() == means["megabatch"][tick].tobytes(), (
+            "canonical solve drifted from the per-signature twin"
+        )
 
     throughput = {mode: total_slices / _best(mode) for mode in timings}
     speedup = throughput["megabatch"] / throughput["fragmented"]

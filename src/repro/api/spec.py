@@ -84,8 +84,8 @@ class EstimatorSpec:
     by default (the engine's default) and preserves bit-identity: it
     changes wall-clock, never numbers.  A plain mapping (e.g. from a
     JSON-round-tripped ``RunSpec``) is coerced to a ``KernelExecSpec``.
-    Cross-signature mega-batching needs no field: the engine merges
-    heterogeneous rounds on its own (:mod:`repro.fg.megabatch`).
+    The canonical analytic layout needs no field: the engine solves
+    every round on it, whatever its signatures (:mod:`repro.fg.megabatch`).
     """
 
     name: str = "analytic"

@@ -18,14 +18,15 @@ All inference happens in a per-event normalised space so that counts spanning
 many orders of magnitude stay well conditioned.
 
 The hot path is **array-native end to end**: per-slice observation summaries
-are plain ndarrays (no Student-t objects), site blocks come out of the
-signature-cached :class:`~repro.fg.compiled.CompiledBinder` (no factor
-objects), and batches solve through
+are plain ndarrays (no Student-t objects), site blocks come out of a
+cached :class:`~repro.fg.compiled.CompiledBinder` and its canonical
+observation bucket (no factor objects), and batches solve through
 :meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the per-site
 MCMC sampler.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
-a single slice is a batch of one, and a batch spanning several
-measured-event signatures is mega-batched into one analytic kernel call
-automatically (:mod:`repro.fg.megabatch`).
+a single slice is a batch of one, and under the analytic estimator every
+certified signature group of a batch solves in one kernel call on the
+engine's canonical full-width structure (:mod:`repro.fg.megabatch`),
+however many signatures the batch holds.
 
 Temporal state is array-native too: an :class:`EngineState` holds rows in
 engine event order (NaN = nothing known yet), and ``process_batch``
@@ -220,9 +221,10 @@ class BayesPerfEngine:
         the :mod:`repro.accelerator` co-simulation.
     observer:
         Optional :class:`~repro.obs.Observer`.  When present the engine
-        emits ``kernel.compile``/``kernel.bind``/``kernel.solve`` spans and
-        kernel-cache hit/miss counters; when ``None`` (the default) the hot
-        path is untouched.
+        emits ``kernel.compile``/``kernel.bind``/``kernel.solve`` spans and,
+        for the ``"mcmc"`` estimator's per-signature structures, kernel-cache
+        hit/miss counters; when ``None`` (the default) the hot path is
+        untouched.
     drift:
         Relative standard deviation of the temporal prior: how much an event
         is expected to change between consecutive slices.
@@ -240,13 +242,14 @@ class BayesPerfEngine:
         the ``REPRO_KERNEL_THREADS`` environment variable supplies a
         default.
     use_compiled_kernel:
-        Route slices through the vectorized array path
-        (:class:`~repro.fg.compiled.CompiledEPKernel` /
-        :class:`~repro.fg.mcmc.BatchedSiteMCMC`; compiled structures and
-        binders are cached per measured-event signature).  Disable to run
-        each estimator's reference twin instead — the object-walking
-        :class:`~repro.fg.ep.ExpectationPropagation` loop for
-        ``"analytic"``, :class:`~repro.fg.ep.ReferenceSiteMCMC` for
+        Route slices through the vectorized array path: ``"analytic"``
+        solves on one canonical full-width
+        :class:`~repro.fg.compiled.CompiledEPKernel` compiled once per
+        engine, ``"mcmc"`` runs :class:`~repro.fg.mcmc.BatchedSiteMCMC` on
+        structures and binders cached per measured-event signature.
+        Disable to run each estimator's reference twin instead — the
+        object-walking :class:`~repro.fg.ep.ExpectationPropagation` loop
+        for ``"analytic"``, :class:`~repro.fg.ep.ReferenceSiteMCMC` for
         ``"mcmc"`` — for differential A/B comparison.
     """
 
@@ -339,20 +342,21 @@ class BayesPerfEngine:
         self._unknown = np.full(len(self.events), np.nan)
         self._unit = np.ones(len(self.events))
         self._unknown.flags.writeable = self._unit.flags.writeable = False
-        #: Compiled kernels per measured-event signature (``None`` marks a
-        #: signature that failed to compile and should use reference EP).
-        self._kernel_cache: Dict[Tuple[str, ...], Optional[CompiledEPKernel]] = {}
-        #: Array-native binders, cached alongside the kernels.
-        self._binder_cache: Dict[Tuple[str, ...], CompiledBinder] = {}
+        #: The ``"mcmc"`` estimator's compiled kernel + binder per
+        #: measured-event signature (``None`` marks a signature that failed
+        #: to compile and should use the reference twin).
+        self._kernel_cache: Dict[
+            Tuple[str, ...], Optional[Tuple[CompiledEPKernel, CompiledBinder]]
+        ] = {}
         #: Constraint-site binders per (relation group, site index, site
-        #: variables), shared by every signature's binder.
+        #: variables), shared by every structure's binder.
         self._constraint_binders: Dict[
             Tuple[int, int, Tuple[str, ...]], ConstraintSiteBinder
         ] = {}
-        #: Canonical full-width kernel + binder for the mega-batch path
+        #: The analytic estimator's canonical full-width kernel + binder
         #: (compiled lazily; ``False`` = not built yet, ``None`` = the
         #: canonical structure does not compile).
-        self._mega_cache = False
+        self._canonical_cache = False
         self.reset()
 
     # -- lifecycle ----------------------------------------------------------
@@ -645,9 +649,8 @@ class BayesPerfEngine:
     ) -> Tuple[FactorGraph, List[EPSite]]:
         """Materialise the FactorGraph + EPSite objects for one slice.
 
-        Only needed on a kernel-cache miss (to compile the structure) and on
-        the reference-twin paths; the compiled hot path binds summary
-        arrays directly.
+        Only needed to compile a structure and on the reference-twin paths;
+        the compiled hot path binds summary arrays directly.
         """
         graph = FactorGraph(variables=self.events)
         sites: List[EPSite] = []
@@ -662,12 +665,12 @@ class BayesPerfEngine:
     ) -> CompiledBinder:
         """Array-native binder for one compiled structure.
 
-        Lowered once per measured-event signature: the observation site's
-        slot table plus each constraint group's stacked (unscaled)
-        coefficient matrix, in the structure's site-local orderings.  A
-        group's constraint site is the same in every signature's structure,
-        so its binder (and the binder's product plan) is built once per
-        engine and site position, and reused.
+        Lowered once per compiled structure: the observation site's slot
+        table plus each constraint group's stacked (unscaled) coefficient
+        matrix, in the structure's site-local orderings.  A group's
+        constraint site is the same in every structure of an engine, so its
+        binder (and the binder's product plan) is built once per engine and
+        site position, and reused.
         """
         observation: Optional[ObservationSiteBinder] = None
         constraints: List[ConstraintSiteBinder] = []
@@ -701,98 +704,84 @@ class BayesPerfEngine:
             structure=structure, observation=observation, constraints=tuple(constraints)
         )
 
+    def _compile(
+        self, summaries: ObservationSummaries, scales: Mapping[str, float]
+    ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
+        """Compile the slice model of *summaries* into a kernel + binder.
+
+        The one compile path behind both layouts: the factors are built,
+        partitioned into EP sites and lowered by
+        :func:`~repro.fg.compiled.compile_factor_graph`, so every structure
+        of an engine orders its constraint-site variables the same way.
+        Only the factor *types* and variable sets shape the result, never
+        the summary values.  ``None`` when the structure does not compile.
+        """
+        observer = self._observer
+        with (
+            observer.span("kernel.compile", signature=len(summaries))
+            if observer is not None
+            else nullcontext()
+        ):
+            observation_factors, constraint_groups = self._build_factors(summaries, scales)
+            site_lists = self._site_factor_lists(observation_factors, constraint_groups)
+            graph, sites = self._assemble_graph(site_lists)
+            structure = compile_factor_graph(graph, sites, variables=self.events)
+            if structure is None:
+                return None
+            kernel = CompiledEPKernel(
+                structure, damping=self.ep_damping, max_iterations=self.ep_max_iterations
+            )
+            binder = self._build_binder(
+                structure, [name for name, _ in site_lists], summaries.events
+            )
+            return kernel, binder
+
     def _compiled_kernel(
         self, batch: _PreparedBatch, group: _SliceGroup
     ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """Cached compiled kernel + binder for *group*'s graph structure.
+        """Cached per-signature kernel + binder for *group*'s graph structure.
 
-        The structure is fully determined by which monitored events the
-        slice measured (the constraint topology is fixed per engine), so
-        kernels and their array-native binders are cached per
-        measured-event signature — one compilation per schedule rotation
-        position.
+        The ``"mcmc"`` estimator's batched sampler runs on these.  The
+        structure is fully determined by which monitored events the slice
+        measured (the constraint topology is fixed per engine), so it is
+        cached per measured-event signature — one compilation per schedule
+        rotation position.
         """
         if not self.use_compiled_kernel:
             return None
         signature = group.signature
         observer = self._observer
         try:
-            kernel = self._kernel_cache[signature]
+            compiled = self._kernel_cache[signature]
             if observer is not None:
                 observer.count("kernel.cache.hits")
         except KeyError:
             if observer is not None:
                 observer.count("kernel.cache.misses")
-            with (
-                observer.span("kernel.compile", signature=len(signature))
-                if observer is not None
-                else nullcontext()
-            ):
-                row = int(group.rows[0])
-                observation_factors, constraint_groups = self._build_factors(
-                    batch.summaries[row], self._scale_view(batch, row)
-                )
-                site_lists = self._site_factor_lists(
-                    observation_factors, constraint_groups
-                )
-                graph, sites = self._assemble_graph(site_lists)
-                structure = compile_factor_graph(graph, sites, variables=self.events)
-                if structure is None:
-                    kernel = None
-                else:
-                    kernel = CompiledEPKernel(
-                        structure,
-                        damping=self.ep_damping,
-                        max_iterations=self.ep_max_iterations,
-                    )
-                    self._binder_cache[signature] = self._build_binder(
-                        structure, [name for name, _ in site_lists], signature
-                    )
-            self._kernel_cache[signature] = kernel
-        if kernel is None:
-            return None
-        return kernel, self._binder_cache[signature]
+            row = int(group.rows[0])
+            compiled = self._compile(batch.summaries[row], self._scale_view(batch, row))
+            self._kernel_cache[signature] = compiled
+        return compiled
 
-    # -- mega-batching (repro.fg.megabatch) ---------------------------------
+    # -- the canonical analytic layout (repro.fg.megabatch) -------------------
 
-    def _megabatch_structure(self) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """Canonical full-width kernel + binder for cross-signature solves.
+    def _canonical_structure(self) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
+        """The analytic estimator's canonical full-width kernel + binder.
 
         Within one engine the variable set and constraint topology are
         signature-invariant; only the observation site's width varies.  The
         canonical structure treats *every* engine variable as observed, so
         any signature embeds by scattering its measured lanes and padding
-        the rest with exact zeros.  Compiled once per engine, through the
-        same ``_build_factors → compile_factor_graph`` path as per-signature
-        structures, so constraint-site variable orderings match exactly.
+        the rest with exact zeros.  Compiled once per engine.
         """
-        if self._mega_cache is not False:
-            return self._mega_cache
-        n = len(self.events)
-        # Placeholder summaries and scales: only the factor *types* and
-        # variable sets matter for compilation, never the values.
-        summaries = ObservationSummaries(
-            self.events, np.ones(n), np.ones(n), np.full(n, 3.0)
-        )
-        observation_factors, constraint_groups = self._build_factors(
-            summaries, dict.fromkeys(self.events, 1.0)
-        )
-        site_lists = self._site_factor_lists(observation_factors, constraint_groups)
-        graph, sites = self._assemble_graph(site_lists)
-        structure = compile_factor_graph(graph, sites, variables=self.events)
-        if structure is None:
-            self._mega_cache = None
-        else:
-            kernel = CompiledEPKernel(
-                structure,
-                damping=self.ep_damping,
-                max_iterations=self.ep_max_iterations,
+        if self._canonical_cache is False:
+            n = len(self.events)
+            # Placeholder summaries and scales: compilation reads neither.
+            self._canonical_cache = self._compile(
+                ObservationSummaries(self.events, np.ones(n), np.ones(n), np.full(n, 3.0)),
+                dict.fromkeys(self.events, 1.0),
             )
-            binder = self._build_binder(
-                structure, [name for name, _ in site_lists], self.events
-            )
-            self._mega_cache = (kernel, binder)
-        return self._mega_cache
+        return self._canonical_cache
 
     def _kernel_threads(self) -> "ThreadPoolExecutor":
         """The engine's lazily created kernel thread pool."""
@@ -811,9 +800,9 @@ class BayesPerfEngine:
         stacked,
         prior_precision: np.ndarray,
         prior_shift: np.ndarray,
-        certified_sites: Sequence[int] = (),
-        site_index_overrides: Optional[Dict[int, np.ndarray]] = None,
-        repair_groups: Optional[Sequence[np.ndarray]] = None,
+        certified_sites: Sequence[int],
+        site_index_overrides: Dict[int, np.ndarray],
+        repair_groups: Sequence[np.ndarray],
     ):
         """``run_stacked`` with the engine's lane partition applied.
 
@@ -841,32 +830,28 @@ class BayesPerfEngine:
             repair_groups,
         )
 
-    def _megabatch_eligible(self, batch: _PreparedBatch) -> List[_SliceGroup]:
-        """Signature groups of this batch that may merge into one canonical solve.
+    def _canonical_groups(self, batch: _PreparedBatch) -> List[_SliceGroup]:
+        """Signature groups of this batch that solve on the canonical structure.
 
-        A group qualifies when it measured at least one event and every
-        record's projected observation precision is finite and strictly
-        positive — the condition under which skipping the canonical
-        observation site's PD probe is bit-identical to the per-signature
-        probe (see :func:`repro.fg.megabatch.observation_certified`).
-        Merging only ever pays off across *multiple* signatures, so a
-        homogeneous batch keeps the plain per-signature path untouched.
-        Only the compiled analytic estimator merges: the canonical solve
-        calls the analytic kernel itself.
+        Under the compiled analytic estimator a group qualifies when it
+        measured at least one event and every record's projected
+        observation variance is finite and strictly positive — the
+        condition under which the canonical observation site may skip its
+        PD probe (see :func:`repro.fg.megabatch.observation_certified`).
+        This holds however many signatures the batch has; every other
+        group goes to the reference twin (:meth:`_solve_reference`).
         """
         if (
             self.moment_estimator != "analytic"
             or not self.use_compiled_kernel
-            or len(batch.groups) < 2
-            or self._megabatch_structure() is None
+            or self._canonical_structure() is None
         ):
             return []
-        eligible = [
+        return [
             group
             for group in batch.groups
             if group.signature and observation_certified(group.obs_variance)
         ]
-        return eligible if len(eligible) >= 2 else []
 
     def _prior_system(
         self, batch: _PreparedBatch, rows: np.ndarray
@@ -880,30 +865,30 @@ class BayesPerfEngine:
         prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
         return prior_precision, prior_mean / prior_var
 
-    def _solve_megabatch(
+    def _solve_canonical(
         self, batch: _PreparedBatch, groups: List[_SliceGroup]
     ) -> _Solved:
-        """Solve several signature groups in one canonical kernel call.
+        """Solve certified signature groups in one canonical kernel call.
 
         Records are laid out group-contiguously in one bucketed
         structure-of-arrays layout: the observation site is padded to the
-        round's widest signature, populated lanes carry the exact floats
-        the per-signature binder would produce, padded lanes carry exact
-        zeros scattered onto unmeasured slots via the per-record slot
-        table — so the merged solve reproduces every per-signature solve
-        bit for bit.  The kernel's PD repair re-probes at the original
-        group granularity (``repair_groups``): the Cholesky probe is
-        all-or-nothing per call, so merging must not let one group's
-        indefinite block change another group's repair.  Returns results
-        in the flattened (group-major) record order.
+        batch's widest signature, populated lanes carry the exact
+        ``1/σ²`` / ``μ/σ²`` floats of the group's measured events, padded
+        lanes carry exact zeros scattered onto unmeasured slots via the
+        per-record slot table — so each group's posterior is bit-identical
+        to a solve on its own per-signature structure.  The kernel's PD
+        repair re-probes at group granularity (``repair_groups``): the
+        Cholesky probe is all-or-nothing per call, so one group's
+        indefinite block must not change another group's repair.  Returns
+        results in the flattened (group-major) record order.
         """
-        kernel, binder = self._megabatch_structure()
+        kernel, binder = self._canonical_structure()
         rows = np.concatenate([group.rows for group in groups])
         lanes, n = len(rows), len(self.events)
         obs_site = binder.observation.site
         observer = self._observer
         with (
-            observer.span("kernel.megabind", batch=lanes, signatures=len(groups))
+            observer.span("kernel.bind", batch=lanes, signatures=len(groups))
             if observer is not None
             else nullcontext()
         ):
@@ -933,7 +918,7 @@ class BayesPerfEngine:
             prior_precision, prior_shift = self._prior_system(batch, rows)
 
         with (
-            observer.span("kernel.solve", batch=lanes, estimator="megabatch")
+            observer.span("kernel.solve", batch=lanes, estimator="analytic")
             if observer is not None
             else nullcontext()
         ):
@@ -953,11 +938,13 @@ class BayesPerfEngine:
     ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
         """Solve one prepared record through its estimator's reference twin.
 
-        The per-slice solve behind ``use_compiled_kernel=False`` and behind
-        any signature whose structure does not compile: the object-walking
-        EP loop for ``"analytic"``, the registered twin for ``"mcmc"``
-        (walking Python factor objects per step, seeded with the same
-        per-record seed the batched path would use — the differential
+        The per-slice solve behind ``use_compiled_kernel=False``, behind an
+        analytic group the canonical structure may not take (no measured
+        event, or a non-finite or non-positive projected observation
+        variance) and behind any structure that does not compile: the
+        object-walking EP loop for ``"analytic"``, the registered twin for
+        ``"mcmc"`` (walking Python factor objects per step, seeded with the
+        same per-record seed the batched path would use — the differential
         harness pins the pair within floating-point noise).  It reads only
         *batch*, never the engine's temporal state, so it composes with
         batch preparation like every other solve.
@@ -1130,11 +1117,11 @@ class BayesPerfEngine:
         kernel: CompiledEPKernel,
         binder: CompiledBinder,
     ) -> _Solved:
-        """Solve one same-signature group through the array-native path.
+        """Solve one same-signature group through the per-site MCMC sampler.
 
-        Every step — binding, priors, the EP kernel or the per-site MCMC
-        sampler — is element-wise or gufunc-batched, so a group of one is
-        bit-identical to the same slice inside a larger group.
+        Binding, priors and the sampler's EP loop are element-wise or
+        gufunc-batched, so a group of one is bit-identical to the same
+        slice inside a larger group.
         """
         observer = self._observer
         size = len(group.rows)
@@ -1153,9 +1140,6 @@ class BayesPerfEngine:
             if observer is not None
             else nullcontext()
         ):
-            if self.moment_estimator == "analytic":
-                result = self._run_kernel(kernel, stacked, prior_precision, prior_shift)
-                return result.means, result.variances, result.iterations, result.converged
             # Per-site tilted MCMC inside the EP loop: the accelerator's
             # inner loop, batched over the group.  The observation site's
             # non-Gaussian correction lives in *site-local* coordinates (the
@@ -1235,15 +1219,15 @@ class BayesPerfEngine:
         fresh run) with its next record.  The batch is prepared in one
         array pass over its ``(B, n)`` state rows (the cheap,
         state-dependent part) and grouped by graph-structure signature.
-        Under the compiled analytic estimator, a batch with two or more
-        certified signatures merges them into one canonical mega-batched
-        kernel call (:mod:`repro.fg.megabatch`).  Every other
-        group is solved in one array-native pass (the analytic kernel or
-        the estimator's batched sampler), or slice by slice through the
-        reference twin when the compiled kernel is off or the structure
-        does not compile.  Each slice's result is bit-identical to what a
-        batch of one would give.  Returns each slice's report and successor
-        state, in input order.
+        Under the compiled analytic estimator every certified group, of
+        however many signatures, solves in one call on the canonical
+        structure (:mod:`repro.fg.megabatch`).  Under ``"mcmc"`` each
+        group runs the batched sampler on its signature's structure.
+        Groups neither path takes — and every group when the compiled
+        kernel is off or the structure does not compile — solve slice by
+        slice through the reference twin.  Each slice's result is
+        bit-identical to what a batch of one would give.  Returns each
+        slice's report and successor state, in input order.
         """
         batch = self._prepare_batch(items)
         solved = (
@@ -1252,35 +1236,27 @@ class BayesPerfEngine:
             np.empty(len(items), dtype=int),
             np.empty(len(items), dtype=bool),
         )
-        remaining = batch.groups
-
-        # Cross-signature mega-batching: merge every eligible signature
-        # group into one canonical full-width solve (bit-identical to the
-        # per-signature solves below — padded lanes are exact no-ops).
-        mega = self._megabatch_eligible(batch)
-        if mega:
-            observer = self._observer
-            if observer is not None:
-                observer.count("kernel.megabatch.rounds")
-                observer.count("kernel.megabatch.signatures", len(mega))
-            rows = np.concatenate([group.rows for group in mega])
-            for out, values in zip(solved, self._solve_megabatch(batch, mega)):
+        canonical = self._canonical_groups(batch)
+        if canonical:
+            rows = np.concatenate([group.rows for group in canonical])
+            for out, values in zip(solved, self._solve_canonical(batch, canonical)):
                 out[rows] = values
-            remaining = [group for group in batch.groups if group not in mega]
 
-        for group in remaining:
+        for group in batch.groups:
+            if group in canonical:
+                continue
             if not (group.signature or self._has_sites):
                 result = self._solved_rows(
                     [self._prior_moments(batch, row) for row in group.rows]
                 )
+            elif self.moment_estimator == "mcmc" and (
+                compiled := self._compiled_kernel(batch, group)
+            ):
+                result = self._solve_group_arrays(batch, group, *compiled)
             else:
-                compiled = self._compiled_kernel(batch, group)
-                if compiled is None:
-                    result = self._solved_rows(
-                        [self._solve_reference(batch, row) for row in group.rows]
-                    )
-                else:
-                    result = self._solve_group_arrays(batch, group, *compiled)
+                result = self._solved_rows(
+                    [self._solve_reference(batch, row) for row in group.rows]
+                )
             for out, values in zip(solved, result):
                 out[group.rows] = values
         return self._finalize(batch, solved)

@@ -9,9 +9,10 @@ This package implements the machinery behind the BayesPerf ML model (§4):
   MCMC moment estimation,
 * a compiled, vectorized EP kernel (index-compiled graph structures,
   Cholesky-based updates, batched multi-record solves),
-* cross-signature mega-batching and multicore kernel execution
-  (:mod:`repro.fg.megabatch`: canonical padded shapes whose padded lanes
-  are exact no-ops, plus a deterministic lane partition across threads),
+* the canonical analytic layout and multicore kernel execution
+  (:mod:`repro.fg.megabatch`: one padded full-width shape for every
+  signature, whose padded lanes are exact no-ops, plus a deterministic
+  lane partition across threads),
 * a moment-estimator registry (:mod:`repro.fg.registry`) the samplers and
   their reference twins self-register into — every front door
   (engine, sessions, fleet CLI, :mod:`repro.api`) resolves estimator names

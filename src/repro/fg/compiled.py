@@ -34,7 +34,7 @@ the EP iteration entirely on preallocated ``(B, ...)`` ndarray buffers:
 * Positive-definiteness repair of site targets probes each site with one
   batched Cholesky call that flags the records whose factorisation fails,
   and runs the eigendecomposition repair of the reference's
-  ``_safe_divide`` only on the calls (or mega-batch repair groups) holding
+  ``_safe_divide`` only on the calls (or canonical-call repair groups) holding
   a failing record.  The invariant blocks of the production graphs are
   rank-deficient: the 43-wide and both 3-wide x86 blocks fail the probe on
   every call, so each call pays one ``eigvalsh`` per such block.
@@ -563,7 +563,7 @@ class CompiledEPKernel:
         mixed batches behave exactly like the reference.
 
         ``certified_sites`` names site indices whose blocks the caller has
-        already certified PD-on-the-populated-lanes (the mega-batch path's
+        already certified PD-on-the-populated-lanes (the canonical layout's
         padded observation site: a diagonal block whose measured lanes are
         strictly positive and whose padded lanes are exactly zero).  Such a
         block would fail the full-width Cholesky probe even though every
@@ -573,13 +573,13 @@ class CompiledEPKernel:
 
         ``repair_groups`` partitions the batch axis into the record-index
         groups that would each have been one ``run_stacked`` call on their
-        own (the mega-batch path's merged signature groups).  The repair is
+        own (the signature groups of a canonical call).  The repair is
         all-or-nothing *per call*: one failing record sends every record in
         its call through the eigenvalue repair, and the repair can bump a
         Cholesky-healthy record whose smallest eigenvalue rounds to ``<= 0``.
         Repair outcomes therefore depend on how records are grouped into
         calls — so a merged batch decides each group from its own records'
-        probe flags, bit-identical to the per-signature calls it replaces.
+        probe flags, bit-identical to one per-signature call per group.
         """
         certified = frozenset(certified_sites)
         repaired: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -662,12 +662,12 @@ class CompiledEPKernel:
         Gaussian priors in the structure's variable ordering.  This is the
         array-native hot entry — :meth:`run` is the object-level wrapper.
         ``certified_sites`` is forwarded to the PD repair (see
-        :meth:`_repaired_targets`); padded mega-batch observation sites use
+        :meth:`_repaired_targets`); padded canonical observation sites use
         it to keep padded lanes exact no-ops.
 
         ``site_index_overrides`` maps a site position to a per-record
         ``(B, w)`` global-slot table replacing that site's compiled
-        ``index`` — the mega-batch path's bucketed observation site, where
+        ``index`` — the canonical layout's bucketed observation site, where
         each record scatters its own measured lanes.  Every record's slots
         must be distinct (the scatter uses buffered fancy indexing); the
         block width ``w`` may differ from the compiled site's width, since

@@ -1,22 +1,22 @@
-"""Cross-signature mega-batching and multicore execution of the EP kernel.
+"""The canonical analytic layout and multicore execution of the EP kernel.
 
 Batched EP (:meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked`) solves
-``B`` records in one vectorized pass — but only records sharing one graph
-*structure*, i.e. one measured-event signature.  A heterogeneous fleet
-round fragments into many small per-signature batches (one per schedule
-rotation position), and each fragment pays the kernel's fixed per-call
-cost: Python dispatch over ~10² numpy ops per EP sweep dwarfs the
-per-record arithmetic when ``B`` is 2–4.
+``B`` records in one vectorized pass over one graph *structure*.  Compiled
+per measured-event signature, a heterogeneous fleet round would fragment
+into many small per-signature calls (one per schedule rotation position),
+each paying the kernel's fixed per-call cost — Python dispatch over ~10²
+numpy ops per EP sweep dwarfs the per-record arithmetic when ``B`` is 2–4
+— and every new signature would pay a compile.
 
-This module removes the fragmentation with **shape canonicalization**.
-Within one engine the variable set is fixed (every monitored + latent
-event) and the constraint topology is signature-invariant — only the
-observation site's width varies with the signature.  So every signature
-embeds into one *canonical* structure-of-arrays layout whose observation
-site spans the full variable width:
+This module removes both with **shape canonicalization**.  Within one
+engine the variable set is fixed (every monitored + latent event) and the
+constraint topology is signature-invariant — only the observation site's
+width varies with the signature.  So every signature embeds into one
+*canonical* structure-of-arrays layout whose observation site spans the
+full variable width:
 
 * measured lanes scatter each record's projected observation moments into
-  their canonical slots — the same ``1/σ²`` / ``μ/σ²`` values the
+  their canonical slots — the same ``1/σ²`` / ``μ/σ²`` values a
   per-signature binder produces, landing on the same global matrix entries;
 * padded lanes carry **exact zeros** (precision ``1/∞ = 0``, shift
   ``0/∞ = 0``), which makes them no-ops through the whole kernel: damping
@@ -26,17 +26,18 @@ site spans the full variable width:
 The one step where a padded block is *not* automatically a no-op is the
 kernel's positive-definiteness repair: a diagonal with zero entries fails
 the Cholesky probe and the eigenvalue fallback would bump *every* lane.
-Mega-batch eligibility therefore certifies the observation block up front
+The engine therefore certifies the observation block up front
 (:func:`observation_certified`: every measured lane's precision finite and
-strictly positive — exactly the condition under which the per-signature
+strictly positive — exactly the condition under which a per-signature
 stack passes its Cholesky probe untouched) and the kernel skips the probe
 for the certified site (``certified_sites``).  Together this makes the
-mega-batched solve **bit-identical** to the per-signature batched solves
-it replaces; ``tests/test_megabatch.py`` pins the equivalence on
-hypothesis-randomized heterogeneous fleets.  The engine therefore merges
-automatically: :meth:`~repro.core.engine.BayesPerfEngine.process_batch`
-takes this path whenever the compiled analytic estimator sees two or more
-certified signatures in one batch.
+canonical solve **bit-identical** to a per-signature solve of each group;
+``tests/test_megabatch.py`` pins the equivalence against a per-signature
+twin on hypothesis-randomized heterogeneous fleets.  The engine therefore
+has one analytic layout:
+:meth:`~repro.core.engine.BayesPerfEngine.process_batch` solves every
+certified signature group of a batch in one canonical call, however many
+signatures the batch holds, and sends the rest to the reference twin.
 
 **Multicore execution** rides on the same per-record independence.
 :class:`KernelExecSpec` selects a thread count, and the batch axis is split
@@ -48,7 +49,7 @@ are bit-identical for any thread count, including 1.
 
 Nothing here imports an engine: the canonicalization is expressed against
 the compiled binder/kernel layer so any caller with per-signature arrays
-can mega-batch.
+can lay a batch out canonically.
 """
 
 from __future__ import annotations
@@ -162,11 +163,11 @@ def bind_bucketed_observation(
     batch: int,
     blocks: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical bucketed observation site for a mega-batch.
+    """Canonical bucketed observation site for a batch of signature groups.
 
     ``blocks`` carries one ``(rows, slots, pad_slots, mean, variance)``
     tuple per signature group — ``rows`` are the group's record indices in
-    the mega-batch, ``slots`` the global variable slots of its measured
+    the batch, ``slots`` the global variable slots of its measured
     events (in record order), ``pad_slots`` the distinct unmeasured slots
     absorbing its padded lanes (:func:`padding_slots`), and ``mean`` /
     ``variance`` its ``(G, E)`` projected moments.  ``width`` is the
@@ -178,8 +179,8 @@ def bind_bucketed_observation(
     produces and whose padded lanes are exact zeros, plus the per-record
     ``(B, width)`` global-slot table to pass as the site's
     ``site_index_overrides`` entry.  Padded lanes scatter ``+0.0`` onto
-    unmeasured slots — no-ops — so the mega-batched solve is bit-identical
-    to the per-signature solves it merges.
+    unmeasured slots — no-ops — so the canonical solve is bit-identical
+    to a per-signature solve of each group.
     """
     precision = np.zeros((batch, width, width))
     shift = np.zeros((batch, width))

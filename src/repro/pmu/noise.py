@@ -54,6 +54,9 @@ class NoiseModel:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.os_spike_probability <= 1.0:
             raise ValueError("os_spike_probability must lie in [0, 1]")
+        if self.overcount_bias <= -1.0:
+            # A scale 1 + bias <= 0 zeroes (or negates) every sample.
+            raise ValueError("overcount_bias must be greater than -1")
 
     def perturb_sample(self, value: float, rng: np.random.Generator) -> float:
         """Apply sampling-mode noise to a single true value."""

@@ -142,7 +142,10 @@ class MultiplexedSampler:
     schedule:
         Any object exposing ``config_at(tick) -> CounterConfiguration`` and an
         ``events`` attribute listing every monitored event
-        (:class:`repro.scheduling.Schedule` satisfies this).
+        (:class:`repro.scheduling.Schedule` satisfies this).  Every
+        configuration must fit the catalog's programmable counters:
+        :meth:`sample` range-checks each distinct one once and raises
+        ``ValueError`` for one that does not fit.
     noise:
         Per-sample noise model.
     samples_per_tick:
@@ -171,7 +174,6 @@ class MultiplexedSampler:
         self.samples_per_tick = samples_per_tick
         self.include_fixed = include_fixed
         self._rng = np.random.default_rng(seed)
-        self.register_file = PMURegisterFile(catalog)
 
     def _sample_event(self, true_value: float) -> np.ndarray:
         """Split a quantum's true count into noisy PMI sub-samples."""
@@ -197,9 +199,17 @@ class MultiplexedSampler:
         fixed_names = tuple(spec.name for spec in self.catalog.fixed_events)
         all_events = monitored + tuple(n for n in fixed_names if n not in monitored)
         sampled = SampledTrace(catalog_name=self.catalog.name, events=all_events)
+        # Programming a register file range-checks a configuration against
+        # the counters; a rotation repeats its configuration objects, so
+        # each is checked once (the records keep every one alive, so no id
+        # is reused).
+        register_file = PMURegisterFile(self.catalog)
+        checked = set()
         for tick, tick_values in enumerate(trace.ticks):
             configuration = self.schedule.config_at(tick)
-            self.register_file.program(configuration)
+            if id(configuration) not in checked:
+                register_file.program(configuration)
+                checked.add(id(configuration))
             measured = list(configuration.events)
             if self.include_fixed:
                 measured.extend(n for n in fixed_names if n not in measured)

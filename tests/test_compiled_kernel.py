@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
 from repro.core.engine import BayesPerfEngine
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
@@ -180,14 +181,26 @@ class TestEngineEquivalence:
             assert np.array_equal(states[h].scale, state.scale, equal_nan=True)
             assert states[h].tick == state.tick
 
-    def test_kernel_cache_reused_across_slices(self, records):
+    def test_kernel_cache_reused_across_slices(self, records, monkeypatch):
+        """The analytic estimator compiles its one canonical structure once
+        per engine, whatever the slices' signatures."""
         catalog, events, sampled = records
+        assert len({tuple(record.samples) for record in sampled.records}) > 1
+        compiles = []
+        compile_graph = engine_module.compile_factor_graph
+
+        def spy(*args, **kwargs):
+            compiles.append(args)
+            return compile_graph(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "compile_factor_graph", spy)
         engine = BayesPerfEngine(catalog, events)
         engine.correct(sampled)
-        signatures = len(engine._kernel_cache)
-        assert 0 < signatures < len(sampled.records)
-        engine.correct(sampled)  # second run: every signature already compiled
-        assert len(engine._kernel_cache) == signatures
+        canonical = engine._canonical_cache
+        assert canonical is not None and len(compiles) == 1
+        assert not engine._kernel_cache  # no per-signature structure
+        engine.correct(sampled)  # second run: nothing left to compile
+        assert engine._canonical_cache is canonical and len(compiles) == 1
 
     def test_mcmc_estimator_uses_compiled_structures(self, records):
         """Per-site tilted MCMC now batches on the kernel's buffers (PR 4)."""

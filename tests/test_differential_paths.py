@@ -59,6 +59,7 @@ from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import _JITTERED_RATES, Machine, MachineConfig, MachineTrace
 from repro.uarch.synthesis import synthesize_semantics
 from repro.workloads.registry import get_workload
+from signature_twin import process_batch_by_signature
 
 TOLERANCE = 1e-6
 
@@ -271,7 +272,7 @@ class TestSparseConstraintBinding:
     """Sparse ``ConstraintSiteBinder.bind`` against its dense ``A^T A`` twin."""
 
     def test_default_engine_groups_are_covered(self, x86_engine):
-        _, binder = x86_engine._megabatch_structure()
+        _, binder = x86_engine._canonical_structure()
         widths = sorted(constraint.width for constraint in binder.constraints)
         assert widths == [3, 3, 43]
         wide = max(binder.constraints, key=lambda constraint: constraint.width)
@@ -294,7 +295,7 @@ class TestSparseConstraintBinding:
         self, x86_engine, group, batch, seed, low, span, pins
     ):
         """Scales from the 1e-9 floor up to 2**48, B=1 and B=N."""
-        _, binder = x86_engine._megabatch_structure()
+        _, binder = x86_engine._canonical_structure()
         constraint = binder.constraints[group]
         shape = (batch, constraint.width)
         high = min(low + span, 48.0)
@@ -311,7 +312,7 @@ class TestSparseConstraintBinding:
 
     def test_signatures_share_one_binder_per_group(self, x86_engine):
         """Every signature's constraint site reuses the group's one plan."""
-        _, mega = x86_engine._megabatch_structure()
+        _, mega = x86_engine._canonical_structure()
         plans = {tuple(id(constraint.plan) for constraint in mega.constraints)}
         for record in _x86_records(x86_engine, "KMeans", seed=1, ticks=4):
             batch = x86_engine._prepare_batch([(None, record)])
@@ -449,8 +450,8 @@ def _assert_kernel_results_identical(got, want):
     assert np.array_equal(got.converged, want.converged)
 
 
-def _run_stacked_calls(engine, items):
-    """The ``(kernel, args)`` of every ``run_stacked`` call ``process_batch`` makes."""
+def _run_stacked_calls(solve):
+    """The ``(kernel, args)`` of every ``run_stacked`` call ``solve()`` makes."""
     calls = []
     original = CompiledEPKernel.run_stacked
 
@@ -460,20 +461,22 @@ def _run_stacked_calls(engine, items):
 
     CompiledEPKernel.run_stacked = spy
     try:
-        engine.process_batch(items)
+        solve()
     finally:
         CompiledEPKernel.run_stacked = original
     return calls
 
 
 def dephased_kernel_calls(hosts=16, rotations=7, rounds=2):
-    """A warm dephased x86 round's kernel calls.
+    """A warm dephased x86 round's kernel calls, as ``(kernel, run_stacked args)``.
 
     Host ``h`` starts at rotation offset ``h % rotations``, so one round
-    holds ``rotations`` measured-event signatures.  Returns the round's
-    one mega-batch call (certified observation site, per-record slot table
-    and one repair group per signature) and a per-signature call for the
-    hosts at offset 0, each as ``(kernel, run_stacked args)``.
+    holds ``rotations`` measured-event signatures.  Returns ``"canonical"``,
+    the round's one ``process_batch`` call (certified observation site,
+    per-record slot table and one repair group per signature);
+    ``"canonical-one-signature"``, the ``process_batch`` call for the hosts
+    at offset 0 alone; and ``"signature"``, the per-signature twin's call
+    for those hosts (``tests/signature_twin.py``).
     """
     catalog = catalog_for("x86")
     engine = BayesPerfEngine(
@@ -488,14 +491,22 @@ def dephased_kernel_calls(hosts=16, rotations=7, rounds=2):
         items = [(states[h], records[h][h % rotations + step]) for h in range(hosts)]
         states = [state for _, state in engine.process_batch(items)]
     last = [(states[h], records[h][h % rotations + rounds - 1]) for h in range(hosts)]
-    (megabatch,) = _run_stacked_calls(engine, last)
-    (signature,) = _run_stacked_calls(engine, last[::rotations])
-    return megabatch, signature
+    one_signature = last[::rotations]
+    (canonical,) = _run_stacked_calls(lambda: engine.process_batch(last))
+    (canonical_one,) = _run_stacked_calls(lambda: engine.process_batch(one_signature))
+    (signature,) = _run_stacked_calls(
+        lambda: process_batch_by_signature(engine, one_signature)
+    )
+    return {
+        "canonical": canonical,
+        "canonical-one-signature": canonical_one,
+        "signature": signature,
+    }
 
 
 @pytest.fixture(scope="module")
 def kernel_calls():
-    return dict(zip(("megabatch", "signature"), dephased_kernel_calls()))
+    return dephased_kernel_calls()
 
 
 class TestOneSweepKernel:
@@ -503,17 +514,24 @@ class TestOneSweepKernel:
     PD probe) against the pre-change loop, bit for bit."""
 
     def test_calls_have_the_production_shapes(self, kernel_calls):
-        _, (stacked, prior_precision, _, certified, overrides, groups) = kernel_calls[
-            "megabatch"
+        """Every analytic batch, one signature or seven, is one canonical call."""
+        kernel, (_, prior_precision, _, certified, overrides, groups) = kernel_calls[
+            "canonical"
         ]
         assert prior_precision.shape[0] == 16 and len(groups) == 7
         assert certified and set(overrides) == set(certified)
-        _, args = kernel_calls["signature"]
-        assert args[3:] == ((), None, None)
+        one, (_, prior_precision, _, certified, overrides, groups) = kernel_calls[
+            "canonical-one-signature"
+        ]
+        assert one is kernel
+        assert prior_precision.shape[0] == 3 and len(groups) == 1
+        assert certified and set(overrides) == set(certified)
+        twin, args = kernel_calls["signature"]
+        assert twin is not kernel and len(args) == 3
 
     @settings(max_examples=120, deadline=None)
     @given(
-        call=st.sampled_from(["megabatch", "signature"]),
+        call=st.sampled_from(["canonical", "canonical-one-signature", "signature"]),
         eta=st.sampled_from([1.0, 0.7, 0.3]),
         max_iterations=st.sampled_from([1, 2, 8]),
         tolerance=st.sampled_from([1e-6, 0.0]),
@@ -528,7 +546,8 @@ class TestOneSweepKernel:
         poison_at, negative_zero,
     ):
         compiled, args = kernel_calls[call]
-        stacked, prior_precision, prior_shift, certified, overrides, groups = args
+        stacked, prior_precision, prior_shift = args[:3]
+        certified, overrides, groups = args[3:] or ((), None, None)
         stacked = [(p.copy(), s.copy()) for p, s in stacked]
         prior_precision, prior_shift = prior_precision.copy(), prior_shift.copy()
         if lane is not None:  # B=1
@@ -571,14 +590,17 @@ class TestOneSweepKernel:
 
     def test_default_engine_settings_stop_after_the_no_op_sweep(self, kernel_calls):
         """Damping 1 at the engine defaults: two sweeps, converged, delta 0."""
-        kernel, args = kernel_calls["megabatch"]
+        kernel, args = kernel_calls["canonical"]
         got = kernel.run_stacked(*args)
         _assert_kernel_results_identical(got, _loop_run_stacked(kernel, *args))
         assert (got.iterations == 2).all() and got.converged.all()
         assert (got.max_delta == 0.0).all()
 
     def test_uncovered_negative_zero_survives(self, kernel_calls):
-        """The no-op sweep must not normalise prior -0.0 entries no site touches."""
+        """The no-op sweep must not normalise prior -0.0 entries no site
+        touches.  Only a per-signature structure leaves variables uncovered
+        (the canonical observation site spans every variable), so the twin's
+        call carries this pin."""
         kernel, (stacked, prior_precision, prior_shift, *rest) = kernel_calls["signature"]
         zero = prior_precision == 0.0
         prior_precision = np.where(zero, -0.0, prior_precision)
@@ -1016,8 +1038,8 @@ class TestEngineDifferential:
 
 
 #: Committed golden traces.  The homogeneous one (a single-host session
-#: recording, pinned in ``test_fleet.py``) replays here under the mega-batch
-#: engine; the heterogeneous one is a 32-host mixed-signature fleet run log
+#: recording, pinned in ``test_fleet.py``) replays here through the fleet
+#: pipeline; the heterogeneous one is a 32-host mixed-signature fleet run log
 #: (version-3 host-keyed estimates) whose generation recipe is re-executed
 #: below and compared host-by-host.
 GOLDEN_TRACE = Path(__file__).parent / "fixtures" / "golden_fleet_trace.jsonl"
@@ -1032,9 +1054,9 @@ class TestGoldenHeteroFleet:
     schedule rotation, so one fleet round spans ~37 distinct measured-event
     signatures.  The fixture stores every host's per-tick estimates from
     the per-signature batched solve; re-running the recipe (which now
-    mega-batches every round) must reproduce them, and must match the same
-    rounds fed one signature group at a time **exactly**, with or without
-    kernel threads.
+    solves every round on the canonical structure) must reproduce them, and
+    must match the per-signature twin (``tests/signature_twin.py``)
+    **exactly**, with or without kernel threads.
 
     Comparison against the committed file uses the same 1e-9 relative
     tolerance as the homogeneous golden pin (exact float equality would be
@@ -1071,25 +1093,16 @@ class TestGoldenHeteroFleet:
     def _run_fleet(self, catalog, union, hosts, by_signature=False, **engine_kwargs):
         """One fleet round per tick through ``process_batch`` (the recipe).
 
-        ``by_signature`` feeds each round one signature group per call, so
-        no call holds two signatures and nothing is mega-batched.
+        ``by_signature`` runs each round through the per-signature twin
+        instead: one structure and one kernel call per signature group.
         """
         engine = BayesPerfEngine(catalog, union, **engine_kwargs)
+        process = process_batch_by_signature if by_signature else BayesPerfEngine.process_batch
         states = [None] * len(hosts)
         outputs = [[] for _ in hosts]
         for tick in range(self.TICKS):
             items = [(states[h], records[tick]) for h, records in enumerate(hosts)]
-            if by_signature:
-                results = [None] * len(items)
-                groups = {}
-                for h, (_, record) in enumerate(items):
-                    groups.setdefault(tuple(record.samples), []).append(h)
-                for members in groups.values():
-                    solved = engine.process_batch([items[h] for h in members])
-                    for h, result in zip(members, solved):
-                        results[h] = result
-            else:
-                results = engine.process_batch(items)
+            results = process(engine, items)
             for h, (report, state) in enumerate(results):
                 states[h] = state
                 outputs[h].append((report.means(), report.stds()))
@@ -1127,9 +1140,9 @@ class TestGoldenHeteroFleet:
         ] == pytest.approx(331128.2579, abs=1e-3)
 
     def test_megabatch_and_partitioned_paths_match_exactly(self, fleet):
-        """Mega-batched and lane-partitioned rounds equal the per-signature
-        rounds bit-for-bit on the golden fleet (and therefore pin against
-        the fixture transitively)."""
+        """Canonical rounds, serial and lane-partitioned, equal the
+        per-signature twin's rounds bit-for-bit on the golden fleet (and
+        therefore pin against the fixture transitively)."""
         catalog, union, hosts = fleet
         serial = KernelExecSpec(threads=1)
         threaded = KernelExecSpec(threads=4)
@@ -1138,15 +1151,12 @@ class TestGoldenHeteroFleet:
         )
         assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=serial)
         assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=threaded)
-        assert baseline == self._run_fleet(
-            catalog, union, hosts, by_signature=True, kernel_exec=threaded
-        )
 
     def test_homogeneous_golden_replays_under_megabatch_engine(self):
         """The pre-existing single-host golden fixture, replayed through the
-        fleet pipeline (whose engines always mega-batch), still reproduces
-        its committed estimates — the merge path degrades to a
-        single-signature batch."""
+        fleet pipeline (whose engines solve every batch on the canonical
+        structure), still reproduces its committed estimates: each batch
+        holds one signature."""
         golden = read_trace(GOLDEN_TRACE)
         spec = RunSpec(
             arch=golden.arch, hosts=(HostSpec(trace=str(GOLDEN_TRACE)),), n_workers=2

@@ -1,16 +1,18 @@
-"""Cross-signature mega-batching and multicore kernel execution, locked down.
+"""The canonical analytic solve and multicore kernel execution, locked down.
 
-The mega-batched solve (:mod:`repro.fg.megabatch`) replaces many
-per-signature batched kernel calls with one canonical padded call whenever
-a ``process_batch`` call holds two or more certified signatures, and the
-``KernelExecSpec`` lane partition replaces one serial call with several
-chunked ones.  Both rewrites sit on the hottest numeric path, so their
-contract is **bit-identity**, not closeness:
+Under the compiled analytic estimator ``process_batch`` solves every
+certified signature group of a batch in one canonical padded kernel call
+(:mod:`repro.fg.megabatch`), however many signatures the batch holds, and
+the ``KernelExecSpec`` lane partition replaces one serial call with several
+chunked ones.  Both sit on the hottest numeric path, so their contract is
+**bit-identity**, not closeness:
 
-* mega-batched posteriors == the same records fed to ``process_batch`` one
-  signature group at a time, exactly, on hypothesis-randomized
-  heterogeneous fleets — and both match the object-walking reference twin
-  within 1e-6;
+* canonical posteriors == the per-signature twin
+  (``tests/signature_twin.py``: one structure and one kernel call per
+  signature group), exactly, on hypothesis-randomized heterogeneous
+  fleets — and both match the object-walking reference twin within 1e-6;
+* a group the canonical structure may not take solves through the
+  reference twin, and leaves its certified neighbours bit-identical;
 * lane-partitioned results == serial results, exactly, for any thread
   count;
 * the PD repair composes: merged batches re-probe at original group
@@ -18,11 +20,14 @@ contract is **bit-identity**, not closeness:
   spuriously repaired by a failing neighbour.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
 from repro.core.engine import BayesPerfEngine
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
@@ -50,10 +55,11 @@ from repro.api import (
 from repro.fg.compiled import _cholesky_fails
 from repro.fg.ep import EPSite
 from repro.fg.megabatch import THREADS_ENV_VAR
-from repro.pmu.sampling import MultiplexedSampler
+from repro.pmu.sampling import MultiplexedSampler, SamplingRecord
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
 from repro.workloads.registry import get_workload
+from signature_twin import process_batch_by_signature
 
 TOLERANCE = 1e-6
 
@@ -74,29 +80,11 @@ def _record_for(subset, seed, rotation=0):
     return sampler.sample(trace).records[offset]
 
 
-def _solve_by_signature(engine, items):
-    """``process_batch`` fed one measured-event signature group at a time.
-
-    No call then holds two signatures, so the mega-batched solve never
-    engages: this is the per-signature reference the merged solve must
-    reproduce bit for bit.  Results come back in input order.
-    """
-    groups = {}
-    for index, (_, record) in enumerate(items):
-        groups.setdefault(tuple(record.samples), []).append(index)
-    results = [None] * len(items)
-    for indices in groups.values():
-        solved = engine.process_batch([items[index] for index in indices])
-        for index, result in zip(indices, solved):
-            results[index] = result
-    return results
-
-
 def _solve_batch(engine, records, by_signature=False):
     """Fresh-state batch solve; (means, stds, iterations, converged) rows."""
     items = [(None, record) for record in records]
     if by_signature:
-        results = _solve_by_signature(engine, items)
+        results = process_batch_by_signature(engine, items)
     else:
         results = engine.process_batch(items)
     return [
@@ -137,7 +125,7 @@ def _hetero_fleet(draw):
 
 
 class TestMegabatchDifferential:
-    """Mega-batch == per-signature batched, bit for bit; twin within 1e-6."""
+    """Canonical == per-signature twin, bit for bit; reference within 1e-6."""
 
     @given(records=_hetero_fleet())
     @settings(max_examples=8, deadline=None)
@@ -165,16 +153,15 @@ class TestMegabatchDifferential:
         engine = BayesPerfEngine(CATALOG, UNION)
         groups, prepared = _groups(engine, records)
         assert len(groups) >= 2, "fleet must be heterogeneous for this test"
-        eligible = engine._megabatch_eligible(prepared)
-        assert len(eligible) >= 2, "mega-batch eligibility must engage here"
+        assert engine._canonical_groups(prepared) == groups
 
-    def test_not_engaged_for_one_signature_or_non_analytic(self):
+    def test_engaged_for_one_signature_not_mcmc_or_reference(self):
         mixed = [_record_for(UNION[:5], seed=3), _record_for(UNION[4:10], seed=5)]
         uniform = [_record_for(UNION[:5], seed=3), _record_for(UNION[:5], seed=5)]
         default_engine = BayesPerfEngine(CATALOG, UNION)
         groups, prepared = _groups(default_engine, uniform)
         assert len(groups) == 1
-        assert default_engine._megabatch_eligible(prepared) == []
+        assert default_engine._canonical_groups(prepared) == groups
         for engine in (
             BayesPerfEngine(
                 CATALOG, UNION, moment_estimator="mcmc",
@@ -182,9 +169,77 @@ class TestMegabatchDifferential:
             ),
             BayesPerfEngine(CATALOG, UNION, use_compiled_kernel=False),
         ):
-            groups, prepared = _groups(engine, mixed)
-            assert len(groups) == 2
-            assert engine._megabatch_eligible(prepared) == []
+            for records in (uniform, mixed):
+                _, prepared = _groups(engine, records)
+                assert engine._canonical_groups(prepared) == []
+            assert engine._canonical_cache is False, "canonical structure never built"
+
+
+class TestUncertifiedFallback:
+    """A group the canonical structure may not take — no measured event, or
+    a projected observation variance that is not finite and positive —
+    solves through the reference twin, inside the same ``process_batch``
+    call as its certified neighbours."""
+
+    def _records(self):
+        return [
+            _record_for(UNION[:5], seed=3),
+            _record_for(UNION[4:10], seed=5),
+            _record_for(UNION[:5], seed=7),
+            _record_for(UNION[2:9], seed=11),
+        ]
+
+    def _empty_signature(self, monkeypatch, records):
+        """A record that measured nothing joins the batch."""
+        first = records[0]
+        return records + [SamplingRecord(first.tick, first.configuration, samples={})]
+
+    def _forced_uncertified(self, monkeypatch, records):
+        """The second record's group fails certification."""
+        prepared = BayesPerfEngine(CATALOG, UNION)._prepare_batch(
+            [(None, record) for record in records]
+        )
+        (target,) = [group for group in prepared.groups if 1 in group.rows]
+        certified = engine_module.observation_certified
+        monkeypatch.setattr(
+            engine_module,
+            "observation_certified",
+            lambda variance: not np.array_equal(variance, target.obs_variance)
+            and certified(variance),
+        )
+        return records
+
+    @pytest.mark.parametrize("make_batch", ["_empty_signature", "_forced_uncertified"])
+    def test_uncertified_group_solves_through_the_reference_twin(
+        self, monkeypatch, make_batch
+    ):
+        records = self._records()
+        canonical = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
+        records = getattr(self, make_batch)(monkeypatch, records)
+        twin = _solve_batch(BayesPerfEngine(CATALOG, UNION), records, by_signature=True)
+
+        referenced = []
+        solve_reference = BayesPerfEngine._solve_reference
+
+        def spy(engine, batch, row):
+            referenced.append(row)
+            return solve_reference(engine, batch, row)
+
+        monkeypatch.setattr(BayesPerfEngine, "_solve_reference", spy)
+        solved = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
+
+        fallback = 1 if make_batch == "_forced_uncertified" else len(records) - 1
+        assert referenced == [fallback]
+        for row, (means, stds, _, _) in enumerate(solved):
+            assert all(math.isfinite(std) and std >= 0.0 for std in stds.values())
+            if row == fallback:
+                want_means, want_stds = twin[row][:2]
+                for event in want_means:
+                    assert _gap(means[event], want_means[event]) < TOLERANCE
+                    assert _gap(stds[event], want_stds[event]) < TOLERANCE
+            else:
+                # Certified neighbours: bit-identical to the all-canonical batch.
+                assert solved[row] == canonical[row]
 
 
 class TestRepairGroupComposition:

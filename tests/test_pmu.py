@@ -16,7 +16,7 @@ from repro.pmu import (
     PollingReader,
     ValidityChecker,
 )
-from repro.scheduling import round_robin_schedule
+from repro.scheduling import Schedule, round_robin_schedule
 from repro.uarch import Machine, MachineConfig
 from repro.workloads import steady_workload
 
@@ -125,6 +125,11 @@ class TestNoiseModel:
             NoiseModel(read_noise=-0.1)
         with pytest.raises(ValueError):
             NoiseModel(os_spike_probability=1.5)
+        # A scale 1 + bias <= 0 would zero every sample.
+        for bias in (-1.0, -2.0):
+            with pytest.raises(ValueError, match="overcount_bias must be greater than -1"):
+                NoiseModel(overcount_bias=bias)
+        assert NoiseModel(overcount_bias=-0.5).overcount_bias == -0.5
 
     @pytest.mark.parametrize(
         "field",
@@ -175,6 +180,35 @@ class TestSampling:
         event = record.configuration.events[0]
         truth = catalog.ground_truth_for([event], machine_trace.ticks[0])[event]
         assert record.total(event) == pytest.approx(truth, rel=1e-9)
+
+    def test_each_configuration_is_range_checked_once(
+        self, catalog, machine_trace, monkeypatch
+    ):
+        events = standard_profiling_events(catalog, n_events=12)
+        schedule = round_robin_schedule(catalog, events)
+        assert len(machine_trace) > len(schedule.configurations)  # it repeats
+        programmed = []
+        program = PMURegisterFile.program
+        monkeypatch.setattr(
+            PMURegisterFile,
+            "program",
+            lambda registers, configuration: programmed.append(configuration)
+            or program(registers, configuration),
+        )
+        MultiplexedSampler(catalog, schedule, seed=0).sample(machine_trace)
+        assert programmed == list(schedule.configurations)
+
+    def test_overwide_configuration_still_raises(self, catalog, machine_trace):
+        events = standard_profiling_events(catalog, n_events=12)
+        schedule = round_robin_schedule(catalog, events)
+        counters = catalog.counter_file.usable_programmable
+        programmable = [e for e in events if not catalog.get(e).is_fixed]
+        wide = CounterConfiguration(tuple(programmable[: counters + 1]))
+        overwide = Schedule(schedule.configurations + (wide,))
+        assert len(machine_trace) > len(overwide.configurations)
+        sampler = MultiplexedSampler(catalog, overwide, seed=0)
+        with pytest.raises(ValueError, match=f"needs {counters + 1} counters"):
+            sampler.sample(machine_trace)
 
     def test_enabled_fraction(self, catalog, machine_trace):
         events = standard_profiling_events(catalog, n_events=12)
