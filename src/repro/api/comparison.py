@@ -19,7 +19,6 @@ ground truth exists for them — they are skipped).
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,10 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 # Importing the baselines package is what self-registers the baseline
 # entries ("linux", "counterminer", "wm+pin") into the estimator registry.
-import repro.baselines  # noqa: F401
-from repro.events.catalog import EventCatalog
+from repro.baselines import build_baseline
 from repro.events.registry import catalog_for
-from repro.fg.registry import baseline_names, get_estimator
+from repro.fg.registry import baseline_names
 from repro.metrics.error import ErrorReport, trace_error
 from repro.pmu.sampling import MultiplexedSampler, PolledTrace, PollingReader
 from repro.pmu.traces import EstimateTrace
@@ -47,26 +45,6 @@ __all__ = [
 
 #: The engine's method name in reports (matches the paper's tables).
 BAYESPERF = "bayesperf"
-
-
-def build_baseline(name: str, catalog: EventCatalog):
-    """Instantiate the registered baseline *name* for *catalog*.
-
-    Registry-driven: the entry's implementation class is constructed with
-    the catalog when its ``__init__`` asks for one (``WeaverPin``) and bare
-    otherwise (``LinuxScaling``/``CounterMiner``), so new baselines join the
-    grid by decorating their class with ``@register_estimator(...,
-    baseline=True)`` — no comparison-layer changes.
-    """
-    entry = get_estimator(name)
-    if not entry.baseline:
-        raise ValueError(
-            f"{name!r} is a moment estimator, not a baseline correction method"
-        )
-    parameters = inspect.signature(entry.batched).parameters
-    if "catalog" in parameters:
-        return entry.batched(catalog)
-    return entry.batched()
 
 
 @dataclass

@@ -226,7 +226,6 @@ class Pipeline:
 
     def __init__(self, spec: RunSpec, hosts: List[_Host], *, chaos=None) -> None:
         self.spec = spec
-        self.mode = spec.mode
         self._hosts = hosts
         #: Fault injector (:class:`~repro.fleet.chaos.FaultInjector`):
         #: wraps the sources, solves and WAL stream; ``None`` outside tests.
@@ -359,11 +358,8 @@ class Pipeline:
     def _build_pool(self) -> WorkerPool:
         """Mark the pipeline consumed, open every host's channel and shard it.
 
-        ``mode="pool"`` shards hosts across the configured workers and
-        shares cached engines/schedules per (arch, event-set) key;
-        ``mode="serial"`` runs a single worker that constructs a dedicated
-        engine and schedule per host (the pre-fleet baseline).  Estimates
-        are identical in both modes; only throughput differs.
+        Hosts are sharded across the configured workers, which share cached
+        engines and schedules per (arch, event-set) key.
         """
         if self._started:
             raise RuntimeError(
@@ -371,12 +367,10 @@ class Pipeline:
             )
         self._started = True
         spec, chaos = self.spec, self._chaos
-        share = self.mode == "pool"
         pool = WorkerPool(
-            spec.n_workers if share else 1,
+            spec.n_workers,
             dispatcher=self._service.dispatcher,
             batch_size=spec.batch_size,
-            share_engines=share,
             engine_kwargs=self._engine_kwargs,
             observer=self._observer,
             fault_policy=spec.fault_policy,
@@ -389,9 +383,6 @@ class Pipeline:
                 # Scheduled record corruption: proxy the source before any
                 # iterator is opened.
                 channel.source = chaos.wrap_source(source)
-            if not share and isinstance(source, SyntheticHostSource):
-                # The serial baseline also pays the per-host schedule build.
-                source.use_schedule_cache = False
             pool.assign(channel, arch=arch, events=events)
         return pool
 
@@ -419,7 +410,7 @@ class Pipeline:
                 events=self._events,
                 workload="fleet-stream",
                 samples_per_tick=spec.samples_per_tick,
-                metadata={"hosts": n_hosts, "mode": self.mode},
+                metadata={"hosts": n_hosts},
                 chain_params=recorder.params,
                 estimates=observer is not None and observer.estimates,
             )
@@ -437,11 +428,7 @@ class Pipeline:
                 events=self._events,
                 workload="fleet-wal",
                 samples_per_tick=spec.samples_per_tick,
-                metadata={
-                    "hosts": n_hosts,
-                    "mode": self.mode,
-                    "run_spec": spec.to_dict(),
-                },
+                metadata={"hosts": n_hosts, "run_spec": spec.to_dict()},
                 wal=True,
                 mode="a" if resume_state is not None else "w",
                 stream_wrapper=chaos.wrap_stream if chaos is not None else None,
@@ -499,7 +486,7 @@ class Pipeline:
         )
         root = None
         if observer is not None and observer.tracing:
-            root = observer.tracer.start("pipeline.run", mode=self.mode, hosts=n_hosts)
+            root = observer.tracer.start("pipeline.run", hosts=n_hosts)
             # Scenario-grid keys: which cell of the grid this run is.
             root.set_attribute(
                 "scenario.scheduler",
@@ -568,7 +555,6 @@ class Pipeline:
                 observer.close()
             dispatcher.shutdown()
             self._fleet_result = FleetResult(
-                mode=self.mode,
                 n_hosts=n_hosts,
                 total_slices=total,
                 elapsed_seconds=elapsed,

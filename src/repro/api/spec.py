@@ -236,6 +236,9 @@ class HostSpec:
     rejected — mirroring the replay-host rule — while ``arch`` (catalog
     selection for schema mapping) and ``events`` (monitored subset) stay
     meaningful.
+
+    ``n_ticks`` must be positive and ``seed`` non-negative when set; both
+    are checked here, before a run opens any file.
     """
 
     workload: str = "steady"
@@ -251,6 +254,10 @@ class HostSpec:
 
     def __post_init__(self) -> None:
         _frozen_tuple(self, "events")
+        if self.n_ticks is not None and self.n_ticks < 1:
+            raise ValueError(f"n_ticks must be >= 1, got {self.n_ticks!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.trace is not None and not isinstance(self.trace, str):
             object.__setattr__(self, "trace", str(self.trace))
         if self.perf is not None and not isinstance(self.perf, str):
@@ -380,20 +387,17 @@ class ContentionSpec:
         return contention_slowdown(background=self.background, size_mb=self.size_mb)
 
 
-#: Execution modes of a fleet run (see :class:`RunSpec`).
-_MODES = ("pool", "serial")
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """A complete declarative estimation run.
 
     The event selection mirrors ``PerfSession``: explicit ``events`` win
     over ``metrics`` (derived-metric selection), and with neither the
-    standard profiling set is monitored.  ``mode`` is ``"pool"`` (hosts
-    sharded across ``n_workers`` with shared engines) or ``"serial"`` (one
-    worker building a dedicated engine and schedule per host — the
-    baseline; estimates are identical).  ``engine_overrides``
+    standard profiling set is monitored.  Hosts are sharded across
+    ``n_workers`` workers that share one engine per (arch, event-set) key;
+    ``n_workers``, ``batch_size``, ``buffer_capacity``, ``pump_records``
+    (when set) and ``samples_per_tick`` must be positive, and are checked
+    here, before a run opens any file.  ``engine_overrides``
     is the escape hatch for engine kwargs the spec does not model
     (key/value pairs, applied last).  ``fault_policy`` opts the workers
     into retry/timeout/quarantine enforcement
@@ -420,7 +424,6 @@ class RunSpec:
     estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     recorder: Optional[RecorderSpec] = None
     observer: Optional[ObserverSpec] = None
-    mode: str = "pool"
     n_workers: int = 4
     batch_size: int = 8
     buffer_capacity: int = 256
@@ -439,8 +442,16 @@ class RunSpec:
         _frozen_tuple(self, "hosts")
         _frozen_tuple(self, "engine_overrides")
         _frozen_tuple(self, "baselines")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
+        for name in (
+            "n_workers",
+            "batch_size",
+            "buffer_capacity",
+            "pump_records",
+            "samples_per_tick",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.baselines:
             import repro.baselines  # noqa: F401  (registers the baseline entries)
         for name in self.baselines:
@@ -491,7 +502,12 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output (JSON round-tripped)."""
+        """Rebuild a spec from :meth:`to_dict` output (JSON round-tripped).
+
+        Top-level keys the spec no longer has are ignored, such as the
+        ``mode`` of logs written while a serial mode still existed: its
+        estimates equal the worker pool's, so such a log resumes on the pool.
+        """
         data = dict(payload)
         recorder = None
         if data.get("recorder"):
@@ -522,7 +538,6 @@ class RunSpec:
             estimator=EstimatorSpec(**estimator),
             recorder=recorder,
             observer=ObserverSpec(**observer) if data.get("observer") else None,
-            mode=data.get("mode", "pool"),
             n_workers=int(data.get("n_workers", 4)),
             batch_size=int(data.get("batch_size", 8)),
             buffer_capacity=int(data.get("buffer_capacity", 256)),

@@ -13,14 +13,22 @@ Each class self-registers into :mod:`repro.fg.registry` with
 ``baseline=True`` (names ``"linux"``, ``"counterminer"``, ``"wm+pin"``), so
 importing this package is what makes the names available to
 ``RunSpec.baselines`` and the scenario-grid comparison
-(:mod:`repro.api.comparison`).  Baselines share the registry with the
-engine's moment estimators but not the role: the spec layer and the engine
-both reject a baseline name where a moment estimator is expected.
+(:mod:`repro.api.comparison`); :func:`build_baseline` instantiates one by
+name for both the comparison and ``PerfSession``.  Baselines share the
+registry with the engine's moment estimators but not the role: the spec
+layer and the engine both reject a baseline name where a moment estimator
+is expected.
 """
 
-from repro.baselines.base import CorrectionMethod
+from repro.baselines.base import CorrectionMethod, build_baseline
 from repro.baselines.linux_scaling import LinuxScaling
 from repro.baselines.counterminer import CounterMiner
 from repro.baselines.weaver import WeaverPin
 
-__all__ = ["CorrectionMethod", "LinuxScaling", "CounterMiner", "WeaverPin"]
+__all__ = [
+    "CorrectionMethod",
+    "CounterMiner",
+    "LinuxScaling",
+    "WeaverPin",
+    "build_baseline",
+]

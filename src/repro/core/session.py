@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.baselines.counterminer import CounterMiner
-from repro.baselines.linux_scaling import LinuxScaling
-from repro.baselines.weaver import WeaverPin
+from repro.baselines import build_baseline
 from repro.core.engine import BayesPerfEngine
 from repro.fg.mcmc import ChainTrace
+from repro.fg.registry import baseline_names
 from repro.events.catalog import EventCatalog
 from repro.events.profiles import standard_profiling_events
 from repro.events.registry import catalog_for
@@ -30,10 +29,8 @@ from repro.uarch.machine import Machine, MachineConfig, MachineTrace
 from repro.uarch.profile import WorkloadSpec
 from repro.workloads.registry import get_workload
 
-#: Methods that use the overlap-aware schedule.
-_BAYESPERF_METHODS = ("bayesperf",)
-#: All built-in correction method names.
-KNOWN_METHODS = ("bayesperf", "linux", "counterminer", "wm+pin")
+#: The engine's method name; every other method is a registered baseline.
+_BAYESPERF = "bayesperf"
 
 
 @dataclass
@@ -65,8 +62,9 @@ class PerfSession:
     arch:
         Microarchitecture name understood by :func:`repro.events.catalog_for`.
     method:
-        Correction method: ``"bayesperf"``, ``"linux"``, ``"counterminer"`` or
-        ``"wm+pin"``.
+        Correction method: ``"bayesperf"``, or a baseline registered in
+        :mod:`repro.fg.registry` (``"linux"``, ``"counterminer"``,
+        ``"wm+pin"``), which runs on the round-robin schedule.
     metrics:
         Derived metrics to monitor; their input events are collected.  The
         default is the catalog's first ten derived metrics (as in §6.2).
@@ -89,15 +87,9 @@ class PerfSession:
         moment estimator and its sampling effort — the preferred way to
         configure BayesPerf tilted-moment computation (estimator names
         resolve through the :mod:`repro.fg.registry`; explicit
-        ``engine_kwargs`` entries win).
-    use_compiled_kernel:
-        Route the BayesPerf engine's solves through the vectorized array
-        path (default).  Set to ``False`` to run each estimator's reference
-        twin instead — the object-walking EP loop for ``"analytic"``,
-        :class:`~repro.fg.ep.ReferenceSiteMCMC` for ``"mcmc"`` — the
-        A/B ablation the differential tests and benchmarks use.  An
-        explicit value here overrides the ``estimator`` spec's flag (and an
-        explicit ``engine_kwargs`` entry overrides both).
+        ``engine_kwargs`` entries win).  Its ``use_compiled_kernel=False``
+        runs each estimator's reference twin instead of the vectorized array
+        path — the A/B ablation the differential tests and benchmarks use.
     recorder:
         Optional :class:`~repro.fg.mcmc.ChainTrace` (or
         :class:`~repro.api.RecorderSpec`) the engine appends one record per
@@ -105,9 +97,8 @@ class PerfSession:
         runs — the capture side of the accelerator co-simulation (see
         ``examples/accelerator_cosim.py``).
     engine_kwargs:
-        Extra keyword arguments forwarded to :class:`BayesPerfEngine`
-        (an explicit ``use_compiled_kernel`` entry here wins over the
-        session-level flag).
+        Extra keyword arguments forwarded to :class:`BayesPerfEngine`; an
+        entry here wins over the ``estimator`` spec's.
     """
 
     def __init__(
@@ -123,12 +114,14 @@ class PerfSession:
         reference: str = "same-run",
         read_interval_ticks: int = 8,
         estimator=None,
-        use_compiled_kernel: Optional[bool] = None,
         recorder=None,
         engine_kwargs: Optional[Dict] = None,
     ) -> None:
-        if method not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {KNOWN_METHODS}")
+        if method != _BAYESPERF and method not in baseline_names():
+            raise ValueError(
+                f"unknown method {method!r}; expected {_BAYESPERF!r} or a "
+                f"registered baseline: {', '.join(baseline_names())}"
+            )
         if reference not in ("same-run", "separate-run"):
             raise ValueError("reference must be 'same-run' or 'separate-run'")
         if read_interval_ticks <= 0:
@@ -144,17 +137,11 @@ class PerfSession:
             name=self.catalog.name
         )
         self.engine_kwargs = dict(engine_kwargs) if engine_kwargs else {}
-        # Precedence for the compiled/reference switch: an explicit
-        # engine_kwargs entry, then an explicit session-level flag, then the
-        # estimator spec, then the compiled default.
-        if use_compiled_kernel is not None:
-            self.engine_kwargs.setdefault("use_compiled_kernel", use_compiled_kernel)
         if estimator is not None:
             # An EstimatorSpec (anything exposing engine_kwargs()): resolved
             # through the fg registry; explicit engine_kwargs entries win.
             for key, value in estimator.engine_kwargs().items():
                 self.engine_kwargs.setdefault(key, value)
-        self.engine_kwargs.setdefault("use_compiled_kernel", True)
         if recorder is not None:
             if isinstance(recorder, ChainTrace):
                 trace = recorder
@@ -182,19 +169,8 @@ class PerfSession:
     # -- construction -------------------------------------------------------
 
     def _build_schedule(self) -> Schedule:
-        kind = "overlap" if self.method in _BAYESPERF_METHODS else "round-robin"
+        kind = "overlap" if self.method == _BAYESPERF else "round-robin"
         return cached_schedule(self.catalog, self.events, kind=kind)
-
-    def _build_method(self):
-        if self.method == "bayesperf":
-            return BayesPerfEngine(self.catalog, self.events, **self.engine_kwargs)
-        if self.method == "linux":
-            return LinuxScaling(read_interval_ticks=self.read_interval_ticks)
-        if self.method == "counterminer":
-            return CounterMiner()
-        if self.method == "wm+pin":
-            return WeaverPin(self.catalog)
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- execution ------------------------------------------------------------
 
@@ -236,7 +212,12 @@ class PerfSession:
         reader = PollingReader(self.catalog, polled_events, noise=self.noise, seed=seed + 2)
         polled = reader.read(reference_trace)
 
-        corrector = self._build_method()
+        if self.method == _BAYESPERF:
+            corrector = BayesPerfEngine(self.catalog, self.events, **self.engine_kwargs)
+        else:
+            corrector = build_baseline(
+                self.method, self.catalog, read_interval_ticks=self.read_interval_ticks
+            )
         estimates = corrector.correct(sampled)
 
         # Every method needs one schedule rotation to see each event at least

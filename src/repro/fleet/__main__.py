@@ -2,8 +2,8 @@
 
 Six subcommands:
 
-* ``demo`` — run a synthetic fleet and report throughput for the serial
-  baseline vs. the sharded worker pool; ``--estimator`` selects any
+* ``demo`` — run a synthetic fleet through the sharded worker pool and
+  report its throughput and engine-cache use; ``--estimator`` selects any
   registered moment estimator (unknown names list the registry),
   ``--stream`` consumes the run incrementally through
   :meth:`repro.api.Pipeline.stream`, ``--metrics`` prints the observability
@@ -168,9 +168,6 @@ def _add_demo_parser(subparsers) -> None:
         help="background PCIe streams (0-5) throttling every host's workload",
     )
     parser.add_argument(
-        "--serial", action="store_true", help="also run the per-host serial baseline"
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="consume per-slice results incrementally via Pipeline.stream()",
@@ -187,7 +184,7 @@ def _demo_observer(args) -> Optional[ObserverSpec]:
     )
 
 
-def _demo_spec(args, *, mode: str = "pool", observe: bool = True) -> RunSpec:
+def _demo_spec(args) -> RunSpec:
     """The run every ``demo`` variant executes, from the CLI flags."""
     metrics = tuple(m for m in args.derived_metrics.split(",") if m) or None
     return RunSpec(
@@ -198,8 +195,7 @@ def _demo_spec(args, *, mode: str = "pool", observe: bool = True) -> RunSpec:
             for index in range(args.hosts)
         ),
         estimator=EstimatorSpec(args.estimator),
-        observer=_demo_observer(args) if observe else None,
-        mode=mode,
+        observer=_demo_observer(args),
         n_workers=args.workers,
         scheduler=(
             SchedulerSpec(policy=args.scheduler) if args.scheduler != "overlap" else None
@@ -240,34 +236,22 @@ def _run_demo(args) -> int:
     )
     if args.stream:
         return _run_demo_stream(args)
-    results = {}
-    for mode in ("pool", "serial") if args.serial else ("pool",):
-        # Only the pool run is observed: a second observer would reopen (and
-        # clobber) the same span-trace file for the serial baseline.
-        spec = _demo_spec(args, mode=mode, observe=mode == "pool")
-        results[mode] = Pipeline.from_spec(spec).run()
+    result = Pipeline.from_spec(_demo_spec(args)).run()
     if args.trace_out is not None:
         print(f"  spans written to {args.trace_out}")
-    for mode, result in results.items():
-        fleet = result.fleet
-        cache = fleet.engine_cache
-        print(
-            f"  {mode:6s}: {fleet.total_slices} slices in "
-            f"{fleet.elapsed_seconds:.2f}s = {fleet.slices_per_second:7.1f} slices/s "
-            f"(engines built: {cache['engines_built']}, cache hits: {cache['hits']}, "
-            f"dropped: {fleet.total_dropped})"
-        )
-    if "serial" in results:
-        speedup = results["pool"].slices_per_second / max(
-            results["serial"].slices_per_second, 1e-9
-        )
-        print(f"  worker pool speedup over per-host serial construction: {speedup:.2f}x")
-    pool = results["pool"]
-    if pool.comparison is not None:
-        for line in pool.comparison.render().splitlines():
+    fleet = result.fleet
+    cache = fleet.engine_cache
+    print(
+        f"  {fleet.total_slices} slices in "
+        f"{fleet.elapsed_seconds:.2f}s = {fleet.slices_per_second:7.1f} slices/s "
+        f"(engines built: {cache['misses']}, cache hits: {cache['hits']}, "
+        f"dropped: {fleet.total_dropped})"
+    )
+    if result.comparison is not None:
+        for line in result.comparison.render().splitlines():
             print(f"  {line}")
-    sample_host = next(iter(pool.estimates))
-    estimates = pool.estimates[sample_host]
+    sample_host = next(iter(result.estimates))
+    estimates = result.estimates[sample_host]
     last = estimates.at(len(estimates) - 1)
     shown = ", ".join(f"{k}={v:.3g}" for k, v in list(last.items())[:3])
     print(f"  e.g. {sample_host} final slice: {shown}")

@@ -26,7 +26,7 @@ from repro.fleet.events import (
 )
 from repro.fleet.tracefile import TraceFile
 from repro.pmu.sampling import MultiplexedSampler, SamplingRecord
-from repro.scheduling.cache import build_schedule, cached_schedule
+from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
 from repro.uarch.profile import WorkloadSpec
 
@@ -57,10 +57,6 @@ class SyntheticHostSource:
         self.seed = seed
         self.n_ticks = n_ticks if n_ticks is not None else spec.total_ticks
         self.samples_per_tick = samples_per_tick
-        #: When false every host builds its own schedule — the per-host
-        #: construction cost the fleet's shared caches exist to amortise
-        #: (the serial baseline's behaviour; set by the pipeline).
-        self.use_schedule_cache = True
         #: Multiplexing policy (a :data:`repro.scheduling.SCHEDULE_KINDS`
         #: name) and its seed.  Set by ``Pipeline.from_spec`` from
         #: ``SchedulerSpec`` — ``records()`` is lazy, so the policy lands
@@ -73,14 +69,9 @@ class SyntheticHostSource:
         catalog: EventCatalog = catalog_for(self.arch)
         machine = Machine(MachineConfig(name=catalog.name), self.spec, seed=self.seed)
         trace = machine.run(self.n_ticks)
-        if self.use_schedule_cache:
-            schedule = cached_schedule(
-                catalog, self.events, kind=self.schedule_policy, seed=self.schedule_seed
-            )
-        else:
-            schedule = build_schedule(
-                catalog, self.events, kind=self.schedule_policy, seed=self.schedule_seed
-            )
+        schedule = cached_schedule(
+            catalog, self.events, kind=self.schedule_policy, seed=self.schedule_seed
+        )
         sampler = MultiplexedSampler(
             catalog,
             schedule,

@@ -20,8 +20,9 @@ single array-native pass over all of them instead of one solve per host —
 a compiled EP-kernel call for the analytic estimator, one
 :class:`~repro.fg.mcmc.BatchedSiteMCMC` run for
 ``engine_kwargs={"moment_estimator": "mcmc"}`` (each record's chains are
-seeded from that host's snapshotted RNG stream, so pooled and serial stay
-bit-identical for the sampled estimator too).
+seeded from that host's snapshotted RNG stream, so a pooled host's
+estimates equal a per-host :class:`~repro.core.session.PerfSession` run bit
+for bit under the sampled estimator too).
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class HostRun:
     #: The host's temporal state (event-order rows; ``None`` until its
     #: first slice is solved), threaded through ``process_batch``.
     engine_state: Optional[EngineState] = None
-    #: Dedicated engine used when sharing is disabled (the serial baseline
-    #: constructs one engine per host instead of hitting the cache).
-    private_engine: Optional[BayesPerfEngine] = None
     slices: int = 0
     completed: bool = False
     #: Slices dropped by an ``on_exhausted="skip"`` fault policy.
@@ -121,7 +119,6 @@ class InferenceWorker:
         *,
         dispatcher: EventDispatcher,
         batch_size: int = 8,
-        share_engines: bool = True,
         engine_kwargs: Optional[Dict] = None,
         observer=None,
         fault_policy: Optional[FaultPolicySpec] = None,
@@ -132,7 +129,6 @@ class InferenceWorker:
         self.worker_id = worker_id
         self.dispatcher = dispatcher
         self.batch_size = batch_size
-        self.share_engines = share_engines
         self.engine_kwargs = dict(engine_kwargs) if engine_kwargs else {}
         #: Optional :class:`~repro.obs.Observer`: ``slice.solve`` spans plus
         #: latency/occupancy metrics around every engine call.  ``None`` (the
@@ -144,8 +140,6 @@ class InferenceWorker:
         #: Optional :class:`~repro.fleet.chaos.FaultInjector` (tests/demos).
         self.chaos = chaos
         self.cache = EngineCache()
-        #: Engines constructed outside the cache (per-host baseline mode).
-        self.private_builds = 0
         #: Optional per-slice hook ``(host_id, record, means, stds, report)``
         #: — the streaming pipeline's tap into the solve loop.  ``None``
         #: (the default) costs the hot path nothing.
@@ -165,29 +159,17 @@ class InferenceWorker:
     def hosts(self) -> Tuple[str, ...]:
         return tuple(self._runs)
 
-    def _engine_for(self, run: HostRun) -> BayesPerfEngine:
-        if self.share_engines:
-            return self.cache.engine_for_key(run.key, self.engine_kwargs)
-        # Per-host construction baseline: every host gets its own engine.
-        if run.private_engine is None:
-            catalog = catalog_for(run.key[0])
-            run.private_engine = BayesPerfEngine(
-                catalog, list(run.key[1]), **self.engine_kwargs
-            )
-            self.private_builds += 1
-        return run.private_engine
-
     def process_available(self) -> int:
         """Drain one batch per host; returns the number of slices processed.
 
-        With shared engines, hosts on the same ``(arch, event-set, config)``
-        key are solved *together*: the i-th pending record of every such
+        Hosts on the same ``(arch, event-set, config)`` key are solved
+        *together*: the i-th pending record of every such
         host forms one multi-record batch handed to
         :meth:`~repro.core.engine.BayesPerfEngine.process_batch`, which runs
         a single vectorized EP-kernel pass instead of one EP solve per host.
         Slot-by-slot batching preserves each host's temporal chain (record
         ``i`` still completes before that host's record ``i+1``), and the
-        per-slice results are bit-identical to the per-host serial path.
+        per-slice results are bit-identical to solving each host on its own.
         """
         taken: Dict[str, List] = {}
         for run in self._runs.values():
@@ -197,13 +179,7 @@ class InferenceWorker:
             if records:
                 taken[run.channel.host_id] = records
 
-        if self.share_engines:
-            processed = self._process_batched(taken)
-        else:
-            processed = sum(
-                self._process_serial(self._runs[host_id], records)
-                for host_id, records in taken.items()
-            )
+        processed = self._process_batched(taken)
 
         for host_id, records in taken.items():
             self.dispatcher.emit(
@@ -246,8 +222,8 @@ class InferenceWorker:
             by_key.setdefault(self._runs[host_id].key, []).append(host_id)
 
         for key, host_ids in by_key.items():
-            # One lookup per host, as the per-host path does: the hit/miss
-            # counters keep measuring how many hosts reused a shared engine.
+            # One lookup per host per round, so the hit/miss counters count
+            # host lookups that reused (or built) a shared engine.
             for host_id in host_ids:
                 engine = self.cache.engine_for_key(key, self.engine_kwargs)
             depth = max(len(taken[host_id]) for host_id in host_ids)
@@ -441,29 +417,6 @@ class InferenceWorker:
             "batch.occupancy", n_records, buckets=(1, 2, 4, 8, 16, 32, 64, 128)
         )
 
-    def _process_serial(self, run: HostRun, records: List) -> int:
-        """Per-host sequential solves (the dedicated-engine baseline).
-
-        Each record is a batch of one from the host's own engine state.
-        """
-        engine = self._engine_for(run)
-        guarded = self.fault_policy is not None or self.chaos is not None
-        processed = 0
-        for record in records:
-            if guarded:
-                # The policy retries from the untouched pre-attempt state.
-                result = self._solve_with_policy(run, engine, record)
-                if result is None:
-                    if run.quarantined:
-                        break
-                    continue
-            else:
-                result = self._solve(engine, [(run.engine_state, record)])[0]
-            report, run.engine_state = result
-            self._record_slice(run, record, report)
-            processed += 1
-        return processed
-
     @property
     def all_completed(self) -> bool:
         return all(run.completed for run in self._runs.values())
@@ -476,7 +429,6 @@ class InferenceWorker:
 class FleetResult:
     """Everything one fleet run produces."""
 
-    mode: str
     n_hosts: int
     total_slices: int
     elapsed_seconds: float
@@ -511,7 +463,6 @@ class WorkerPool:
         *,
         dispatcher: Optional[EventDispatcher] = None,
         batch_size: int = 8,
-        share_engines: bool = True,
         engine_kwargs: Optional[Dict] = None,
         observer=None,
         fault_policy: Optional[FaultPolicySpec] = None,
@@ -526,7 +477,6 @@ class WorkerPool:
                 worker_id,
                 dispatcher=self.dispatcher,
                 batch_size=batch_size,
-                share_engines=share_engines,
                 engine_kwargs=engine_kwargs,
                 observer=observer,
                 fault_policy=fault_policy,
@@ -620,15 +570,11 @@ class WorkerPool:
         )
 
     def cache_stats(self) -> Dict[str, int]:
-        """Aggregate engine statistics across workers.
+        """Aggregate engine-cache statistics across workers.
 
-        ``engines_built`` counts every engine construction (cache misses plus
-        per-host baseline builds); ``hits`` counts cache reuses.
+        ``misses`` counts engine constructions; ``hits`` counts reuses.
         """
         return {
-            "engines_built": sum(
-                worker.cache.misses + worker.private_builds for worker in self.workers
-            ),
             "hits": sum(worker.cache.hits for worker in self.workers),
             "misses": sum(worker.cache.misses for worker in self.workers),
         }

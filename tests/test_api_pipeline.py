@@ -102,14 +102,16 @@ class TestEstimatorRegistry:
 
 class TestSessionSpecPrecedence:
     def test_session_use_compiled_kernel_false_beats_estimator_spec(self):
-        """The A/B ablation switch must win over the spec's compiled default."""
+        """The A/B ablation switch in ``engine_kwargs`` must win over the
+        spec's compiled default."""
         session = PerfSession(
             "x86",
             metrics=METRICS,
             estimator=EstimatorSpec("mcmc"),
-            use_compiled_kernel=False,
+            engine_kwargs={"use_compiled_kernel": False},
         )
         assert session.engine_kwargs["use_compiled_kernel"] is False
+        assert session.engine_kwargs["moment_estimator"] == "mcmc"
 
     def test_estimator_spec_reference_twin_flag_survives(self):
         session = PerfSession(
@@ -158,6 +160,35 @@ class TestPipelineRun:
         assert not sink.exists() and not wal.exists()
         with pytest.raises(ValueError, match="must"):
             Pipeline.from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ("n_workers", 0),
+            ("batch_size", 0),
+            ("buffer_capacity", -1),
+            ("pump_records", 0),
+            ("samples_per_tick", 0),
+            ("n_ticks", 0),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_run_setting_leaves_existing_files_untouched(self, tmp_path, setting):
+        """A non-positive sizing knob or a negative host seed (``n_ticks``
+        and ``seed`` reach the hosts) fails at the spec, before the run
+        truncates a pre-existing sink or write-ahead log."""
+        sink, wal = tmp_path / "sink.jsonl", tmp_path / "wal.jsonl"
+        sink.write_bytes(b"previous sink\n")
+        wal.write_bytes(b"previous log\n")
+        name, value = setting
+        with pytest.raises(ValueError, match=name):
+            _small_spec(
+                recorder=RecorderSpec(sink=str(sink)),
+                checkpoint=CheckpointSpec(path=str(wal)),
+                **{name: value},
+            )
+        assert sink.read_bytes() == b"previous sink\n"
+        assert wal.read_bytes() == b"previous log\n"
 
     def test_run_matches_hand_assembled_pool_exactly(self):
         """``from_spec`` assembles exactly the ingest and worker pool a
@@ -226,12 +257,6 @@ class TestPipelineRun:
         pipeline = Pipeline.from_spec(_small_spec(n_hosts=1, n_ticks=2))
         with pytest.raises(RuntimeError, match="not finished"):
             pipeline.fleet_result
-
-    def test_serial_mode_spec(self):
-        spec = _small_spec(n_hosts=2, n_ticks=2, mode="serial", n_workers=1)
-        result = Pipeline.from_spec(spec).run()
-        assert result.fleet.mode == "serial"
-        assert result.n_slices == 4
 
 
 # -- Pipeline.stream: incremental results, bounded chain memory ---------------
@@ -321,13 +346,14 @@ class TestFleetCLI:
         assert code == 0
         assert "mcmc estimator" in capsys.readouterr().out
 
-    def test_serial_flag_runs_both_modes(self, capsys):
-        code = fleet_main(["demo", "--hosts", "2", "--ticks", "2", "--serial"])
+    def test_demo_reports_the_pool_run(self, capsys):
+        code = fleet_main(["demo", "--hosts", "3", "--ticks", "2", "--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "pool  : 4 slices" in out
-        assert "serial: 4 slices" in out
-        assert "speedup" in out
+        assert "  6 slices in " in out
+        # Three hosts on one event set and two workers: one engine per worker.
+        assert "engines built: 2, cache hits: 1, dropped: 0" in out
+        assert "e.g. host-000 final slice:" in out
 
     def test_record_then_replay_round_trips(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"

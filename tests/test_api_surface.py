@@ -91,6 +91,9 @@ def test_run_spec_kernel_exec_round_trips_through_dict():
     legacy = observed.to_dict()
     legacy["observer"].update(mixing=True, spans_in_memory=False)
     assert api.RunSpec.from_dict(legacy) == observed
+    # And dicts written while the fleet had a serial mode carry ``mode``.
+    for mode in ("pool", "serial"):
+        assert api.RunSpec.from_dict(dict(spec.to_dict(), mode=mode)) == spec
 
 
 def test_recorder_spec_fields_are_pinned():
@@ -125,7 +128,6 @@ def test_run_spec_fields_are_pinned():
         "estimator",
         "recorder",
         "observer",
-        "mode",
         "n_workers",
         "batch_size",
         "buffer_capacity",

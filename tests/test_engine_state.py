@@ -5,10 +5,12 @@ in engine event order.  Its contract is the one the per-record path has
 always had:
 
 * a mixed batch — fresh and restored states, several signatures,
-  all-zero counters, single-event signatures, mux fractions near 0, an
-  all-unknown (NaN) prior row, a state in another event order — yields
-  reports and successor states bit-identical to the same records through
-  ``process_record`` one at a time;
+  all-zero counters, single-event signatures, mux fractions of 0 and near
+  0, sub-samples up to the 48-bit counter maximum, an all-unknown (NaN)
+  prior row, a state in another event order — yields reports and
+  successor states bit-identical to the same records through
+  ``process_record`` one at a time, with finite means and finite,
+  non-negative σ;
 * the sort-based row median is ``np.median`` and ``np.float_power(x, 2.0)``
   is the scalar ``x ** 2``, so the array expressions keep the digests;
 * a write-ahead log checkpointed in the event-keyed JSON form resumes to
@@ -38,9 +40,18 @@ ENGINE = BayesPerfEngine(CATALOG, UNION)
 FIXTURE = Path(__file__).parent / "fixtures" / "wal_dict_checkpoint.jsonl"
 
 
+#: The largest value a 48-bit PMU counter can read.
+COUNTER_MAX = 2.0**48 - 1
+
+
 @st.composite
 def _record(draw, tick):
-    """One hand-built slice over a random subset of the monitored events."""
+    """One hand-built slice over a random subset of the monitored events.
+
+    Levels reach the 48-bit counter range (sub-samples are capped at
+    ``COUNTER_MAX``), and a record may carry one to four sub-samples per
+    event, all-zero counters or mux fractions down to 0.
+    """
     monitored = ENGINE.monitored_events
     subset = draw(
         st.lists(st.sampled_from(monitored), min_size=1, max_size=len(monitored), unique=True)
@@ -51,12 +62,12 @@ def _record(draw, tick):
         if zero:
             values = np.zeros(4)
         else:
-            level = draw(st.floats(1e2, 1e8))
-            jitter = draw(st.lists(st.floats(0.5, 1.5), min_size=4, max_size=4))
-            values = level * np.array(jitter)
+            level = draw(st.floats(1e2, 2.0**48))
+            jitter = draw(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=4))
+            values = np.minimum(level * np.array(jitter), COUNTER_MAX)
         samples[event] = values
         if draw(st.integers(0, 3)) == 0:
-            mux[event] = draw(st.sampled_from([1e-12, 1e-6, 0.01, 0.5]))
+            mux[event] = draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.01, 0.5]))
     return SamplingRecord(
         tick=tick,
         configuration=CounterConfiguration(events=tuple(subset)),
@@ -118,6 +129,10 @@ def test_mixed_batch_equals_records_one_at_a_time(items):
         assert report.measured_events == want.measured_events
         assert report.ep_iterations == want.ep_iterations
         _assert_state_equal(successor, ENGINE.snapshot())
+        # Hostile inputs never yield NaN, inf or negative uncertainty.
+        means, stds = report.means(), report.stds()
+        assert all(np.isfinite(value) for value in means.values()), means
+        assert all(np.isfinite(sigma) and sigma >= 0 for sigma in stds.values()), stds
 
 
 def test_successor_states_do_not_alias_engine_buffers():
@@ -186,6 +201,21 @@ def test_dict_json_checkpoint_resumes_to_the_uninterrupted_run(tmp_path):
     """
     crashed = tmp_path / "crash.jsonl"
     shutil.copy(FIXTURE, crashed)
+    _assert_resumes_to_the_uninterrupted_run(crashed, tmp_path)
+
+
+def test_serial_mode_log_resumes_on_the_pool(tmp_path):
+    """A log written by a run in the deleted serial mode resumes on the
+    worker pool: that mode's estimates were the pool's, bit for bit."""
+    header, *records = FIXTURE.read_text().splitlines(keepends=True)
+    payload = json.loads(header)
+    payload["metadata"]["mode"] = payload["metadata"]["run_spec"]["mode"] = "serial"
+    crashed = tmp_path / "crash.jsonl"
+    crashed.write_text(json.dumps(payload) + "\n" + "".join(records))
+    _assert_resumes_to_the_uninterrupted_run(crashed, tmp_path)
+
+
+def _assert_resumes_to_the_uninterrupted_run(crashed, tmp_path):
     resumed = Pipeline.resume(crashed).run().fleet
     spec = RunSpec.from_dict(load_wal(FIXTURE).run_spec)
     checkpoint = replace(spec.checkpoint, path=str(tmp_path / "ref.jsonl"))

@@ -265,7 +265,7 @@ def test_engine_cache_survives_host_quarantine():
     assert result.quarantined == ("host-002",)
     # All four hosts share one engine key: it was built once and kept being
     # reused by the survivors after the quarantine.
-    assert result.engine_cache["engines_built"] <= 2
+    assert result.engine_cache["misses"] <= 2
     assert result.engine_cache["hits"] >= 2
     for host in ("host-000", "host-001", "host-003"):
         assert result.estimates[host].values_equal(clean.estimates[host]), host
@@ -369,19 +369,33 @@ def test_write_trace_estimates_only(tmp_path):
 # -- the pipeline-assembled fleet --------------------------------------------
 
 
+def _assert_pool_matches_sessions(pool, n_ticks, estimator=None):
+    """Each pooled host equals a per-host ``PerfSession`` run bit for bit.
+
+    ``small_fleet`` gives host *i* seed *i*, and a session draws its machine
+    and sampler streams from the same seeds as a synthetic fleet host.
+    """
+    session = PerfSession("x86", metrics=METRICS, estimator=estimator)
+    assert sorted(pool.estimates) == [f"host-{i:03d}" for i in range(pool.n_hosts)]
+    for index in range(pool.n_hosts):
+        want = session.run("mux-stress", n_ticks=n_ticks, seed=index).estimates
+        assert pool.estimates[f"host-{index:03d}"].values_equal(want), index
+
+
 def test_pool_and_serial_produce_identical_estimates():
-    pool = run_fleet(small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2))
-    serial = run_fleet(
-        small_fleet(n_hosts=5, n_ticks=4, n_workers=3, batch_size=2, mode="serial")
+    """The sharded pool equals each host solved on its own engine."""
+    n_hosts, n_workers = 5, 3
+    pool = run_fleet(
+        small_fleet(n_hosts=n_hosts, n_ticks=4, n_workers=n_workers, batch_size=2)
     )
-    assert pool.estimates.keys() == serial.estimates.keys()
-    for host in pool.estimates:
-        assert pool.estimates[host].values_equal(serial.estimates[host])
-    # The pool shared engines across its 5 hosts; serial built one per host.
-    assert pool.engine_cache["engines_built"] <= 3
-    assert pool.engine_cache["hits"] >= 2
-    assert serial.engine_cache["engines_built"] == 5
-    assert serial.engine_cache["hits"] == 0
+    _assert_pool_matches_sessions(pool, n_ticks=4)
+    # Every host completed, nothing was dropped, and the workers shared
+    # engines: at most one build per worker, every other lookup a hit.
+    assert pool.total_slices == n_hosts * 4
+    assert pool.metrics["hosts.completed"] == n_hosts
+    assert pool.total_dropped == 0
+    assert pool.engine_cache["misses"] <= n_workers
+    assert pool.engine_cache["hits"] >= n_hosts - n_workers
 
 
 def test_recorded_trace_replay_matches_original_estimates(tmp_path):
@@ -403,7 +417,7 @@ def _assert_traces_match_golden(got, want, rel=1e-9):
     Exact float equality would be BLAS/CPU-build dependent across CI
     runners; a 1e-9 relative tolerance still catches any real numerical
     change while tolerating last-bit LAPACK differences.  (Within-run
-    comparisons — pool vs serial, record vs replay — stay exact.)
+    comparisons — pool vs per-host session, record vs replay — stay exact.)
     """
     assert len(got) == len(want)
     for tick in range(len(want)):
@@ -465,8 +479,6 @@ def test_service_backpressure_is_visible_in_result():
 
 
 def test_service_guards_misuse():
-    with pytest.raises(ValueError, match="mode"):
-        small_fleet(n_hosts=1, n_ticks=2, mode="turbo")
     with pytest.raises(ValueError, match="at least one HostSpec"):
         Pipeline.from_spec(RunSpec(metrics=METRICS))
     pipeline = Pipeline.from_spec(small_fleet(n_hosts=1, n_ticks=2))
@@ -488,11 +500,9 @@ def test_long_streams_do_not_drop_by_default():
 
 def test_mcmc_pool_matches_serial():
     """RNG state rides along in engine snapshots, so sharing stays exact."""
-    kwargs = dict(n_hosts=2, n_ticks=3, batch_size=2, estimator=EstimatorSpec("mcmc", samples=25))
-    pool = run_fleet(small_fleet(**kwargs))
-    serial = run_fleet(small_fleet(mode="serial", **kwargs))
-    for host in pool.estimates:
-        assert pool.estimates[host].values_equal(serial.estimates[host])
+    estimator = EstimatorSpec("mcmc", samples=25)
+    pool = run_fleet(small_fleet(n_hosts=2, n_ticks=3, batch_size=2, estimator=estimator))
+    _assert_pool_matches_sessions(pool, n_ticks=3, estimator=estimator)
 
 
 def test_unassigned_channel_does_not_hang_pool():
