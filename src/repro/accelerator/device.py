@@ -59,10 +59,6 @@ class AcceleratorConfig:
     def samplers_per_engine(self) -> int:
         return max(1, self.n_samplers // self.n_ep_engines)
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1e3 / self.clock_mhz
-
 
 #: Host-side transport latencies in host-CPU cycles (order-of-magnitude
 #: values for a 2-ish GHz host).  CAPI snoops the ring-buffer cache lines, so

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -94,18 +93,6 @@ class ButterflyNoC:
             self.transfer(0, self.n_ports - 1, payload).cycles
             + self.transfer(self.n_ports - 1, 0, payload).cycles
         )
-
-    def broadcast_cycles(self, source: int, payload_bytes: int) -> float:
-        """Cycles to send the same payload from one port to all others."""
-        total = 0.0
-        for destination in range(self.n_ports):
-            if destination != source:
-                total += self.transfer(source, destination, payload_bytes).cycles
-        return total
-
-    def bisection_links(self) -> int:
-        """Number of links crossing the bisection (used by the area model)."""
-        return self.n_ports // 2 * self.stages
 
     def _validate_port(self, port: int) -> None:
         if not 0 <= port < self.n_ports:

@@ -47,7 +47,6 @@ from repro.api.spec import (
     EstimatorSpec,
     FaultPolicySpec,
     HostSpec,
-    KernelExecSpec,
     ObserverSpec,
     RecorderSpec,
     RunSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "FaultPolicySpec",
     "HostComparison",
     "HostSpec",
-    "KernelExecSpec",
     "ObserverSpec",
     "Pipeline",
     "PipelineResult",

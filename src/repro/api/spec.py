@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.fg.mcmc import ChainTrace
-from repro.fg.megabatch import KernelExecSpec
 from repro.fg.registry import get_estimator
 from repro.fleet.events import EventDispatcher
 from repro.fleet.faults import FaultPolicySpec
@@ -47,7 +46,6 @@ __all__ = [
     "EstimatorSpec",
     "FaultPolicySpec",
     "HostSpec",
-    "KernelExecSpec",
     "ObserverSpec",
     "RecorderSpec",
     "RunSpec",
@@ -78,12 +76,6 @@ class EstimatorSpec:
     remaining fields default to ``None`` meaning "the engine's default".
     ``use_compiled_kernel=False`` selects the estimator's object-walking
     reference twin — the differential-testing A/B switch.
-
-    ``kernel_exec`` carries a :class:`~repro.fg.megabatch.KernelExecSpec`
-    describing how the kernel spreads work across threads.  It is ``None``
-    by default (the engine's default) and preserves bit-identity: it
-    changes wall-clock, never numbers.  A plain mapping (e.g. from a
-    JSON-round-tripped ``RunSpec``) is coerced to a ``KernelExecSpec``.
     The canonical analytic layout needs no field: the engine solves
     every round on it, whatever its signatures (:mod:`repro.fg.megabatch`).
     """
@@ -94,11 +86,6 @@ class EstimatorSpec:
     adapt: Optional[bool] = None
     ep_iterations: Optional[int] = None
     use_compiled_kernel: bool = True
-    kernel_exec: Optional[KernelExecSpec] = None
-
-    def __post_init__(self) -> None:
-        if self.kernel_exec is not None and isinstance(self.kernel_exec, Mapping):
-            object.__setattr__(self, "kernel_exec", KernelExecSpec(**self.kernel_exec))
 
     def engine_kwargs(self) -> Dict:
         """Resolve to :class:`~repro.core.engine.BayesPerfEngine` kwargs.
@@ -129,8 +116,6 @@ class EstimatorSpec:
             kwargs["mcmc_adapt"] = self.adapt
         if self.ep_iterations is not None:
             kwargs["ep_max_iterations"] = self.ep_iterations
-        if self.kernel_exec is not None:
-            kwargs["kernel_exec"] = self.kernel_exec
         return kwargs
 
 
@@ -517,13 +502,11 @@ class RunSpec:
             )
             recorder = RecorderSpec(**fields_)
         estimator = dict(data.get("estimator") or {})
-        # Logs written before mega-batching became automatic carry two
-        # numerics-free knobs that no longer exist: drop them.
+        # Logs written before mega-batching became automatic, or while the
+        # kernel could split its lanes across threads, carry numerics-free
+        # knobs that no longer exist: drop them.
         estimator.pop("megabatch", None)
-        if isinstance(estimator.get("kernel_exec"), Mapping):
-            kernel_exec = dict(estimator["kernel_exec"])
-            kernel_exec.pop("partition", None)
-            estimator["kernel_exec"] = kernel_exec
+        estimator.pop("kernel_exec", None)
         # Logs written before spans joined the event stream carry two
         # observer knobs that no longer exist (mixing always runs; spans
         # reach an attached EventLog): drop them too.

@@ -59,12 +59,9 @@ from repro.fg.compiled import (
 )
 from repro.fg.distributions import StudentT, student_t_moment_variance
 from repro.fg.megabatch import (
-    KernelExecSpec,
-    kernel_exec_from_env,
     bind_bucketed_observation,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
 )
 from repro.fg.ep import EPSite, ExpectationPropagation
 from repro.fg.factors import (
@@ -234,13 +231,6 @@ class BayesPerfEngine:
         Multiplier on every relation's tolerance (ablation knob).
     ep_max_iterations, ep_damping, mcmc_samples, mcmc_burn_in, seed:
         EP and MCMC controls.
-    kernel_exec:
-        Optional :class:`~repro.fg.megabatch.KernelExecSpec` spreading the
-        batched kernel across threads by chunking the record axis inside
-        one solve.  The chunks are a fixed function of the batch size, so
-        any thread count is bit-identical to ``threads=1``.  When ``None``,
-        the ``REPRO_KERNEL_THREADS`` environment variable supplies a
-        default.
     use_compiled_kernel:
         Route slices through the vectorized array path: ``"analytic"``
         solves on one canonical full-width
@@ -273,7 +263,6 @@ class BayesPerfEngine:
         observer=None,
         use_intensity_chain: bool = True,
         use_compiled_kernel: bool = True,
-        kernel_exec: Optional[KernelExecSpec] = None,
         seed: int = 0,
     ) -> None:
         if observation_model not in ("student_t", "gaussian"):
@@ -327,8 +316,6 @@ class BayesPerfEngine:
         self._observer = observer
         self.use_intensity_chain = use_intensity_chain
         self.use_compiled_kernel = use_compiled_kernel
-        self.kernel_exec = kernel_exec if kernel_exec is not None else kernel_exec_from_env()
-        self._kernel_pool = None
         #: Scratch generator of the sampled estimator's per-record seed
         #: draws; a run's RNG position lives in its state's ``rng_state``.
         self._rng = np.random.default_rng(seed)
@@ -783,53 +770,6 @@ class BayesPerfEngine:
             )
         return self._canonical_cache
 
-    def _kernel_threads(self) -> "ThreadPoolExecutor":
-        """The engine's lazily created kernel thread pool."""
-        if self._kernel_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._kernel_pool = ThreadPoolExecutor(
-                max_workers=self.kernel_exec.threads,
-                thread_name_prefix="repro-kernel",
-            )
-        return self._kernel_pool
-
-    def _run_kernel(
-        self,
-        kernel: CompiledEPKernel,
-        stacked,
-        prior_precision: np.ndarray,
-        prior_shift: np.ndarray,
-        certified_sites: Sequence[int],
-        site_index_overrides: Dict[int, np.ndarray],
-        repair_groups: Sequence[np.ndarray],
-    ):
-        """``run_stacked`` with the engine's lane partition applied.
-
-        Lane partitioning chunks the batch axis across the thread pool;
-        the PD repair is hoisted ahead of the split and every remaining
-        kernel op is per-record, so the result is bit-identical to the
-        serial call for any thread count.
-        """
-        spec = self.kernel_exec
-        batch = prior_shift.shape[0]
-        if spec is None or spec.threads <= 1 or batch < spec.threads:
-            return kernel.run_stacked(
-                stacked, prior_precision, prior_shift, certified_sites,
-                site_index_overrides, repair_groups,
-            )
-        return run_lane_partitioned(
-            kernel,
-            stacked,
-            prior_precision,
-            prior_shift,
-            certified_sites,
-            self._kernel_threads(),
-            spec.threads,
-            site_index_overrides,
-            repair_groups,
-        )
-
     def _canonical_groups(self, batch: _PreparedBatch) -> List[_SliceGroup]:
         """Signature groups of this batch that solve on the canonical structure.
 
@@ -922,14 +862,15 @@ class BayesPerfEngine:
             if observer is not None
             else nullcontext()
         ):
-            result = self._run_kernel(
-                kernel,
+            # Positional, as perfbench's fg.solve hook and the differential
+            # tests' spies read the call by position.
+            result = kernel.run_stacked(
                 stacked,
                 prior_precision,
                 prior_shift,
-                certified_sites=(obs_site,),
-                site_index_overrides={obs_site: obs_block[2]},
-                repair_groups=[block[0] for block in blocks],
+                (obs_site,),
+                {obs_site: obs_block[2]},
+                [block[0] for block in blocks],
             )
         return result.means, result.variances, result.iterations, result.converged
 

@@ -8,7 +8,7 @@ the invariant library all consult.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.events.derived import DerivedEventSet
@@ -115,10 +115,6 @@ class EventCatalog:
     @property
     def programmable_events(self) -> Tuple[EventSpec, ...]:
         return tuple(e for e in self._events.values() if e.kind is EventKind.PROGRAMMABLE)
-
-    def events_for_semantic(self, semantic: str) -> Tuple[EventSpec, ...]:
-        """All events measuring the given semantic quantity."""
-        return tuple(self._by_semantic.get(semantic, ()))
 
     def event_for_semantic(self, semantic: str) -> EventSpec:
         """The preferred (first-registered) event measuring *semantic*."""

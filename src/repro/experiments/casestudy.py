@@ -55,10 +55,6 @@ class CaseStudyResult:
         """Completion-time improvement of a scheduler family over random placement."""
         return self.results[family].improvement_vs_random[profile]
 
-    def bayesperf_improvement(self, family: str, profile: str = "bayesperf-acc") -> float:
-        """Further improvement from BayesPerf inputs over Linux inputs."""
-        return self.results[family].improvement_vs_linux[profile]
-
 
 def run(
     *,

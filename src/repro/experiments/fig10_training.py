@@ -11,9 +11,7 @@ accelerated BayesPerf versus Linux, ~28.5% for the CPU implementation and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.experiments.common import format_table
 from repro.mlsched.reinforcement import TrainingCurve
@@ -31,9 +29,6 @@ class Fig10Result:
 
     curves: Dict[str, TrainingCurve] = field(default_factory=dict)
     summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def loss_series(self, profile: str, *, window: int = 50) -> np.ndarray:
-        return self.curves[profile].smoothed(window)
 
     def reduction_vs_linux(self, profile: str) -> float:
         return self.summary[profile]["reduction_vs_baseline"]

@@ -9,10 +9,9 @@ This package implements the machinery behind the BayesPerf ML model (§4):
   MCMC moment estimation,
 * a compiled, vectorized EP kernel (index-compiled graph structures,
   Cholesky-based updates, batched multi-record solves),
-* the canonical analytic layout and multicore kernel execution
-  (:mod:`repro.fg.megabatch`: one padded full-width shape for every
-  signature, whose padded lanes are exact no-ops, plus a deterministic
-  lane partition across threads),
+* the canonical analytic layout (:mod:`repro.fg.megabatch`: one padded
+  full-width shape for every signature, whose padded lanes are exact
+  no-ops),
 * a moment-estimator registry (:mod:`repro.fg.registry`) the samplers and
   their reference twins self-register into — every front door
   (engine, sessions, fleet CLI, :mod:`repro.api`) resolves estimator names
@@ -63,14 +62,9 @@ from repro.fg.compiled import (
     site_factor_lists,
 )
 from repro.fg.megabatch import (
-    KernelExecSpec,
     bind_bucketed_observation,
-    concat_results,
-    kernel_exec_from_env,
-    lane_chunks,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
 )
 from repro.fg.mle import credible_interval, map_estimate
 
@@ -86,14 +80,9 @@ __all__ = [
     "CompiledEPResult",
     "CompiledGraph",
     "ConstraintSiteBinder",
-    "KernelExecSpec",
     "bind_bucketed_observation",
-    "concat_results",
-    "kernel_exec_from_env",
-    "lane_chunks",
     "observation_certified",
     "padding_slots",
-    "run_lane_partitioned",
     "ObservationSiteBinder",
     "StudentTTail",
     "compile_factor_graph",

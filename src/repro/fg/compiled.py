@@ -509,13 +509,6 @@ class CompiledEPResult:
     def variance_dict(self, record: int = 0) -> Dict[str, float]:
         return {name: float(v) for name, v in zip(self.variables, self.variances[record])}
 
-    def posterior(self, record: int = 0) -> GaussianDensity:
-        return GaussianDensity(
-            self.variables,
-            self.posterior_precision[record],
-            self.posterior_shift[record],
-        )
-
 
 @register_estimator(
     "analytic",

@@ -9,7 +9,7 @@ exactly what Alg. 1 needs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -78,18 +78,6 @@ class GaussianDensity:
 
     def __len__(self) -> int:
         return len(self.variables)
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
-
-    @property
-    def is_proper(self) -> bool:
-        """Whether the precision matrix is positive definite."""
-        try:
-            np.linalg.cholesky(self.precision + 0.0)
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
     def copy(self) -> "GaussianDensity":
         return GaussianDensity(self.variables, self.precision.copy(), self.shift.copy())
@@ -183,12 +171,6 @@ class GaussianDensity:
         """Unnormalised log density at the given point."""
         x = np.array([float(values[name]) for name in self.variables])
         return float(-0.5 * x @ self.precision @ x + self.shift @ x)
-
-    def regularized(self, epsilon: float) -> "GaussianDensity":
-        """Add ``epsilon`` to the diagonal of the precision (ridge)."""
-        return GaussianDensity(
-            self.variables, self.precision + epsilon * np.eye(len(self.variables)), self.shift
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GaussianDensity(n={len(self.variables)})"

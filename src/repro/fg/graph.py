@@ -12,7 +12,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.fg.factors import Factor
-from repro.fg.gaussian import GaussianDensity
 
 
 class FactorGraph:
@@ -103,15 +102,6 @@ class FactorGraph:
     def log_density(self, values: Mapping[str, float]) -> float:
         """Sum of all factor log potentials at the given assignment."""
         return float(sum(factor.log_density(values) for factor in self._factors.values()))
-
-    def gaussian_projection(
-        self, anchor: Optional[Mapping[str, float]] = None
-    ) -> GaussianDensity:
-        """Product of every factor's Gaussian projection over all variables."""
-        density = GaussianDensity.uninformative(self.variables)
-        for factor in self._factors.values():
-            density = density.multiply(factor.to_gaussian(anchor))
-        return density
 
     # -- export -----------------------------------------------------------
 

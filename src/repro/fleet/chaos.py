@@ -215,12 +215,6 @@ class FaultInjector:
             hard=self.crash_hard,
         )
 
-    # -- accounting --------------------------------------------------------
-
-    def expected_disruptions(self) -> int:
-        """How many slices the schedule disrupts (one per scheduled fault)."""
-        return len(self.solve_faults) + len(self.corrupt_faults)
-
 
 class ChaosHostSource:
     """Source proxy replacing scheduled records with corrupted ones."""

@@ -362,10 +362,6 @@ class TraceWriter:
         self.chain_records += len(visits)
         return len(visits)
 
-    def flush_chain(self, chain: ChainTrace) -> int:
-        """Drain *chain*'s buffered visits into the file (one flush round)."""
-        return self.write_visits(chain.drain())
-
     def write_estimate(
         self,
         host: str,

@@ -69,11 +69,6 @@ class EngineCache:
         self.hits = 0
         self.misses = 0
 
-    def engine_for(
-        self, arch: str, events: Tuple[str, ...], engine_kwargs: Optional[Dict] = None
-    ) -> BayesPerfEngine:
-        return self.engine_for_key(engine_key(arch, events, engine_kwargs), engine_kwargs)
-
     def engine_for_key(
         self, key: EngineKey, engine_kwargs: Optional[Dict] = None
     ) -> BayesPerfEngine:
@@ -545,10 +540,6 @@ class WorkerPool:
                 # worker, so its buffer will never drain.  Bail out instead of
                 # spinning.
                 return
-
-    def run_until_drained(self, ingest: FleetIngest, *, pump_records: int = 16) -> int:
-        """Drive :meth:`rounds` to completion; returns total slices processed."""
-        return sum(self.rounds(ingest, pump_records=pump_records))
 
     def estimates(self) -> Dict[str, EstimateTrace]:
         merged: Dict[str, EstimateTrace] = {}

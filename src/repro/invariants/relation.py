@@ -141,7 +141,3 @@ class EventRelation:
     def is_satisfied(self, values: Mapping[str, float], rtol: float = 1e-6) -> bool:
         """Whether the event values satisfy the relation up to *rtol*."""
         return self.relative_residual(values) <= rtol
-
-    def restricted_to(self, available: Mapping[str, float]) -> bool:
-        """Whether every event of the relation is present in *available*."""
-        return all(name in available for name in self.coefficients)

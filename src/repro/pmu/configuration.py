@@ -9,7 +9,7 @@ assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,3 @@ class CounterConfiguration:
         """Events shared with another configuration, in this config's order."""
         other_set = set(other.events)
         return tuple(event for event in self.events if event in other_set)
-
-    def with_events(self, events: Iterable[str]) -> "CounterConfiguration":
-        """A new configuration over *events* with no explicit assignment."""
-        return CounterConfiguration(events=tuple(events))

@@ -13,7 +13,7 @@ Two reading modes mirror §2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,12 +69,6 @@ class SampledTrace:
         if not self.records:
             return 0.0
         return self.enabled_ticks.get(event, 0) / len(self.records)
-
-    def measured_ticks(self, event: str) -> Tuple[int, ...]:
-        """Tick indices at which *event* produced samples."""
-        return tuple(
-            record.tick for record in self.records if event in record.samples
-        )
 
 
 @dataclass

@@ -98,9 +98,3 @@ def clear_schedule_cache() -> None:
         _CACHE.clear()
         _STATS["hits"] = 0
         _STATS["misses"] = 0
-
-
-def schedule_cache_size() -> int:
-    """Number of cached schedules across all live catalogs."""
-    with _LOCK:
-        return sum(len(per_catalog) for per_catalog in _CACHE.values())

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.events import semantics as sem
 from repro.uarch.profile import WorkloadSpec
 from repro.uarch.synthesis import synthesize_semantics
 
@@ -46,14 +45,6 @@ class MachineConfig:
                 raise ValueError(f"{name} must be finite")
         if self.run_variation < 0 or self.rate_jitter < 0:
             raise ValueError("variation parameters must be non-negative")
-
-    @property
-    def total_cores(self) -> int:
-        return self.cores_per_socket * self.sockets
-
-    @property
-    def cycles_per_tick(self) -> float:
-        return self.frequency_ghz * 1e9 * self.tick_seconds
 
 
 #: Profile rate fields that receive independent per-tick jitter.

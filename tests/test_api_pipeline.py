@@ -208,7 +208,7 @@ class TestPipelineRun:
                 seed=index,
             )
             pool.assign(ingest.add(source), arch="x86", events=events)
-        total = pool.run_until_drained(ingest, pump_records=8)
+        total = sum(pool.rounds(ingest, pump_records=8))
         reference = pool.estimates()
         assert result.estimates.keys() == reference.keys()
         for host in result.estimates:

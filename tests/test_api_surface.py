@@ -28,7 +28,6 @@ def test_api_all_is_pinned():
         "FaultPolicySpec",
         "HostComparison",
         "HostSpec",
-        "KernelExecSpec",
         "ObserverSpec",
         "Pipeline",
         "PipelineResult",
@@ -50,39 +49,20 @@ def test_estimator_spec_fields_are_pinned():
         "adapt",
         "ep_iterations",
         "use_compiled_kernel",
-        "kernel_exec",
     )
-
-
-def test_kernel_exec_spec_fields_are_pinned():
-    assert _field_names(api.KernelExecSpec) == ("threads",)
-
-
-def test_estimator_spec_coerces_kernel_exec_mapping():
-    spec = api.EstimatorSpec(kernel_exec={"threads": 4})
-    assert spec.kernel_exec == api.KernelExecSpec(threads=4)
-    kwargs = spec.engine_kwargs()
-    assert kwargs["kernel_exec"] == api.KernelExecSpec(threads=4)
-    # Defaults stay defaults: no kernel_exec key unless set.
-    assert "kernel_exec" not in api.EstimatorSpec().engine_kwargs()
 
 
 def test_run_spec_kernel_exec_round_trips_through_dict():
-    spec = api.RunSpec.fleet(
-        2,
-        "steady",
-        n_ticks=2,
-        estimator=api.EstimatorSpec(kernel_exec=api.KernelExecSpec(threads=4)),
-    )
-    rebuilt = api.RunSpec.from_dict(spec.to_dict())
-    assert rebuilt == spec
-    assert rebuilt.estimator.kernel_exec == api.KernelExecSpec(threads=4)
-    # Dicts written before mega-batching became automatic carry two removed,
+    spec = api.RunSpec.fleet(2, "steady", n_ticks=2)
+    assert api.RunSpec.from_dict(spec.to_dict()) == spec
+    assert "kernel_exec" not in spec.to_dict()["estimator"]
+    # Dicts written before mega-batching became automatic, or while the
+    # kernel could split its lanes across threads, carry removed,
     # numerics-free knobs; dropping them rebuilds the same run.
-    legacy = spec.to_dict()
-    legacy["estimator"]["megabatch"] = True
-    legacy["estimator"]["kernel_exec"]["partition"] = "signature"
-    assert api.RunSpec.from_dict(legacy) == spec
+    for kernel_exec in (None, {"threads": 4}, {"threads": 1, "partition": "signature"}):
+        legacy = spec.to_dict()
+        legacy["estimator"].update(megabatch=True, kernel_exec=kernel_exec)
+        assert api.RunSpec.from_dict(legacy) == spec
     # So do dicts written before spans joined the event stream: their
     # observer carries ``mixing`` and ``spans_in_memory``.
     observed = dataclasses.replace(

@@ -51,7 +51,6 @@ from repro.fg import (
     student_t_moment_variance,
 )
 from repro.fg.ep import EPSite
-from repro.fg.megabatch import KernelExecSpec
 from repro.fleet.tracefile import read_trace
 from repro.pmu.noise import NoiseModel
 from repro.pmu.sampling import MultiplexedSampler
@@ -479,9 +478,7 @@ def dephased_kernel_calls(hosts=16, rotations=7, rounds=2):
     for those hosts (``tests/signature_twin.py``).
     """
     catalog = catalog_for("x86")
-    engine = BayesPerfEngine(
-        catalog, standard_profiling_events(catalog), kernel_exec=KernelExecSpec(threads=1)
-    )
+    engine = BayesPerfEngine(catalog, standard_profiling_events(catalog))
     records = [
         _x86_records(engine, "WordCount", seed=h, ticks=h % rotations + rounds)
         for h in range(hosts)
@@ -1090,13 +1087,13 @@ class TestGoldenHeteroFleet:
             hosts.append(sampled.sample(trace).records[offset : offset + self.TICKS])
         return catalog, union, hosts
 
-    def _run_fleet(self, catalog, union, hosts, by_signature=False, **engine_kwargs):
+    def _run_fleet(self, catalog, union, hosts, by_signature=False):
         """One fleet round per tick through ``process_batch`` (the recipe).
 
         ``by_signature`` runs each round through the per-signature twin
         instead: one structure and one kernel call per signature group.
         """
-        engine = BayesPerfEngine(catalog, union, **engine_kwargs)
+        engine = BayesPerfEngine(catalog, union)
         process = process_batch_by_signature if by_signature else BayesPerfEngine.process_batch
         states = [None] * len(hosts)
         outputs = [[] for _ in hosts]
@@ -1140,17 +1137,13 @@ class TestGoldenHeteroFleet:
         ] == pytest.approx(331128.2579, abs=1e-3)
 
     def test_megabatch_and_partitioned_paths_match_exactly(self, fleet):
-        """Canonical rounds, serial and lane-partitioned, equal the
-        per-signature twin's rounds bit-for-bit on the golden fleet (and
-        therefore pin against the fixture transitively)."""
+        """Canonical rounds equal the per-signature twin's rounds (each
+        batch partitioned into one kernel call per signature) bit-for-bit
+        on the golden fleet, and therefore pin against the fixture
+        transitively."""
         catalog, union, hosts = fleet
-        serial = KernelExecSpec(threads=1)
-        threaded = KernelExecSpec(threads=4)
-        baseline = self._run_fleet(
-            catalog, union, hosts, by_signature=True, kernel_exec=serial
-        )
-        assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=serial)
-        assert baseline == self._run_fleet(catalog, union, hosts, kernel_exec=threaded)
+        baseline = self._run_fleet(catalog, union, hosts, by_signature=True)
+        assert baseline == self._run_fleet(catalog, union, hosts)
 
     def test_homogeneous_golden_replays_under_megabatch_engine(self):
         """The pre-existing single-host golden fixture, replayed through the

@@ -320,24 +320,31 @@ def test_resume_requires_a_wal_header(tmp_path):
 def test_resume_accepts_a_log_with_removed_megabatch_knobs(tmp_path):
     """Logs written before mega-batching became automatic still resume.
 
-    Their header's run spec carries ``estimator.megabatch`` and
-    ``kernel_exec.partition``; both were numerics-free and are dropped.
+    Their header's run spec carries ``estimator.megabatch`` and an
+    ``estimator.kernel_exec`` (``null``, a lane-thread count, or a thread
+    count plus a ``partition``); all were numerics-free and are dropped.
     """
     crash_path = tmp_path / "crash.jsonl"
     chaos = FaultInjector((), crash_after_writes=23)
     with pytest.raises(InjectedCrash):
         run_fleet(wal_spec(crash_path), chaos)
     lines = crash_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    header = json.loads(lines[0])
-    estimator = header["metadata"]["run_spec"]["estimator"]
-    estimator["megabatch"] = True
-    estimator["kernel_exec"] = {"threads": 1, "partition": "signature"}
-    lines[0] = json.dumps(header) + "\n"
-    crash_path.write_text("".join(lines), encoding="utf-8")
+    reference = run_fleet(wal_spec(tmp_path / "ref.jsonl"))
+    for i, kernel_exec in enumerate(
+        (None, {"threads": 4}, {"threads": 1, "partition": "signature"})
+    ):
+        header = json.loads(lines[0])
+        estimator = header["metadata"]["run_spec"]["estimator"]
+        estimator["megabatch"] = True
+        estimator["kernel_exec"] = kernel_exec
+        legacy_path = tmp_path / f"legacy{i}.jsonl"
+        legacy_path.write_text(
+            json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8"
+        )
 
-    resumed = Pipeline.resume(crash_path).run().fleet
-    assert_estimates_equal(run_fleet(wal_spec(tmp_path / "ref.jsonl")), resumed)
-    assert read_trace(crash_path).resumes == 1
+        resumed = Pipeline.resume(legacy_path).run().fleet
+        assert_estimates_equal(reference, resumed)
+        assert read_trace(legacy_path).resumes == 1
 
 
 def test_rejected_resume_leaves_the_log_untouched(tmp_path):
@@ -459,7 +466,7 @@ def test_non_finite_sub_sample_line_is_malformed(tmp_path, bad, ragged):
     channel = ingest.add(ReplayHostSource("host-000", trace))
     pool = WorkerPool(1, dispatcher=ingest.dispatcher)
     pool.assign(channel, arch=trace.arch, events=trace.events)
-    assert pool.run_until_drained(ingest) == 3
+    assert sum(pool.rounds(ingest)) == 3
     estimates = pool.estimates()["host-000"]
     for tick in range(len(estimates)):
         assert all(math.isfinite(value) for value in estimates.at(tick).values())
@@ -502,7 +509,7 @@ def test_replay_source_accounts_midstream_damage(tmp_path):
     channel = ingest.add(ReplayHostSource("host-000", trace))
     pool = WorkerPool(1, dispatcher=ingest.dispatcher)
     pool.assign(channel, arch=trace.arch, events=trace.events)
-    assert pool.run_until_drained(ingest) == 4
+    assert sum(pool.rounds(ingest)) == 4
     assert len(pool.estimates()["host-000"]) == 4
     skipped = [e for e in log.iter() if isinstance(e, MalformedRecordSkipped)]
     assert [e.n_lines for e in skipped] == [2]

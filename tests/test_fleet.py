@@ -232,11 +232,11 @@ def test_engine_cache_keys_on_arch_and_events():
     cache = EngineCache()
     catalog = catalog_for("x86")
     events = catalog.events_for_derived(METRICS)
-    one = cache.engine_for("x86", events)
-    two = cache.engine_for("x86_64-skylake", events)  # alias: same key
+    one = cache.engine_for_key(engine_key("x86", events))
+    two = cache.engine_for_key(engine_key("x86_64-skylake", events))  # alias: same key
     assert one is two
     assert cache.hits == 1 and cache.misses == 1
-    other = cache.engine_for("x86", events[:2])
+    other = cache.engine_for_key(engine_key("x86", events[:2]))
     assert other is not one
     assert engine_key("x86", events) == engine_key("x86_64", events)
 
@@ -509,7 +509,7 @@ def test_unassigned_channel_does_not_hang_pool():
     ingest = FleetIngest()
     ingest.add(_source("orphan", n_ticks=3))
     pool = WorkerPool(1, dispatcher=ingest.dispatcher)  # orphan never assigned
-    assert pool.run_until_drained(ingest) == 0
+    assert sum(pool.rounds(ingest)) == 0
 
 
 def test_trace_host_rejects_synthetic_overrides(tmp_path):

@@ -1,11 +1,10 @@
-"""The canonical analytic solve and multicore kernel execution, locked down.
+"""The canonical analytic solve, locked down.
 
 Under the compiled analytic estimator ``process_batch`` solves every
 certified signature group of a batch in one canonical padded kernel call
-(:mod:`repro.fg.megabatch`), however many signatures the batch holds, and
-the ``KernelExecSpec`` lane partition replaces one serial call with several
-chunked ones.  Both sit on the hottest numeric path, so their contract is
-**bit-identity**, not closeness:
+(:mod:`repro.fg.megabatch`), however many signatures the batch holds.  It
+sits on the hottest numeric path, so its contract is **bit-identity**, not
+closeness:
 
 * canonical posteriors == the per-signature twin
   (``tests/signature_twin.py``: one structure and one kernel call per
@@ -13,8 +12,6 @@ chunked ones.  Both sit on the hottest numeric path, so their contract is
   fleets — and both match the object-walking reference twin within 1e-6;
 * a group the canonical structure may not take solves through the
   reference twin, and leaves its certified neighbours bit-identical;
-* lane-partitioned results == serial results, exactly, for any thread
-  count;
 * the PD repair composes: merged batches re-probe at original group
   granularity, so a group that passes its own Cholesky probe is never
   spuriously repaired by a failing neighbour.
@@ -35,26 +32,13 @@ from repro.fg import (
     CompiledEPKernel,
     FactorGraph,
     GaussianObservation,
-    KernelExecSpec,
     LinearConstraintFactor,
     compile_factor_graph,
-    kernel_exec_from_env,
-    lane_chunks,
     observation_certified,
     padding_slots,
-    run_lane_partitioned,
-)
-from repro.api import (
-    EstimatorSpec,
-    HostSpec,
-    ObserverSpec,
-    Pipeline,
-    RecorderSpec,
-    RunSpec,
 )
 from repro.fg.compiled import _cholesky_fails
 from repro.fg.ep import EPSite
-from repro.fg.megabatch import THREADS_ENV_VAR
 from repro.pmu.sampling import MultiplexedSampler, SamplingRecord
 from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import Machine, MachineConfig
@@ -418,79 +402,6 @@ class TestPerLaneProbe:
             assert (repaired[rows].tobytes() != stack[rows].tobytes()) == repairs
 
 
-class TestLanePartition:
-    """threads=N results are bit-identical to the serial kernel."""
-
-    def _problem(self, batch=7):
-        variables = [f"v{i}" for i in range(4)]
-        graph = FactorGraph(variables=variables)
-        names = []
-        for v in variables:
-            graph.add_factor(GaussianObservation(f"obs_{v}", v, observed=0.5, sigma=0.8))
-            names.append(f"obs_{v}")
-        graph.add_factor(
-            LinearConstraintFactor("rel_0", {v: 1.0 for v in variables}, sigma=0.4)
-        )
-        sites = [EPSite("obs", tuple(names)), EPSite("rel", ("rel_0",))]
-        structure = compile_factor_graph(graph, sites, variables)
-        kernel = CompiledEPKernel(structure, damping=1.0)
-        rng = np.random.default_rng(42)
-        stacked = []
-        for _ in sites:
-            basis = rng.normal(size=(batch, 4, 4))
-            precision = basis @ np.swapaxes(basis, -1, -2) + 2.0 * np.eye(4)
-            stacked.append((precision, rng.normal(size=(batch, 4))))
-        prior_precision = np.stack([np.eye(4)] * batch)
-        prior_shift = rng.normal(size=(batch, 4))
-        return kernel, stacked, prior_precision, prior_shift
-
-    @pytest.mark.parametrize("threads", [2, 3, 4, 9])
-    def test_partitioned_kernel_is_bit_identical(self, threads):
-        from concurrent.futures import ThreadPoolExecutor
-
-        kernel, stacked, prior_precision, prior_shift = self._problem()
-        serial = kernel.run_stacked(stacked, prior_precision, prior_shift)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partitioned = run_lane_partitioned(
-                kernel, stacked, prior_precision, prior_shift, (), pool, threads
-            )
-        assert np.array_equal(partitioned.means, serial.means)
-        assert np.array_equal(partitioned.variances, serial.variances)
-        assert np.array_equal(partitioned.posterior_precision, serial.posterior_precision)
-        assert np.array_equal(partitioned.iterations, serial.iterations)
-        assert np.array_equal(partitioned.converged, serial.converged)
-
-    def test_engine_lane_threads_are_bit_identical(self):
-        records = [
-            _record_for(UNION[:8], seed=7 * host) for host in range(6)
-        ] + [_record_for(UNION[3:11], seed=100 + host) for host in range(4)]
-        serial = _solve_batch(
-            BayesPerfEngine(CATALOG, UNION, kernel_exec=KernelExecSpec(threads=1)),
-            records,
-            by_signature=True,
-        )
-        threaded = BayesPerfEngine(
-            CATALOG, UNION, kernel_exec=KernelExecSpec(threads=4)
-        )
-        assert _solve_batch(threaded, records, by_signature=True) == serial
-        assert _solve_batch(threaded, records) == serial
-
-    @given(batch=st.integers(1, 200), threads=st.integers(1, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_lane_chunks_partition_the_batch_exactly(self, batch, threads):
-        bounds = lane_chunks(batch, threads)
-        assert bounds[0][0] == 0 and bounds[-1][1] == batch
-        assert len(bounds) == min(threads, batch)
-        sizes = []
-        for (start, stop), (next_start, _) in zip(bounds, bounds[1:]):
-            assert stop == next_start
-        for start, stop in bounds:
-            sizes.append(stop - start)
-            assert stop > start
-        assert max(sizes) - min(sizes) <= 1
-        assert bounds == lane_chunks(batch, threads)  # pure & deterministic
-
-
 class TestCanonicalShapeHelpers:
     def test_padding_slots_are_distinct_and_unmeasured(self):
         slots = np.array([1, 4, 7], dtype=np.intp)
@@ -515,80 +426,3 @@ class TestCanonicalShapeHelpers:
         assert not observation_certified(np.array([0.5, -1.0]))
         assert not observation_certified(np.array([0.5, np.inf]))
         assert not observation_certified(np.array([0.5, np.nan]))
-
-
-class TestKernelExecSpec:
-    def test_defaults(self):
-        assert KernelExecSpec().threads == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="threads"):
-            KernelExecSpec(threads=0)
-
-    def test_frozen_and_hashable(self):
-        spec = KernelExecSpec(threads=4)
-        assert hash(spec) == hash(KernelExecSpec(threads=4))
-        with pytest.raises(AttributeError):
-            spec.threads = 8
-
-    def test_kernel_exec_from_env(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert kernel_exec_from_env() is None
-        monkeypatch.setenv(THREADS_ENV_VAR, "")
-        assert kernel_exec_from_env() is None
-        monkeypatch.setenv(THREADS_ENV_VAR, " 4 ")
-        assert kernel_exec_from_env() == KernelExecSpec(threads=4)
-        for bad in ("abc", "0", "-2"):
-            monkeypatch.setenv(THREADS_ENV_VAR, bad)
-            with pytest.raises(ValueError, match=f"{THREADS_ENV_VAR}='{bad}'"):
-                kernel_exec_from_env()
-
-    def test_engine_picks_up_env_default(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        engine = BayesPerfEngine(CATALOG, UNION[:4])
-        assert engine.kernel_exec == KernelExecSpec(threads=4)
-        monkeypatch.delenv(THREADS_ENV_VAR)
-        assert BayesPerfEngine(CATALOG, UNION[:4]).kernel_exec is None
-
-
-@pytest.mark.thread_matrix
-class TestDeterminismUnderThreads:
-    """threads=1 vs threads=4 on one seeded RunSpec: byte-identical output.
-
-    The thread count is an execution knob, never a numeric one — the lane
-    partition pins each chunk's reduction layout, so the same declarative
-    run must produce the same estimates *and* the same tracefile bytes
-    regardless of parallelism.  CI re-runs the whole tier-1
-    suite with ``REPRO_KERNEL_THREADS=4`` on a matrix leg; these tests pin
-    the equivalence explicitly inside a single process.
-    """
-
-    def _spec(self, sink, kernel_exec):
-        # A mixed-signature fleet: each host monitors its own union slice.
-        subsets = (UNION[:6], UNION[:2] + UNION[7:10], UNION[2:8], tuple(UNION))
-        hosts = tuple(
-            HostSpec(workload="steady", seed=40 + h, n_ticks=3, events=subset)
-            for h, subset in enumerate(subsets)
-        )
-        return RunSpec(
-            events=tuple(UNION),
-            hosts=hosts,
-            estimator=EstimatorSpec(kernel_exec=kernel_exec),
-            recorder=RecorderSpec(sink=sink),
-            observer=ObserverSpec(estimates=True),
-            n_workers=2,
-        )
-
-    def _run(self, tmp_path, name, kernel_exec):
-        sink = tmp_path / f"{name}.jsonl"
-        result = Pipeline.from_spec(self._spec(str(sink), kernel_exec)).run()
-        return result.estimates, sink.read_bytes()
-
-    def test_lane_threads_are_byte_identical(self, tmp_path):
-        serial, serial_log = self._run(tmp_path, "t1", KernelExecSpec(threads=1))
-        threaded, threaded_log = self._run(tmp_path, "t4", KernelExecSpec(threads=4))
-        assert serial.keys() == threaded.keys()
-        for host in serial:
-            assert serial[host].values_equal(threaded[host])
-        # The run logs — header, every estimate record — match byte for byte.
-        assert serial_log == threaded_log
