@@ -18,15 +18,16 @@ All inference happens in a per-event normalised space so that counts spanning
 many orders of magnitude stay well conditioned.
 
 The hot path is **array-native end to end**: per-slice observation summaries
-are plain ndarrays (no Student-t objects), site blocks come out of a
-cached :class:`~repro.fg.compiled.CompiledBinder` and its canonical
-observation bucket (no factor objects), and batches solve through
+are plain ndarrays (no Student-t objects), site blocks come out of the
+canonical :class:`~repro.fg.compiled.CompiledBinder` and its bucketed
+observation site (no factor objects), and batches solve through
 :meth:`~repro.fg.compiled.CompiledEPKernel.run_stacked` or the per-site
 MCMC sampler.  :meth:`BayesPerfEngine.process_batch` is the one solve path:
-a single slice is a batch of one, and under the analytic estimator every
-certified signature group of a batch solves in one kernel call on the
-engine's canonical full-width structure (:mod:`repro.fg.megabatch`),
-however many signatures the batch holds.
+a single slice is a batch of one, and every group that measured an event
+solves on the engine's one canonical full-width structure
+(:mod:`repro.fg.megabatch`), compiled once per engine.  Under the analytic
+estimator every certified signature group of a batch solves in one kernel
+call, however many signatures the batch holds.
 
 Temporal state is array-native too: an :class:`EngineState` holds rows in
 engine event order (NaN = nothing known yet), and ``process_batch``
@@ -218,10 +219,8 @@ class BayesPerfEngine:
         the :mod:`repro.accelerator` co-simulation.
     observer:
         Optional :class:`~repro.obs.Observer`.  When present the engine
-        emits ``kernel.compile``/``kernel.bind``/``kernel.solve`` spans and,
-        for the ``"mcmc"`` estimator's per-signature structures, kernel-cache
-        hit/miss counters; when ``None`` (the default) the hot path is
-        untouched.
+        emits ``kernel.compile``/``kernel.bind``/``kernel.solve`` spans;
+        when ``None`` (the default) the hot path is untouched.
     drift:
         Relative standard deviation of the temporal prior: how much an event
         is expected to change between consecutive slices.
@@ -232,11 +231,12 @@ class BayesPerfEngine:
     ep_max_iterations, ep_damping, mcmc_samples, mcmc_burn_in, seed:
         EP and MCMC controls.
     use_compiled_kernel:
-        Route slices through the vectorized array path: ``"analytic"``
-        solves on one canonical full-width
+        Route slices through the vectorized array path: both estimators
+        solve on one canonical full-width
         :class:`~repro.fg.compiled.CompiledEPKernel` compiled once per
-        engine, ``"mcmc"`` runs :class:`~repro.fg.mcmc.BatchedSiteMCMC` on
-        structures and binders cached per measured-event signature.
+        engine — ``"analytic"`` through its ``run_stacked``, ``"mcmc"``
+        through :class:`~repro.fg.mcmc.BatchedSiteMCMC`, one call per
+        signature group at the group's own observation width.
         Disable to run each estimator's reference twin instead — the
         object-walking :class:`~repro.fg.ep.ExpectationPropagation` loop
         for ``"analytic"``, :class:`~repro.fg.ep.ReferenceSiteMCMC` for
@@ -329,20 +329,9 @@ class BayesPerfEngine:
         self._unknown = np.full(len(self.events), np.nan)
         self._unit = np.ones(len(self.events))
         self._unknown.flags.writeable = self._unit.flags.writeable = False
-        #: The ``"mcmc"`` estimator's compiled kernel + binder per
-        #: measured-event signature (``None`` marks a signature that failed
-        #: to compile and should use the reference twin).
-        self._kernel_cache: Dict[
-            Tuple[str, ...], Optional[Tuple[CompiledEPKernel, CompiledBinder]]
-        ] = {}
-        #: Constraint-site binders per (relation group, site index, site
-        #: variables), shared by every structure's binder.
-        self._constraint_binders: Dict[
-            Tuple[int, int, Tuple[str, ...]], ConstraintSiteBinder
-        ] = {}
-        #: The analytic estimator's canonical full-width kernel + binder
-        #: (compiled lazily; ``False`` = not built yet, ``None`` = the
-        #: canonical structure does not compile).
+        #: The canonical full-width kernel + binder (compiled lazily;
+        #: ``False`` = not built yet, ``None`` = the canonical structure
+        #: does not compile).
         self._canonical_cache = False
         self.reset()
 
@@ -654,10 +643,7 @@ class BayesPerfEngine:
 
         Lowered once per compiled structure: the observation site's slot
         table plus each constraint group's stacked (unscaled) coefficient
-        matrix, in the structure's site-local orderings.  A group's
-        constraint site is the same in every structure of an engine, so its
-        binder (and the binder's product plan) is built once per engine and
-        site position, and reused.
+        matrix, in the structure's site-local orderings.
         """
         observation: Optional[ObservationSiteBinder] = None
         constraints: List[ConstraintSiteBinder] = []
@@ -667,26 +653,20 @@ class BayesPerfEngine:
             if name == "slice-observations":
                 slots = np.array([local[event] for event in measured], dtype=np.intp)
                 observation = ObservationSiteBinder(site=index, slots=slots, width=site.width)
-            else:
-                group = int(name.rsplit("-", 1)[1])
-                key = (group, index, site.variables)
-                binder = self._constraint_binders.get(key)
-                if binder is None:
-                    relations = [self.relations[i] for i in self._relation_groups[group]]
-                    coefficients = np.zeros((len(relations), site.width))
-                    tolerances = np.empty(len(relations))
-                    for row, relation in enumerate(relations):
-                        for event, coefficient in relation.coefficients.items():
-                            coefficients[row, local[event]] = coefficient
-                        tolerances[row] = relation.tolerance * self.relation_tolerance_scale
-                    binder = ConstraintSiteBinder(
-                        site=index,
-                        coefficients=coefficients,
-                        tolerances=tolerances,
-                        width=site.width,
-                    )
-                    self._constraint_binders[key] = binder
-                constraints.append(binder)
+                continue
+            group = int(name.rsplit("-", 1)[1])
+            relations = [self.relations[i] for i in self._relation_groups[group]]
+            coefficients = np.zeros((len(relations), site.width))
+            tolerances = np.empty(len(relations))
+            for row, relation in enumerate(relations):
+                for event, coefficient in relation.coefficients.items():
+                    coefficients[row, local[event]] = coefficient
+                tolerances[row] = relation.tolerance * self.relation_tolerance_scale
+            constraints.append(
+                ConstraintSiteBinder(
+                    site=index, coefficients=coefficients, tolerances=tolerances, width=site.width
+                )
+            )
         return CompiledBinder(
             structure=structure, observation=observation, constraints=tuple(constraints)
         )
@@ -696,12 +676,14 @@ class BayesPerfEngine:
     ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
         """Compile the slice model of *summaries* into a kernel + binder.
 
-        The one compile path behind both layouts: the factors are built,
-        partitioned into EP sites and lowered by
-        :func:`~repro.fg.compiled.compile_factor_graph`, so every structure
-        of an engine orders its constraint-site variables the same way.
-        Only the factor *types* and variable sets shape the result, never
-        the summary values.  ``None`` when the structure does not compile.
+        The one compile path: the factors are built, partitioned into EP
+        sites and lowered by :func:`~repro.fg.compiled.compile_factor_graph`.
+        The engine compiles only its canonical structure through it; the
+        per-signature test twin (``tests/signature_twin.py``) compiles its
+        structures here too, so every structure orders its constraint-site
+        variables the same way.  Only the factor *types* and variable sets
+        shape the result, never the summary values.  ``None`` when the
+        structure does not compile.
         """
         observer = self._observer
         with (
@@ -723,44 +705,20 @@ class BayesPerfEngine:
             )
             return kernel, binder
 
-    def _compiled_kernel(
-        self, batch: _PreparedBatch, group: _SliceGroup
-    ) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """Cached per-signature kernel + binder for *group*'s graph structure.
-
-        The ``"mcmc"`` estimator's batched sampler runs on these.  The
-        structure is fully determined by which monitored events the slice
-        measured (the constraint topology is fixed per engine), so it is
-        cached per measured-event signature — one compilation per schedule
-        rotation position.
-        """
-        if not self.use_compiled_kernel:
-            return None
-        signature = group.signature
-        observer = self._observer
-        try:
-            compiled = self._kernel_cache[signature]
-            if observer is not None:
-                observer.count("kernel.cache.hits")
-        except KeyError:
-            if observer is not None:
-                observer.count("kernel.cache.misses")
-            row = int(group.rows[0])
-            compiled = self._compile(batch.summaries[row], self._scale_view(batch, row))
-            self._kernel_cache[signature] = compiled
-        return compiled
-
-    # -- the canonical analytic layout (repro.fg.megabatch) -------------------
+    # -- the canonical layout (repro.fg.megabatch) ----------------------------
 
     def _canonical_structure(self) -> Optional[Tuple[CompiledEPKernel, CompiledBinder]]:
-        """The analytic estimator's canonical full-width kernel + binder.
+        """The engine's canonical full-width kernel + binder.
 
         Within one engine the variable set and constraint topology are
         signature-invariant; only the observation site's width varies.  The
         canonical structure treats *every* engine variable as observed, so
-        any signature embeds by scattering its measured lanes and padding
-        the rest with exact zeros.  Compiled once per engine.
+        any signature embeds by scattering its measured lanes onto their
+        global slots (and, in a padded bucket, the rest with exact zeros).
+        Compiled once per engine, and never when the compiled kernel is off.
         """
+        if not self.use_compiled_kernel:
+            return None
         if self._canonical_cache is False:
             n = len(self.events)
             # Placeholder summaries and scales: compilation reads neither.
@@ -771,21 +729,17 @@ class BayesPerfEngine:
         return self._canonical_cache
 
     def _canonical_groups(self, batch: _PreparedBatch) -> List[_SliceGroup]:
-        """Signature groups of this batch that solve on the canonical structure.
+        """Signature groups of this batch that solve in one padded canonical call.
 
         Under the compiled analytic estimator a group qualifies when it
         measured at least one event and every record's projected
         observation variance is finite and strictly positive — the
         condition under which the canonical observation site may skip its
         PD probe (see :func:`repro.fg.megabatch.observation_certified`).
-        This holds however many signatures the batch has; every other
-        group goes to the reference twin (:meth:`_solve_reference`).
+        This holds however many signatures the batch has.  Every other
+        group with a measured event solves alone (:meth:`_solve_group`).
         """
-        if (
-            self.moment_estimator != "analytic"
-            or not self.use_compiled_kernel
-            or self._canonical_structure() is None
-        ):
+        if self.moment_estimator != "analytic" or self._canonical_structure() is None:
             return []
         return [
             group
@@ -805,34 +759,32 @@ class BayesPerfEngine:
         prior_precision[:, diagonal, diagonal] = 1.0 / prior_var
         return prior_precision, prior_mean / prior_var
 
-    def _solve_canonical(
-        self, batch: _PreparedBatch, groups: List[_SliceGroup]
-    ) -> _Solved:
-        """Solve certified signature groups in one canonical kernel call.
+    def _bind_canonical(
+        self, batch: _PreparedBatch, groups: List[_SliceGroup], width: int
+    ) -> Tuple[
+        List[Tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]
+    ]:
+        """Bind signature groups onto the canonical structure.
 
         Records are laid out group-contiguously in one bucketed
-        structure-of-arrays layout: the observation site is padded to the
-        batch's widest signature, populated lanes carry the exact
-        ``1/σ²`` / ``μ/σ²`` floats of the group's measured events, padded
-        lanes carry exact zeros scattered onto unmeasured slots via the
-        per-record slot table — so each group's posterior is bit-identical
-        to a solve on its own per-signature structure.  The kernel's PD
-        repair re-probes at group granularity (``repair_groups``): the
-        Cholesky probe is all-or-nothing per call, so one group's
-        indefinite block must not change another group's repair.  Returns
-        results in the flattened (group-major) record order.
+        structure-of-arrays layout whose observation site is *width* lanes
+        wide: populated lanes carry the exact ``1/σ²`` / ``μ/σ²`` floats of
+        the group's measured events, padded lanes exact zeros scattered onto
+        unmeasured slots via the per-record slot table — so each group's
+        blocks land on the same global entries a per-signature structure's
+        would.  Returns the stacked site blocks, the prior precision and
+        shift, the observation site's ``(B, width)`` slot table and each
+        group's lane indices, in the flattened (group-major) record order.
         """
-        kernel, binder = self._canonical_structure()
+        _, binder = self._canonical_structure()
         rows = np.concatenate([group.rows for group in groups])
         lanes, n = len(rows), len(self.events)
-        obs_site = binder.observation.site
         observer = self._observer
         with (
             observer.span("kernel.bind", batch=lanes, signatures=len(groups))
             if observer is not None
             else nullcontext()
         ):
-            width = max(len(group.signature) for group in groups)
             blocks = []
             start = 0
             for group in groups:
@@ -851,14 +803,36 @@ class BayesPerfEngine:
             stacked: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(  # type: ignore[list-item]
                 binder.structure.sites
             )
-            stacked[obs_site] = obs_block[:2]
+            stacked[binder.observation.site] = obs_block[:2]
             for constraint in binder.constraints:
                 site = binder.structure.sites[constraint.site]
                 stacked[constraint.site] = constraint.bind(scales[:, site.index])
             prior_precision, prior_shift = self._prior_system(batch, rows)
+        return stacked, prior_precision, prior_shift, obs_block[2], [block[0] for block in blocks]
 
+    def _solve_canonical(
+        self, batch: _PreparedBatch, groups: List[_SliceGroup]
+    ) -> _Solved:
+        """Solve certified signature groups in one canonical kernel call.
+
+        The observation site is padded to the batch's widest signature and
+        certified, so it skips the PD probe and its padded lanes stay exact
+        no-ops: each group's posterior is bit-identical to a solve on its
+        own per-signature structure.  The kernel's PD repair re-probes at
+        group granularity (``repair_groups``): the Cholesky probe is
+        all-or-nothing per call, so one group's indefinite block must not
+        change another group's repair.  Returns results in the flattened
+        (group-major) record order.
+        """
+        kernel, binder = self._canonical_structure()
+        obs_site = binder.observation.site
+        width = max(len(group.signature) for group in groups)
+        stacked, prior_precision, prior_shift, slot_table, repair_groups = (
+            self._bind_canonical(batch, groups, width)
+        )
+        observer = self._observer
         with (
-            observer.span("kernel.solve", batch=lanes, estimator="analytic")
+            observer.span("kernel.solve", batch=len(prior_shift), estimator="analytic")
             if observer is not None
             else nullcontext()
         ):
@@ -869,24 +843,84 @@ class BayesPerfEngine:
                 prior_precision,
                 prior_shift,
                 (obs_site,),
-                {obs_site: obs_block[2]},
-                [block[0] for block in blocks],
+                {obs_site: slot_table},
+                repair_groups,
             )
         return result.means, result.variances, result.iterations, result.converged
+
+    def _solve_group(self, batch: _PreparedBatch, group: _SliceGroup) -> _Solved:
+        """Solve one signature group alone on the canonical structure.
+
+        The route of an uncertified analytic group and of every ``"mcmc"``
+        group that measured an event.  The observation site is bound at the
+        group's own width, its lanes scattered onto the group's slots, so
+        the call runs what a per-signature structure's call would, bit for
+        bit: the analytic kernel probes the (uncertified) observation block
+        like any other site; the per-site sampler's chains keep the
+        signature's width.  Binding, priors and the EP loop are element-wise
+        or gufunc-batched, so a group of one is bit-identical to the same
+        slice inside a larger group.
+        """
+        kernel, binder = self._canonical_structure()
+        obs_site = binder.observation.site
+        stacked, prior_precision, prior_shift, slot_table, _ = self._bind_canonical(
+            batch, [group], len(group.signature)
+        )
+        observer = self._observer
+        with (
+            observer.span(
+                "kernel.solve", batch=len(group.rows), estimator=self.moment_estimator
+            )
+            if observer is not None
+            else nullcontext()
+        ):
+            if self.moment_estimator == "analytic":
+                solved = kernel.run_stacked(
+                    stacked, prior_precision, prior_shift, (), {obs_site: slot_table}
+                )
+                return solved.means, solved.variances, solved.iterations, solved.converged
+            # Per-site tilted MCMC inside the EP loop: the accelerator's
+            # inner loop, batched over the group.  The observation site's
+            # non-Gaussian correction lives in *site-local* coordinates.
+            site_tails = {}
+            if self.observation_model == "student_t":
+                site_tails[obs_site] = StudentTTail(
+                    slots=np.arange(len(group.signature)),
+                    loc=group.obs_mean,
+                    scale=group.obs_scale,
+                    df=group.df,
+                    variance=group.obs_variance,
+                )
+            sampler = self._estimator.batched(
+                kernel,
+                n_samples=self.mcmc_samples,
+                burn_in=self.mcmc_burn_in,
+                adapt=self.mcmc_adapt,
+                recorder=self.chain_recorder,
+            )
+            solved = sampler.run(
+                stacked,
+                prior_precision,
+                prior_shift,
+                seeds=[batch.mcmc_seeds[row] for row in group.rows],
+                site_tails=site_tails,
+                ticks=[batch.records[row].tick for row in group.rows],
+                site_indices={obs_site: group.slots},
+            )
+            return solved.means, solved.variances, solved.iterations, solved.converged
 
     def _solve_reference(
         self, batch: _PreparedBatch, row: int
     ) -> Tuple[Mapping[str, float], Mapping[str, float], int, bool]:
         """Solve one prepared record through its estimator's reference twin.
 
-        The per-slice solve behind ``use_compiled_kernel=False``, behind an
-        analytic group the canonical structure may not take (no measured
-        event, or a non-finite or non-positive projected observation
-        variance) and behind any structure that does not compile: the
-        object-walking EP loop for ``"analytic"``, the registered twin for
-        ``"mcmc"`` (walking Python factor objects per step, seeded with the
-        same per-record seed the batched path would use — the differential
-        harness pins the pair within floating-point noise).  It reads only
+        The per-slice solve behind ``use_compiled_kernel=False``, behind a
+        canonical structure that does not compile and behind a group with
+        no measured event: the object-walking EP loop for ``"analytic"``,
+        the registered twin for ``"mcmc"`` (walking Python factor objects
+        per step, seeded with the same per-record seed the batched path
+        would use — the differential harness pins the pair within
+        floating-point noise).  It reads only
         *batch*, never the engine's temporal state, so it composes with
         batch preparation like every other solve.
         """
@@ -1051,66 +1085,6 @@ class BayesPerfEngine:
             mcmc_seeds=mcmc_seeds,
         )
 
-    def _solve_group_arrays(
-        self,
-        batch: _PreparedBatch,
-        group: _SliceGroup,
-        kernel: CompiledEPKernel,
-        binder: CompiledBinder,
-    ) -> _Solved:
-        """Solve one same-signature group through the per-site MCMC sampler.
-
-        Binding, priors and the sampler's EP loop are element-wise or
-        gufunc-batched, so a group of one is bit-identical to the same
-        slice inside a larger group.
-        """
-        observer = self._observer
-        size = len(group.rows)
-        with (
-            observer.span("kernel.bind", batch=size)
-            if observer is not None
-            else nullcontext()
-        ):
-            stacked = binder.bind_batch(
-                group.obs_mean, group.obs_variance, batch.scale[group.rows]
-            )
-            prior_precision, prior_shift = self._prior_system(batch, group.rows)
-
-        with (
-            observer.span("kernel.solve", batch=size, estimator=self.moment_estimator)
-            if observer is not None
-            else nullcontext()
-        ):
-            # Per-site tilted MCMC inside the EP loop: the accelerator's
-            # inner loop, batched over the group.  The observation site's
-            # non-Gaussian correction lives in *site-local* coordinates (the
-            # binder's slot table).
-            site_tails = {}
-            if self.observation_model == "student_t" and group.signature:
-                site_tails[binder.observation.site] = StudentTTail(
-                    slots=binder.observation.slots,
-                    loc=group.obs_mean,
-                    scale=group.obs_scale,
-                    df=group.df,
-                    variance=group.obs_variance,
-                )
-            sampler = self._estimator.batched(
-                kernel,
-                n_samples=self.mcmc_samples,
-                burn_in=self.mcmc_burn_in,
-                adapt=self.mcmc_adapt,
-                recorder=self.chain_recorder,
-            )
-            solved = sampler.run(
-                stacked,
-                prior_precision,
-                prior_shift,
-                seeds=[batch.mcmc_seeds[row] for row in group.rows],
-                site_tails=site_tails,
-                ticks=[batch.records[row].tick for row in group.rows],
-            )
-            return solved.means, solved.variances, solved.iterations, solved.converged
-
     def _finalize(
         self, batch: _PreparedBatch, solved: _Solved
     ) -> List[Tuple[PosteriorReport, EngineState]]:
@@ -1160,13 +1134,14 @@ class BayesPerfEngine:
         fresh run) with its next record.  The batch is prepared in one
         array pass over its ``(B, n)`` state rows (the cheap,
         state-dependent part) and grouped by graph-structure signature.
-        Under the compiled analytic estimator every certified group, of
-        however many signatures, solves in one call on the canonical
-        structure (:mod:`repro.fg.megabatch`).  Under ``"mcmc"`` each
-        group runs the batched sampler on its signature's structure.
-        Groups neither path takes — and every group when the compiled
-        kernel is off or the structure does not compile — solve slice by
-        slice through the reference twin.  Each slice's result is
+        Every group that measured an event solves on the engine's one
+        canonical structure (:mod:`repro.fg.megabatch`): under the analytic
+        estimator the certified groups, of however many signatures, in one
+        call, and every other group in a call of its own; under ``"mcmc"``
+        each group runs the batched sampler.  Groups with no measured event
+        — and every group when the compiled kernel is off or the structure
+        does not compile — solve slice by slice through the reference twin.
+        Each slice's result is
         bit-identical to what a batch of one would give.  Returns each
         slice's report and successor state, in input order.
         """
@@ -1190,10 +1165,8 @@ class BayesPerfEngine:
                 result = self._solved_rows(
                     [self._prior_moments(batch, row) for row in group.rows]
                 )
-            elif self.moment_estimator == "mcmc" and (
-                compiled := self._compiled_kernel(batch, group)
-            ):
-                result = self._solve_group_arrays(batch, group, *compiled)
+            elif group.signature and self._canonical_structure() is not None:
+                result = self._solve_group(batch, group)
             else:
                 result = self._solved_rows(
                     [self._solve_reference(batch, row) for row in group.rows]

@@ -149,10 +149,6 @@ class BayesPerfShim:
             raise ShimError("attach() must be called before enable()")
         self._enabled = True
 
-    def disable(self) -> None:
-        """Stop counting."""
-        self._enabled = False
-
     @property
     def remaining_ticks(self) -> int:
         if not self._attached or self._machine_trace is None:

@@ -11,7 +11,7 @@ validity (§4, "Checking Validity of the Configuration").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
 from repro.events import semantics as sem
@@ -125,24 +125,3 @@ class EventSpec:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
-
-
-@dataclass(frozen=True)
-class EventGroup:
-    """A named group of events measured together (e.g. for a derived metric)."""
-
-    name: str
-    events: tuple = field(default_factory=tuple)
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("group name must be non-empty")
-        if len(self.events) == 0:
-            raise ValueError(f"group {self.name!r} must contain at least one event")
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)

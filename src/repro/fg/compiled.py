@@ -14,8 +14,8 @@ lowers a factor graph plus its EP site partition into flat index arrays: a
 variable slot table, per-site global-index arrays, and per-factor assembly
 ops that know where each factor's natural-parameter block lands inside its
 site.  Structures are independent of the observed values, so the engine
-caches one per (measured-event-set) signature and reuses it for every slice
-in the same schedule rotation position.
+compiles one canonical structure and reuses it for every slice
+(:mod:`repro.fg.megabatch`).
 
 **Execution** (:class:`CompiledEPKernel`, once per record or per batch) runs
 the EP iteration entirely on preallocated ``(B, ...)`` ndarray buffers:
@@ -373,9 +373,9 @@ class ConstraintSiteBinder:
 class CompiledBinder:
     """Array-native evaluation of every site block for one graph structure.
 
-    The value-level twin of :meth:`CompiledGraph.bind`: cached per
-    measured-event signature alongside the compiled kernel, it turns a
-    batch of records — observation moments plus normalisation scales —
+    The value-level twin of :meth:`CompiledGraph.bind`: built once per
+    compiled structure alongside its kernel, it turns a batch of records —
+    observation moments plus normalisation scales —
     into stacked per-site ``(precision, shift)`` targets without building
     a single factor object.
     """
@@ -536,7 +536,6 @@ class CompiledEPKernel:
         self.tolerance = tolerance
         n = len(structure.variables)
         self._jitter = 1e-12 * np.eye(n)
-        self._site_eyes = [np.eye(site.width) for site in structure.sites]
 
     # -- site targets -----------------------------------------------------
 
@@ -585,7 +584,7 @@ class CompiledEPKernel:
                 repaired.append((precision, shift))
                 continue
             if repair_groups is None:
-                repaired.append((self._eigenvalue_repair(precision, k), shift))
+                repaired.append((self._eigenvalue_repair(precision), shift))
                 continue
             out = precision.copy()
             failing = [rows for rows in repair_groups if failed[rows].any()]
@@ -594,16 +593,21 @@ class CompiledEPKernel:
                 # the gufunc factorises each matrix independently, so this
                 # is bit-identical to repairing group by group.
                 rows = np.concatenate(failing)
-                out[rows] = self._eigenvalue_repair(precision[rows], k)
+                out[rows] = self._eigenvalue_repair(precision[rows])
             repaired.append((out, shift))
         return repaired
 
-    def _eigenvalue_repair(self, precision: np.ndarray, k: int) -> np.ndarray:
-        """``precision + (|lambda_min| + 1e-9) I`` where ``lambda_min <= 0``."""
+    @staticmethod
+    def _eigenvalue_repair(precision: np.ndarray) -> np.ndarray:
+        """``precision + (|lambda_min| + 1e-9) I`` where ``lambda_min <= 0``.
+
+        ``I`` is sized from the block, which an overridden site may bind at
+        a width other than its compiled one.
+        """
         symmetric = 0.5 * (precision + np.swapaxes(precision, -1, -2))
         smallest = np.linalg.eigvalsh(symmetric)[..., 0]
         bump = np.where(smallest <= 0, np.abs(smallest) + 1e-9, 0.0)
-        return precision + bump[:, None, None] * self._site_eyes[k]
+        return precision + bump[:, None, None] * np.eye(precision.shape[-1])
 
     # -- main entry points -------------------------------------------------
 
@@ -663,8 +667,8 @@ class CompiledEPKernel:
         ``index`` — the canonical layout's bucketed observation site, where
         each record scatters its own measured lanes.  Every record's slots
         must be distinct (the scatter uses buffered fancy indexing); the
-        block width ``w`` may differ from the compiled site's width, since
-        a certified overridden site touches no other per-site structure.
+        block width ``w`` may differ from the compiled site's width (the PD
+        repair sizes its identity from the block).
         ``repair_groups`` makes the PD repair decide per original
         per-signature call (see :meth:`_repaired_targets`).
         """

@@ -545,6 +545,7 @@ class BatchedSiteMCMC:
         seeds: Sequence[int],
         site_tails: Optional[Mapping[int, Callable[[np.ndarray], np.ndarray]]] = None,
         ticks: Optional[Sequence[int]] = None,
+        site_indices: Optional[Mapping[int, np.ndarray]] = None,
     ) -> BatchedSiteMCMCResult:
         """Run per-site tilted-MCMC EP for a batch of records.
 
@@ -554,6 +555,12 @@ class BatchedSiteMCMC:
         that site's non-Gaussian log-density correction in *site-local*
         coordinates (e.g. a :class:`StudentTTail` built over local slots);
         ``ticks`` labels each record's chain-trace entries.
+
+        ``site_indices`` maps a site position to the ``(w,)`` global slots,
+        shared by every record, that replace the site's compiled ``index``
+        for its cavity, marginal and scatter — the engine's canonical
+        observation site bound at one signature's width.  The site's block
+        is then ``w`` wide, and so are its chains and chain-trace entries.
         """
         sites = self.kernel.structure.sites
         if len(stacked) != len(sites):
@@ -581,7 +588,8 @@ class BatchedSiteMCMC:
         global_shift = prior_shift.copy()
         site_precision = [np.zeros_like(p) for p, _ in stacked]
         site_shift = [np.zeros_like(s) for _, s in stacked]
-        site_eyes = [np.eye(site.width) for site in sites]
+        site_eyes = [np.eye(p.shape[-1]) for p, _ in stacked]
+        overrides = dict(site_indices) if site_indices else {}
 
         eta = self.kernel.damping
         active = np.ones(batch, dtype=bool)
@@ -595,7 +603,7 @@ class BatchedSiteMCMC:
         for iteration in range(1, self.kernel.max_iterations + 1):
             iteration_delta = np.zeros(batch)
             for k, site in enumerate(sites):
-                index = site.index
+                index = overrides.get(k, site.index)
                 rows = index[:, None]
                 cols = index[None, :]
 
@@ -706,8 +714,8 @@ class BatchedSiteMCMC:
                                 iteration=iteration,
                                 site=site.name,
                                 site_index=k,
-                                width=site.width,
-                                n_factors=len(site.ops),
+                                width=len(index),
+                                n_factors=len(index) if k in overrides else len(site.ops),
                                 n_steps=chain_steps,
                                 burn_in=self.burn_in,
                                 accepted=int(accepted[b]),

@@ -10,7 +10,7 @@ Three layers, composable and individually optional:
   writes them as OTLP-shaped JSONL;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms behind one
   :class:`MetricsRegistry` per run (slice latency, batch occupancy,
-  ring-buffer depth, kernel-cache hit rate, chain acceptance, plus every
+  ring-buffer depth, chain acceptance, plus every
   fleet event counted once by the
   :class:`~repro.fleet.events.MetricsProcessor`), with console and JSON
   exports;

@@ -8,7 +8,7 @@ upper bounds.  A :class:`MetricsRegistry` hands instruments out by name
 summary for the console or JSON export.
 
 Instrument names are dotted paths (``slice.latency_seconds``,
-``kernel.cache.hits``) so external tooling can prefix-filter them.
+``slice.retries``) so external tooling can prefix-filter them.
 """
 
 from __future__ import annotations

@@ -181,11 +181,9 @@ class TestEngineEquivalence:
             assert np.array_equal(states[h].scale, state.scale, equal_nan=True)
             assert states[h].tick == state.tick
 
-    def test_kernel_cache_reused_across_slices(self, records, monkeypatch):
-        """The analytic estimator compiles its one canonical structure once
-        per engine, whatever the slices' signatures."""
-        catalog, events, sampled = records
-        assert len({tuple(record.samples) for record in sampled.records}) > 1
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        """Spy on ``compile_factor_graph``: the list of its calls' args."""
         compiles = []
         compile_graph = engine_module.compile_factor_graph
 
@@ -194,31 +192,43 @@ class TestEngineEquivalence:
             return compile_graph(*args, **kwargs)
 
         monkeypatch.setattr(engine_module, "compile_factor_graph", spy)
-        engine = BayesPerfEngine(catalog, events)
+        return compiles
+
+    @pytest.mark.parametrize("estimator", ["analytic", "mcmc"])
+    def test_kernel_cache_reused_across_slices(self, records, monkeypatch, estimator):
+        """Both estimators compile the one canonical structure once per
+        engine, whatever the slices' signatures."""
+        catalog, events, sampled = records
+        assert len({tuple(record.samples) for record in sampled.records}) > 1
+        compiles = self._count_compiles(monkeypatch)
+        engine = BayesPerfEngine(
+            catalog, events, moment_estimator=estimator,
+            mcmc_samples=20, mcmc_burn_in=10, ep_max_iterations=2,
+        )
         engine.correct(sampled)
         canonical = engine._canonical_cache
         assert canonical is not None and len(compiles) == 1
-        assert not engine._kernel_cache  # no per-signature structure
         engine.correct(sampled)  # second run: nothing left to compile
         assert engine._canonical_cache is canonical and len(compiles) == 1
 
     def test_mcmc_estimator_uses_compiled_structures(self, records):
-        """Per-site tilted MCMC now batches on the kernel's buffers (PR 4)."""
+        """Per-site tilted MCMC batches on the canonical kernel's buffers."""
         catalog, events, sampled = records
         engine = BayesPerfEngine(
             catalog, events, moment_estimator="mcmc", mcmc_samples=20, mcmc_burn_in=10
         )
         engine.process_record(sampled.records[0])
-        assert engine._kernel_cache
+        assert engine._canonical_cache
 
-    def test_mcmc_reference_twin_bypasses_kernel(self, records):
+    def test_mcmc_reference_twin_bypasses_kernel(self, records, monkeypatch):
         catalog, events, sampled = records
+        compiles = self._count_compiles(monkeypatch)
         engine = BayesPerfEngine(
             catalog, events, moment_estimator="mcmc", mcmc_samples=20,
             mcmc_burn_in=10, use_compiled_kernel=False,
         )
         engine.process_record(sampled.records[0])
-        assert not engine._kernel_cache
+        assert compiles == [] and engine._canonical_cache is False
 
     def test_process_batch_mixed_fresh_and_resumed_states(self, records):
         catalog, events, sampled = records

@@ -58,7 +58,7 @@ from repro.scheduling.cache import cached_schedule
 from repro.uarch.machine import _JITTERED_RATES, Machine, MachineConfig, MachineTrace
 from repro.uarch.synthesis import synthesize_semantics
 from repro.workloads.registry import get_workload
-from signature_twin import process_batch_by_signature
+from signature_twin import compile_signature, process_batch_by_signature
 
 TOLERANCE = 1e-6
 
@@ -236,7 +236,7 @@ class TestBatchBitIdentity:
         engine = BayesPerfEngine(catalog, events)
         base = engine._prepare_batch([(None, sampled.records[0])])
         (group,) = base.groups
-        kernel, binder = engine._compiled_kernel(base, group)
+        kernel, binder = compile_signature(engine, base, group)
         batched = binder.bind_batch(
             np.repeat(group.obs_mean, 5, axis=0),
             np.repeat(group.obs_variance, 5, axis=0),
@@ -255,7 +255,7 @@ class TestBatchBitIdentity:
         for record in sampled.records[:4]:
             prepared = engine._prepare_batch([(None, record)])
             (group,) = prepared.groups
-            kernel, binder = engine._compiled_kernel(prepared, group)
+            kernel, binder = compile_signature(engine, prepared, group)
             arrays = binder.bind_batch(group.obs_mean, group.obs_variance, prepared.scale)
             observation_factors, constraint_groups = engine._build_factors(
                 prepared.summaries[0], engine._scale_view(prepared, 0)
@@ -310,15 +310,30 @@ class TestSparseConstraintBinding:
             assert alone[0].tobytes() == precision[b].tobytes()
 
     def test_signatures_share_one_binder_per_group(self, x86_engine):
-        """Every signature's constraint site reuses the group's one plan."""
-        _, mega = x86_engine._canonical_structure()
-        plans = {tuple(id(constraint.plan) for constraint in mega.constraints)}
+        """Every signature's structure holds the canonical structure's
+        constraint sites and binders — the same global slots, coefficients,
+        tolerances and product plan — and its observation site spans the
+        group's slots, in record order: what lets every signature group
+        solve on the canonical structure."""
+        _, canonical = x86_engine._canonical_structure()
+        sites = canonical.structure.sites
         for record in _x86_records(x86_engine, "KMeans", seed=1, ticks=4):
             batch = x86_engine._prepare_batch([(None, record)])
             (group,) = batch.groups
-            _, binder = x86_engine._compiled_kernel(batch, group)
-            plans.add(tuple(id(constraint.plan) for constraint in binder.constraints))
-        assert len(plans) == 1
+            _, binder = compile_signature(x86_engine, batch, group)
+            observation = binder.structure.sites[binder.observation.site]
+            assert binder.observation.site == canonical.observation.site
+            assert observation.index.tolist() == group.slots.tolist()
+            assert len(binder.constraints) == len(canonical.constraints)
+            for got, want in zip(binder.constraints, canonical.constraints):
+                assert got.site == want.site
+                assert np.array_equal(
+                    binder.structure.sites[got.site].index, sites[want.site].index
+                )
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+                assert got.tolerances.tobytes() == want.tolerances.tobytes()
+                for name in ("support", "relation", "left", "right"):
+                    assert np.array_equal(getattr(got.plan, name), getattr(want.plan, name))
 
 
 def _x86_records(engine, workload, *, seed, ticks):
@@ -899,6 +914,52 @@ class TestSiteMCMCTwin:
                 assert report.stds() == batched[h][slot].stds()
 
 
+class TestCanonicalSiteMCMC:
+    """``"mcmc"`` groups sample on the canonical structure, bit for bit the
+    per-signature sampler (``tests/signature_twin.py``): estimates, EP
+    iterations and every recorded chain visit."""
+
+    def _run(self, observation_model, by_signature):
+        catalog = catalog_for("x86")
+        events = standard_profiling_events(catalog, n_events=16)
+        schedule = cached_schedule(catalog, events, kind="overlap")
+        trace = Machine(MachineConfig(), get_workload("KMeans"), seed=3).run(5)
+        records = MultiplexedSampler(catalog, schedule, seed=4).sample(trace).records
+        recorder = ChainTrace()
+        engine = BayesPerfEngine(
+            catalog, events, observation_model=observation_model,
+            moment_estimator="mcmc", mcmc_samples=20, mcmc_burn_in=60,
+            ep_max_iterations=2, chain_recorder=recorder,
+        )
+        process = process_batch_by_signature if by_signature else BayesPerfEngine.process_batch
+        hosts = 3
+        states = [None] * hosts
+        estimates = []
+        for tick in range(2):
+            # Host h reads record h + tick: a mixed-signature batch.
+            items = [(states[h], records[h + tick]) for h in range(hosts)]
+            assert len(engine._prepare_batch(items).groups) > 1
+            results = process(engine, items)
+            states = [state for _, state in results]
+            estimates.append(
+                [
+                    (report.means(), report.stds(), report.ep_iterations, report.ep_converged)
+                    for report, _ in results
+                ]
+            )
+        return estimates, recorder.visits
+
+    @pytest.mark.parametrize("observation_model", ["student_t", "gaussian"])
+    def test_process_batch_matches_the_per_signature_sampler(self, observation_model):
+        estimates, visits = self._run(observation_model, by_signature=False)
+        twin_estimates, twin_visits = self._run(observation_model, by_signature=True)
+        assert estimates == twin_estimates
+        assert visits and visits == twin_visits
+        # The chains kept the signature's width on the observation site.
+        widths = {visit.width for visit in visits if visit.site == "slice-observations"}
+        assert max(widths) < 16
+
+
 class TestEngineDifferential:
     """Engine-level: each estimator's fast path against its reference twin."""
 
@@ -1053,7 +1114,7 @@ class TestGoldenHeteroFleet:
     the per-signature batched solve; re-running the recipe (which now
     solves every round on the canonical structure) must reproduce them, and
     must match the per-signature twin (``tests/signature_twin.py``)
-    **exactly**, with or without kernel threads.
+    **exactly**.
 
     Comparison against the committed file uses the same 1e-9 relative
     tolerance as the homogeneous golden pin (exact float equality would be

@@ -10,8 +10,10 @@ closeness:
   (``tests/signature_twin.py``: one structure and one kernel call per
   signature group), exactly, on hypothesis-randomized heterogeneous
   fleets — and both match the object-walking reference twin within 1e-6;
-* a group the canonical structure may not take solves through the
-  reference twin, and leaves its certified neighbours bit-identical;
+* an uncertified group solves alone on the canonical structure, bit for
+  bit the per-signature twin, and leaves its certified neighbours
+  bit-identical; only a group with no measured event takes the reference
+  twin — under the ``"mcmc"`` estimator too;
 * the PD repair composes: merged batches re-probe at original group
   granularity, so a group that passes its own Cholesky probe is never
   spuriously repaired by a failing neighbour.
@@ -160,10 +162,11 @@ class TestMegabatchDifferential:
 
 
 class TestUncertifiedFallback:
-    """A group the canonical structure may not take — no measured event, or
-    a projected observation variance that is not finite and positive —
-    solves through the reference twin, inside the same ``process_batch``
-    call as its certified neighbours."""
+    """A group the padded canonical call may not take — a projected
+    observation variance that is not finite and positive — solves alone on
+    the canonical structure, inside the same ``process_batch`` call as its
+    certified neighbours; so does every ``"mcmc"`` group.  Only a group
+    with no measured event solves through the reference twin."""
 
     def _records(self):
         return [
@@ -172,6 +175,14 @@ class TestUncertifiedFallback:
             _record_for(UNION[:5], seed=7),
             _record_for(UNION[2:9], seed=11),
         ]
+
+    def _engine(self, estimator):
+        if estimator == "mcmc":
+            return BayesPerfEngine(
+                CATALOG, UNION, moment_estimator="mcmc",
+                mcmc_samples=20, mcmc_burn_in=10, ep_max_iterations=2,
+            )
+        return BayesPerfEngine(CATALOG, UNION)
 
     def _empty_signature(self, monkeypatch, records):
         """A record that measured nothing joins the batch."""
@@ -193,14 +204,15 @@ class TestUncertifiedFallback:
         )
         return records
 
+    @pytest.mark.parametrize("estimator", ["analytic", "mcmc"])
     @pytest.mark.parametrize("make_batch", ["_empty_signature", "_forced_uncertified"])
-    def test_uncertified_group_solves_through_the_reference_twin(
-        self, monkeypatch, make_batch
+    def test_uncertified_group_solves_on_the_canonical_structure(
+        self, monkeypatch, make_batch, estimator
     ):
         records = self._records()
-        canonical = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
+        canonical = _solve_batch(self._engine(estimator), records)
         records = getattr(self, make_batch)(monkeypatch, records)
-        twin = _solve_batch(BayesPerfEngine(CATALOG, UNION), records, by_signature=True)
+        twin = _solve_batch(self._engine(estimator), records, by_signature=True)
 
         referenced = []
         solve_reference = BayesPerfEngine._solve_reference
@@ -210,19 +222,22 @@ class TestUncertifiedFallback:
             return solve_reference(engine, batch, row)
 
         monkeypatch.setattr(BayesPerfEngine, "_solve_reference", spy)
-        solved = _solve_batch(BayesPerfEngine(CATALOG, UNION), records)
+        solved = _solve_batch(self._engine(estimator), records)
 
-        fallback = 1 if make_batch == "_forced_uncertified" else len(records) - 1
-        assert referenced == [fallback]
+        empty = len(records) - 1 if make_batch == "_empty_signature" else None
+        assert referenced == ([] if empty is None else [empty])
         for row, (means, stds, _, _) in enumerate(solved):
             assert all(math.isfinite(std) and std >= 0.0 for std in stds.values())
-            if row == fallback:
+            if row == empty:
                 want_means, want_stds = twin[row][:2]
                 for event in want_means:
                     assert _gap(means[event], want_means[event]) < TOLERANCE
                     assert _gap(stds[event], want_stds[event]) < TOLERANCE
-            else:
-                # Certified neighbours: bit-identical to the all-canonical batch.
+                continue
+            # The per-signature twin, exactly; certified neighbours also
+            # equal the batch without the uncertified group.
+            assert solved[row] == twin[row]
+            if row != 1 or make_batch == "_empty_signature":
                 assert solved[row] == canonical[row]
 
 
